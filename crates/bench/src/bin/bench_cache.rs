@@ -16,6 +16,8 @@
 //!
 //! Gates enforced here (the process exits non-zero on violation):
 //!
+//! * every cached variant (cold, warm, disk) is bit-identical to an
+//!   independent from-scratch compile;
 //! * quick mode: warm < cold for every chain;
 //! * full mode: warm is additionally ≥ 10× faster than cold on G4/G5
 //!   (the ISSUE 2 acceptance bar).

@@ -15,7 +15,7 @@
 //! The record is written to `BENCH_interp.json`
 //! (`BENCH_interp.quick.json` under `FLASHFUSER_QUICK=1`, the
 //! verify-gate mode, so a verify run never clobbers the committed
-//! full-run baseline). CI greps the anchored `"kernel_faster": true`.
+//! full-run baseline).
 //!
 //! Gates enforced here (the process exits non-zero on violation):
 //!

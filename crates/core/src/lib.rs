@@ -44,7 +44,6 @@ pub mod mapping;
 pub mod plan;
 pub mod profiler;
 pub mod prune;
-pub mod runtime;
 pub mod schedule;
 pub mod search;
 pub mod segment;
@@ -57,14 +56,11 @@ pub use codec::{
     PlanRecord,
 };
 pub use cost::{CostBreakdown, CostModel};
-#[allow(deprecated)]
-pub use machine::MachineParams;
 pub use machine::{ComputeParams, MachineDescriptor, MachineError, MemLevel, MemTier, TierScope};
 pub use mapping::{ResourceMapping, TensorMapping, TensorRole};
 pub use plan::{FusedPlan, PlanError, PlanGeometry};
 pub use profiler::{PlanProfiler, ProfileOutcome};
 pub use prune::{Candidate, CandidateIter, CandidateStream, PruneConfig, PruneStats};
-pub use runtime::KernelCache;
 pub use schedule::LoopSchedule;
 pub use search::{
     available_threads, RankedPlan, SearchConfig, SearchEngine, SearchError, SearchResult,

@@ -338,10 +338,9 @@ const MAX_ONCHIP_CAPACITY: u64 = 1 << 48;
 /// A machine described as data: compute parameters plus one [`MemTier`]
 /// per [`TierScope`], in canonical order.
 ///
-/// The flat pre-PR-7 `MachineParams` struct survives as a deprecated
-/// alias; its field reads are now accessor methods
+/// Flat per-level figures are accessor methods
 /// ([`MachineDescriptor::num_sms`], [`MachineDescriptor::hbm_bw`], ...)
-/// so call sites read the tier list instead of struct fields.
+/// that read the tier list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineDescriptor {
     /// Human-readable device name. Not part of the fingerprint.
@@ -349,13 +348,6 @@ pub struct MachineDescriptor {
     compute: ComputeParams,
     tiers: Vec<MemTier>,
 }
-
-/// The flat machine-parameter struct of PRs 1–6.
-#[deprecated(
-    note = "MachineParams was redesigned into the tier-list MachineDescriptor; \
-            the constructors and accessors are unchanged"
-)]
-pub type MachineParams = MachineDescriptor;
 
 impl MachineDescriptor {
     /// Builds and validates a descriptor.
@@ -880,13 +872,6 @@ mod tests {
             assert_eq!(TierScope::parse(scope.as_str()), Some(scope));
         }
         assert_eq!(TierScope::parse("smem"), None);
-    }
-
-    #[test]
-    fn deprecated_alias_still_constructs() {
-        #[allow(deprecated)]
-        let p = MachineParams::h100_sxm();
-        assert_eq!(p.fingerprint(), MachineDescriptor::h100_sxm().fingerprint());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A deliberately small HTTP/1.1 reader/writer.
+//! A deliberately small HTTP/1.1 parser/encoder.
 //!
 //! This is not a general HTTP implementation: it understands only what
 //! the compilation API needs — a request line, headers, and an optional
@@ -7,15 +7,12 @@
 //! Everything outside that envelope is a typed [`HttpError`] the server
 //! maps to a 4xx response.
 //!
-//! Two entry points share one parser:
-//!
-//! * [`parse_request`] is incremental and allocation-bounded: it looks
-//!   at a byte buffer, returns `Ok(None)` until a full request is
-//!   present, and on success reports how many bytes it consumed so the
-//!   caller can retain pipelined surplus. The keep-alive reactor calls
-//!   this on every readable connection.
-//! * [`read_request`] wraps the same parser around a blocking `Read`
-//!   for the strict one-shot paths (the 503 rejector, tests).
+//! [`parse_request`] is incremental and allocation-bounded: it looks
+//! at a byte buffer, returns `Ok(None)` until a full request is
+//! present, and on success reports how many bytes it consumed so the
+//! caller can retain pipelined surplus. The keep-alive reactor calls
+//! it on every readable connection; nothing in this crate reads a
+//! socket on the parser's behalf.
 //!
 //! Keep-alive negotiation happens at parse time: HTTP/1.1 defaults to
 //! persistent, HTTP/1.0 to close, and a `Connection` header overrides
@@ -24,7 +21,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{self, Read, Write};
 
 /// Upper bound on the request line + headers, bytes.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -201,34 +197,6 @@ fn parse_head(head: &[u8]) -> Result<(Request, usize), HttpError> {
     ))
 }
 
-/// Reads one request from `stream`, enforcing `max_body_bytes`.
-///
-/// Blocking wrapper around [`parse_request`]; bytes beyond the first
-/// complete request are discarded (one-shot callers close afterwards).
-///
-/// # Errors
-///
-/// Returns [`HttpError`] on anything other than a well-formed request
-/// within the size caps; socket errors (including read timeouts) map to
-/// [`HttpError::Io`].
-pub fn read_request(stream: &mut impl Read, max_body_bytes: usize) -> Result<Request, HttpError> {
-    // Read in chunks, re-parsing after each one. (One read per byte
-    // would cost ~100+ syscalls per request on the hot path.)
-    let mut data = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Some((request, _consumed)) = parse_request(&data, max_body_bytes)? {
-            return Ok(request);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(HttpError::Truncated),
-            Ok(n) => data.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(HttpError::Io(e.to_string())),
-        }
-    }
-}
-
 /// One response to write back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
@@ -302,24 +270,17 @@ pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     out
 }
 
-/// Writes `response` to `stream` (`Connection: close` always — the
-/// one-shot rejector path).
-///
-/// # Errors
-///
-/// Returns the underlying I/O error; callers treat a failed write as a
-/// dead peer and drop the connection.
-pub fn write_response(stream: &mut impl Write, response: &Response) -> io::Result<()> {
-    stream.write_all(&encode_response(response, false))?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One complete request, or `Truncated` when the bytes end first
+    /// (what the reactor answers on EOF mid-request).
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
-        read_request(&mut io::Cursor::new(raw.to_vec()), DEFAULT_MAX_BODY_BYTES)
+        match parse_request(raw, DEFAULT_MAX_BODY_BYTES)? {
+            Some((request, _consumed)) => Ok(request),
+            None => Err(HttpError::Truncated),
+        }
     }
 
     #[test]
@@ -378,7 +339,7 @@ mod tests {
         assert_eq!(parse(huge_head.as_bytes()), Err(HttpError::HeadTooLarge));
         let big_body = b"POST /x HTTP/1.1\r\nContent-Length: 99\r\n\r\n";
         assert_eq!(
-            read_request(&mut io::Cursor::new(big_body.to_vec()), 10),
+            parse_request(big_body, 10),
             Err(HttpError::BodyTooLarge(10))
         );
     }
@@ -431,11 +392,9 @@ mod tests {
 
     #[test]
     fn response_round_trips_through_a_buffer() {
-        let mut out = Vec::new();
         let mut resp = Response::json(503, "{\"error\": \"busy\"}");
         resp.retry_after = Some(1);
-        write_response(&mut out, &resp).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(encode_response(&resp, false)).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.contains("Content-Length: 17\r\n"));

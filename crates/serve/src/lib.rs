@@ -26,10 +26,10 @@
 //! * [`queue`] — the bounded admission queue: backpressure by
 //!   construction, drain-on-close for graceful shutdown;
 //! * [`server`] — acceptor + reactor + fixed worker pool, wired to a
-//!   [`Handler`] implementation; queue saturation answers `503` +
-//!   `Retry-After` inline *without* costing the client its connection,
-//!   and a connection-count valve rejects floods before they reach the
-//!   reactor;
+//!   [`Handler`] implementation; the reactor answers every
+//!   saturation `503` + `Retry-After` itself — a full queue *without*
+//!   costing the client its connection, a socket over the connection
+//!   limit as a short-lived reject-only connection;
 //! * [`stats`] — relaxed-atomic counters and log-bucketed latency
 //!   histograms (p50/p99 in O(64) with no allocation per sample);
 //! * [`client`] — the minimal blocking client the load generator and

@@ -4,14 +4,15 @@
 //!
 //! ```text
 //!   accept() ──register──▶ reactor (poll) ──try_push──▶ [queue] ──pop──▶ worker × N
-//!      │ too many conns?      │   ▲    │ full?                             │
-//!      └──▶ 503 (rejector)    │   └────┴──▶ 503 inline, conn stays open    └─▶ Handler
+//!      │ past the reserve?    │   ▲    │ full? / too many conns?           │
+//!      └──▶ drop              │   └────┴──▶ 503 staged on the connection   └─▶ Handler
 //!                             │  completions (waker)◀───────────────────────────┘
 //! ```
 //!
-//! * The **acceptor** never does request work; it only admits (hand the
-//!   socket to the reactor) or rejects (the connection-count valve), so
-//!   saturation answers in microseconds even when every worker is busy.
+//! * The **acceptor** never does request work and never writes: it
+//!   hands every socket to the reactor, and only past
+//!   `max_connections` + `REJECT_RESERVE` (64) sockets does it drop
+//!   new ones outright (a dropped connection is still backpressure).
 //! * The **reactor** is a single thread multiplexing every live
 //!   connection over [`crate::reactor`]'s `poll`: it reads nonblocking
 //!   sockets into per-connection buffers, cuts complete requests off
@@ -24,10 +25,15 @@
 //! * **Workers** only compute: pop a request, run the [`Handler`]
 //!   (panics cost a 500, not a thread), hand the response back to the
 //!   reactor via the completion list + waker.
-//! * **Queue saturation** answers `503` + `Retry-After` inline from the
-//!   reactor and *keeps the connection open* — a rejected request must
-//!   not cost the client its warm connection. Parse errors close, as
-//!   HTTP requires once framing is lost.
+//! * **Saturation** is answered in one place, the reactor, with `503` +
+//!   `Retry-After` staged on the connection. A full queue *keeps the
+//!   connection open* — a rejected request must not cost the client
+//!   its warm connection. A socket arriving over `max_connections` is
+//!   adopted as a reject-only connection: the 503 goes out with
+//!   `Connection: close` and the ordinary `Draining` handshake reads
+//!   off whatever the peer sends, so the close is a FIN, not an RST
+//!   racing the response. Parse errors close, as HTTP requires once
+//!   framing is lost.
 //! * **Shutdown** is a control signal (a [`Response::shutdown`] flag
 //!   set by the handler, or [`Server::shutdown`] called directly):
 //!   admissions stop, dispatched requests complete and flush, workers
@@ -40,9 +46,9 @@ use crate::queue::{Push, Queue};
 use crate::reactor::{self, Interest, WakeReceiver, Waker};
 use crate::stats::ServeStats;
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -68,13 +74,10 @@ pub struct ServeOptions {
     /// connection slot any longer than a stalled one, no matter how
     /// many requests it already completed.
     pub read_timeout: Duration,
-    /// Per-connection socket write timeout (the rejector path; reactor
-    /// writes are nonblocking).
-    pub write_timeout: Duration,
     /// Request-body cap in bytes; larger payloads answer 413.
     pub max_body_bytes: usize,
-    /// Live-connection cap; beyond it new sockets get a one-shot 503
-    /// from a rejector thread instead of a reactor slot.
+    /// Live-connection cap; beyond it new sockets are answered `503` +
+    /// `Connection: close` and never served.
     pub max_connections: usize,
     /// Requests served per connection before the server answers
     /// `Connection: close` (bounds per-connection state lifetime).
@@ -82,9 +85,6 @@ pub struct ServeOptions {
     /// Test-only: hold each request in the worker for this long before
     /// handling, to make saturation deterministic in integration tests.
     pub debug_handle_delay: Option<Duration>,
-    /// Test-only: make the first N rejector threads panic after taking
-    /// their slot, to regression-test the slot drop guard.
-    pub debug_reject_panics: u64,
 }
 
 impl Default for ServeOptions {
@@ -93,12 +93,10 @@ impl Default for ServeOptions {
             workers: 0,
             queue_depth: 64,
             read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
             max_body_bytes: http::DEFAULT_MAX_BODY_BYTES,
             max_connections: 1024,
             max_requests_per_conn: 1024,
             debug_handle_delay: None,
-            debug_reject_panics: 0,
         }
     }
 }
@@ -125,7 +123,8 @@ struct ReactorShared {
     completions: Mutex<Vec<Completion>>,
     /// Pops the reactor out of `poll` after pushing to either list.
     waker: Waker,
-    /// Live connections (acceptor-side admission valve).
+    /// Sockets the reactor owns or is about to adopt, reject-only ones
+    /// included (the acceptor's drop valve reads it).
     conn_count: AtomicUsize,
 }
 
@@ -323,14 +322,19 @@ impl Server {
     }
 }
 
+/// Reject-only connections the reactor will hold at once; past
+/// `max_connections` plus this many sockets the acceptor stops handing
+/// them over and drops (an extreme-flood valve).
+const REJECT_RESERVE: usize = 64;
+
 fn acceptor_loop(
     listener: &TcpListener,
     shared: &ReactorShared,
-    stats: &Arc<ServeStats>,
+    stats: &ServeStats,
     signal: &ShutdownSignal,
     options: &ServeOptions,
 ) {
-    let reject_poison = Arc::new(AtomicU64::new(options.debug_reject_panics));
+    let drop_beyond = options.max_connections.max(1) + REJECT_RESERVE;
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -353,132 +357,13 @@ fn acceptor_loop(
             return;
         }
         stats.accepted.fetch_add(1, Ordering::Relaxed);
-        if shared.conn_count.load(Ordering::SeqCst) >= options.max_connections.max(1) {
-            // The reactor is at its connection budget: answer a one-shot
-            // 503 from a short-lived rejector thread rather than taking
-            // a slot that would starve established keep-alive peers.
+        if shared.conn_count.load(Ordering::SeqCst) >= drop_beyond {
             stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-            reject_busy(
-                stream,
-                Arc::clone(stats),
-                options.max_body_bytes,
-                Arc::clone(&reject_poison),
-            );
-            continue;
+            continue; // flood valve: drop without ceremony
         }
         shared.conn_count.fetch_add(1, Ordering::SeqCst);
         shared.registrations.lock().unwrap().push(stream);
         shared.waker.wake();
-    }
-}
-
-/// Concurrent rejection threads beyond which the server stops writing
-/// polite 503s and just drops the connection (an extreme-flood valve;
-/// a dropped connection is still backpressure).
-const MAX_REJECTORS: u64 = 64;
-
-/// Owns one slot of the [`MAX_REJECTORS`] budget; gives it back on drop.
-///
-/// The decrement must live in a drop guard, not at the end of the
-/// rejector body: a rejector that panics mid-rejection would otherwise
-/// leak its slot forever, and [`MAX_REJECTORS`] leaks later the valve
-/// silently stops answering 503s at all.
-struct RejectorSlot(Arc<ServeStats>);
-
-impl Drop for RejectorSlot {
-    fn drop(&mut self) {
-        self.0.rejectors.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Answers 503 + `Retry-After` without blocking the acceptor: the
-/// request must be *read* before the response is written and the socket
-/// closed (closing with unread bytes makes TCP send RST and may discard
-/// the response), and reading waits on the peer — so each rejection
-/// runs on a short-lived thread with tight timeouts.
-fn reject_busy(
-    stream: TcpStream,
-    stats: Arc<ServeStats>,
-    max_body_bytes: usize,
-    poison: Arc<AtomicU64>,
-) {
-    if stats.rejectors.fetch_add(1, Ordering::SeqCst) >= MAX_REJECTORS {
-        stats.rejectors.fetch_sub(1, Ordering::SeqCst);
-        return; // flood valve: drop without ceremony
-    }
-    let slot = RejectorSlot(Arc::clone(&stats));
-    // From here on the slot is owned by the guard: every exit from the
-    // closure — return, panic, or the closure being dropped unspawned —
-    // runs the decrement exactly once.
-    let spawned = std::thread::Builder::new()
-        .name("serve-reject".to_string())
-        .spawn(move || {
-            let _slot = slot;
-            if poison
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-                .is_ok()
-            {
-                panic!("debug_reject_panics: poisoned rejector");
-            }
-            let mut stream = stream;
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-            // Drain the request (under the server's own body cap) so
-            // the close after the 503 is a clean FIN, not an RST racing
-            // the response off the wire.
-            let deadline = Instant::now() + Duration::from_millis(500);
-            let fully_read = http::read_request(
-                &mut DeadlineStream {
-                    stream: &stream,
-                    deadline,
-                },
-                max_body_bytes,
-            )
-            .is_ok();
-            let mut response = Response::json(
-                503,
-                "{\"error\": \"server saturated: too many connections\", \"retry\": true}",
-            );
-            response.retry_after = Some(1);
-            let _ = http::write_response(&mut stream, &response);
-            if !fully_read {
-                // The request errored mid-read (oversized body, bad
-                // head): same RST hazard as the reactor's error path —
-                // half-close and keep draining briefly so the 503
-                // survives.
-                let _ = stream.shutdown(std::net::Shutdown::Write);
-                let mut reader = DeadlineStream {
-                    stream: &stream,
-                    deadline,
-                };
-                let mut sink = [0u8; 4096];
-                while matches!(reader.read(&mut sink), Ok(n) if n > 0) {}
-            }
-        });
-    // On spawn failure the closure is dropped unrun, which drops the
-    // guard and releases the slot — nothing to do here.
-    drop(spawned);
-}
-
-/// A read view of a `TcpStream` that enforces one overall deadline:
-/// before every read the socket timeout is re-armed to the time
-/// remaining, so the total time a peer can hold the reader — stalled
-/// *or* trickling one byte per timeout — is bounded by the deadline.
-struct DeadlineStream<'a> {
-    stream: &'a TcpStream,
-    deadline: Instant,
-}
-
-impl Read for DeadlineStream<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let remaining = self.deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "request read deadline exceeded",
-            ));
-        }
-        self.stream.set_read_timeout(Some(remaining))?;
-        (&mut &*self.stream).read(buf)
     }
 }
 
@@ -532,6 +417,7 @@ fn reactor_loop(ctx: ReactorCtx, mut wake_rx: WakeReceiver) {
     // stops reading it until responses drain the front.
     let high_water = ctx.options.max_body_bytes + http::MAX_HEAD_BYTES + 4096;
     let max_requests = ctx.options.max_requests_per_conn.max(1);
+    let max_conns = ctx.options.max_connections.max(1);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token: u64 = 0;
     // Jobs pushed but not yet completed (their connection may die
@@ -550,7 +436,18 @@ fn reactor_loop(ctx: ReactorCtx, mut wake_rx: WakeReceiver) {
                 continue; // admissions are over
             }
             match Conn::new(stream, ctx.options.read_timeout) {
-                Ok(conn) => {
+                Ok(mut conn) => {
+                    // Connections already on their way out hold no slot.
+                    if conns.len() >= max_conns
+                        && conns.values().filter(|c| !c.close_after_flush).count() >= max_conns
+                    {
+                        // Reject-only: the 503 goes out first, then the
+                        // `Draining` handshake reads off the request so
+                        // the close cannot RST the response away.
+                        ctx.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
+                        conn.stage(&saturated("too many connections"), false);
+                        conn.close_after_flush = true;
+                    }
                     conns.insert(next_token, conn);
                     next_token += 1;
                 }
@@ -732,12 +629,7 @@ fn advance(
                                     // client its warm connection: answer
                                     // inline and keep listening.
                                     stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-                                    let mut response = Response::json(
-                                        503,
-                                        "{\"error\": \"server saturated: admission queue is full\", \"retry\": true}",
-                                    );
-                                    response.retry_after = Some(1);
-                                    conn.stage(&response, keep_req);
+                                    conn.stage(&saturated("admission queue is full"), keep_req);
                                     conn.served += 1;
                                     if keep_req {
                                         conn.deadline = now + options.read_timeout;
@@ -820,6 +712,16 @@ fn advance(
             true
         }
     }
+}
+
+/// The backpressure answer: `503` + `Retry-After: 1`.
+fn saturated(why: &str) -> Response {
+    let mut response = Response::json(
+        503,
+        format!("{{\"error\": \"server saturated: {why}\", \"retry\": true}}"),
+    );
+    response.retry_after = Some(1);
+    response
 }
 
 /// Flushes staged bytes; on a dead socket counts the loss and errors.
@@ -1139,50 +1041,101 @@ mod tests {
         assert!(stats.client_errors.load(Ordering::Relaxed) >= 1);
     }
 
-    #[test]
-    fn poisoned_rejectors_do_not_leak_their_slots() {
-        // Silence the panic hook for the deliberately-poisoned rejector
-        // threads (everything else still reports normally).
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if std::thread::current().name() != Some("serve-reject") {
-                prev(info);
-            }
-        }));
-        let poisoned = MAX_REJECTORS + 2;
+    /// An echo server with one connection slot, and the keep-alive peer
+    /// holding it.
+    fn start_full() -> (Server, Arc<ServeStats>, client::Connection) {
         let (server, stats) = start_echo(ServeOptions {
             workers: 1,
             max_connections: 1,
-            debug_reject_panics: poisoned,
             ..ServeOptions::default()
         });
+        let mut peer = client::Connection::open(server.addr()).unwrap();
+        assert_eq!(peer.request("GET", "/first", b"").unwrap().status, 200);
+        (server, stats, peer)
+    }
+
+    #[test]
+    fn over_limit_sockets_get_a_503_and_a_clean_close() {
+        let (server, stats, mut peer) = start_full();
         let addr = server.addr();
-        // Occupy the only reactor slot so every further connection goes
-        // through the rejector.
-        let _parked = TcpStream::connect(addr).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        // More panicking rejectors than MAX_REJECTORS, sequentially:
-        // without the drop guard each one would leak a slot and the
-        // valve would go permanently silent after 64.
-        for i in 0..poisoned {
-            let r = client::get(addr, "/flood");
-            assert!(r.is_err(), "poisoned rejector {i} still answered: {r:?}");
+        // Writes `bytes`, reads to the FIN; an RST fails either call.
+        let exchange = |bytes: &[u8]| {
+            use std::io::{Read, Write};
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            stream.write_all(bytes).expect("server drained the request");
+            let mut response = Vec::new();
+            stream.read_to_end(&mut response).expect("FIN, not RST");
+            String::from_utf8(response).unwrap()
+        };
+        let oversized = [
+            format!(
+                "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                2 * http::DEFAULT_MAX_BODY_BYTES
+            )
+            .as_bytes(),
+            &vec![b'x'; 2 * http::DEFAULT_MAX_BODY_BYTES],
+        ]
+        .concat();
+        for request in [
+            &b"GET /second HTTP/1.1\r\n\r\n"[..],
+            &oversized,
+            b"THIS IS NOT HTTP\r\n\r\n",
+        ] {
+            let text = exchange(request);
+            assert!(text.starts_with("HTTP/1.1 503 "), "{text}");
+            assert!(text.contains("Retry-After: 1\r\n"), "{text}");
+            assert!(text.contains("Connection: close\r\n"), "{text}");
+            assert!(text.contains("too many connections"), "{text}");
         }
-        // The guard returned every slot: the next rejection is a real,
-        // polite 503 again.
+        assert_eq!(stats.rejected_busy.load(Ordering::Relaxed), 3);
+        // The established peer never noticed.
+        assert_eq!(peer.request("GET", "/still", b"").unwrap().status, 200);
+        // Once it leaves, its slot serves the next socket.
+        drop(peer);
         let deadline = Instant::now() + Duration::from_secs(2);
-        while stats.rejectors.load(Ordering::SeqCst) != 0 {
-            assert!(Instant::now() < deadline, "rejector gauge never settled");
+        while client::get(addr, "/next").unwrap().status != 200 {
+            assert!(Instant::now() < deadline, "the slot was never reclaimed");
             std::thread::sleep(Duration::from_millis(10));
         }
-        let r = client::get(addr, "/after-poison").unwrap();
-        assert_eq!(r.status, 503);
-        assert_eq!(r.headers.get("retry-after").map(String::as_str), Some("1"));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_flood_past_the_reserve_is_dropped_not_adopted() {
+        let (server, stats, mut peer) = start_full();
+        let addr = server.addr();
+        // Silent sockets, all held open: each adopted one sits in the
+        // reactor for the whole drain budget.
+        let flood: Vec<TcpStream> = (0..REJECT_RESERVE + 32)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        let mut answered = 0;
+        for mut stream in &flood {
+            use std::io::Read;
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut response = Vec::new();
+            let _ = stream.read_to_end(&mut response);
+            if response.starts_with(b"HTTP/1.1 503 ") {
+                answered += 1;
+            } else {
+                assert!(response.is_empty(), "dropped sockets see no bytes");
+            }
+        }
+        assert!(
+            (1..=REJECT_RESERVE).contains(&answered),
+            "{answered} reject-only connections against a reserve of {REJECT_RESERVE}"
+        );
         assert_eq!(
             stats.rejected_busy.load(Ordering::Relaxed),
-            poisoned + 1,
-            "every over-cap connection was counted"
+            flood.len() as u64,
+            "answered or dropped, every over-limit socket was counted"
         );
+        assert_eq!(peer.request("GET", "/still", b"").unwrap().status, 200);
         server.shutdown();
     }
 }

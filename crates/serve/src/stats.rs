@@ -107,7 +107,9 @@ impl LatencyHistogram {
 pub struct ServeStats {
     /// Connections accepted by the listener.
     pub accepted: AtomicU64,
-    /// Connections rejected at admission (503 + retry hint).
+    /// Requests and connections turned away at admission: 503 + retry
+    /// hint for a full queue or a socket over the connection limit,
+    /// plus sockets dropped past the reject reserve.
     pub rejected_busy: AtomicU64,
     /// Requests currently admitted but not yet answered.
     pub in_flight: AtomicU64,
@@ -120,9 +122,6 @@ pub struct ServeStats {
     /// Requests that died before a response could be written (peer
     /// vanished, socket error).
     pub dropped: AtomicU64,
-    /// Rejection threads currently writing 503s (the acceptor's flood
-    /// valve watches this).
-    pub rejectors: AtomicU64,
     /// Requests served beyond the first on their connection — the
     /// keep-alive payoff (`reused / latency.count()` approximates the
     /// connection-reuse rate).

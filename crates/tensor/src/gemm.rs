@@ -8,7 +8,7 @@
 //! functions are the naive oracle path.
 
 use crate::error::ShapeError;
-use crate::kernel::{BlockedKernel, MicroKernel};
+use crate::kernel::MicroKernel;
 use crate::matrix::Matrix;
 
 /// Computes `A × B`.
@@ -107,31 +107,6 @@ pub fn matmul_accumulate_with(
     kernel.gemm(c, a, b)
 }
 
-/// Computes `A × B` through the packed blocked kernel with a uniform
-/// `block × block × block` cache blocking.
-///
-/// Functionally identical to [`matmul`] (up to floating-point association);
-/// always takes the packed path, whatever the shape, so tests can confirm
-/// that packing, blocking and ragged-edge handling never change results
-/// beyond accumulation-order noise.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `A.cols() != B.rows()`.
-///
-/// # Panics
-///
-/// Panics if `block == 0`.
-pub fn matmul_blocked(a: &Matrix, b: &Matrix, block: usize) -> Result<Matrix, ShapeError> {
-    assert!(block > 0, "block size must be positive");
-    if a.cols() != b.rows() {
-        return Err(ShapeError::new("matmul_blocked", a.shape(), b.shape()));
-    }
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    BlockedKernel::with_blocks(block, block, block).gemm_packed(&mut c, a, b, None);
-    Ok(c)
-}
-
 /// FLOP count of a single `m x k` × `k x n` GEMM (multiply + add).
 pub fn gemm_flops(m: u64, n: u64, k: u64) -> u64 {
     2 * m * n * k
@@ -216,21 +191,6 @@ mod tests {
         matmul_accumulate(&mut acc, &a, &b).unwrap();
         for j in 0..4 {
             assert_eq!(acc[(2, j)], 10.0);
-        }
-    }
-
-    #[test]
-    fn blocked_matches_naive_for_various_blocks() {
-        let a = seeded_matrix(13, 9, 7);
-        let b = seeded_matrix(9, 11, 8);
-        let reference = matmul(&a, &b).unwrap();
-        for block in [1, 2, 3, 4, 5, 8, 16, 64] {
-            let c = matmul_blocked(&a, &b, block).unwrap();
-            assert!(
-                reference.approx_eq(&c, 1e-5).unwrap(),
-                "block={block} diverged: {}",
-                reference.max_abs_diff(&c).unwrap()
-            );
         }
     }
 

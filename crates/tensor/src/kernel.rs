@@ -131,8 +131,7 @@ impl BlockedKernel {
         }
     }
 
-    /// Custom blocking, used by [`crate::gemm::matmul_blocked`] and by
-    /// tests that sweep degenerate block shapes.
+    /// Custom blocking, for tests that sweep degenerate block shapes.
     ///
     /// # Panics
     ///
@@ -506,7 +505,8 @@ mod tests {
         let a = seeded_matrix(13, 9, 7);
         let b = seeded_matrix(9, 11, 8);
         let reference = gemm::matmul(&a, &b).unwrap();
-        for (mc, kc, nc) in [(1, 1, 1), (2, 3, 5), (8, 16, 8), (64, 64, 64)] {
+        let uniform = [1, 2, 3, 4, 5, 8, 16, 64].map(|block| (block, block, block));
+        for (mc, kc, nc) in uniform.into_iter().chain([(2, 3, 5), (8, 16, 8)]) {
             let mut c = Matrix::zeros(13, 11);
             BlockedKernel::with_blocks(mc, kc, nc).gemm_packed(&mut c, &a, &b, None);
             assert!(

@@ -32,6 +32,12 @@ cargo check -q --workspace --benches
 echo "== cargo test -q (workspace) =="
 cargo test -q --workspace
 
+# benchmark/ is its own workspace and names part of the facade's public
+# surface: a rename that breaks its `run` or `trace` bin must fail here,
+# not in the benchmark run.
+echo "== benchmark bins build against the facade =="
+cargo build --offline -q --release --manifest-path benchmark/Cargo.toml --bins
+
 # Run a bench bin, failing the gate loudly if it panics or exits
 # non-zero (a panicking bench must never look like a pass).
 run_bench() {

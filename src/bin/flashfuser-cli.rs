@@ -1,10 +1,10 @@
 //! The FlashFuser command-line driver.
 //!
 //! ```text
-//! flashfuser-cli compile <M> <N> <K> <L> [--gated] [--a100] [--cache-dir DIR]
-//! flashfuser-cli compile --conv <IC> <H> <W> <OC1> <OC2> <K1> <K2> [--a100]
-//! flashfuser-cli batch [--a100] [--cache-dir DIR] [--workers N] [--repeat R] <SPEC>...
-//! flashfuser-cli graph <MODEL> <M> [--layers N] [--a100] [--cache-dir DIR]
+//! flashfuser-cli compile <M> <N> <K> <L> [--gated] [--machine SPEC] [--cache-dir DIR]
+//! flashfuser-cli compile --conv <IC> <H> <W> <OC1> <OC2> <K1> <K2> [--machine SPEC]
+//! flashfuser-cli batch [--machine SPEC] [--cache-dir DIR] [--workers N] [--repeat R] <SPEC>...
+//! flashfuser-cli graph <MODEL> <M> [--layers N] [--machine SPEC] [--cache-dir DIR]
 //! flashfuser-cli fuzz --seeds <N> [--ops K] [--dims D] [--kernel NAME] [--start S] [--tol T] [--report PATH]
 //! flashfuser-cli serve [--port P] [--workers N] [--queue-depth D] [--cache-dir DIR]
 //! ```
@@ -27,10 +27,8 @@
 //! single-flight coalescer across all concurrent requests, graceful
 //! shutdown on `POST /admin/shutdown`.
 //!
-//! The bare legacy form `flashfuser-cli <M> <N> <K> <L> [flags]` is
-//! still accepted and treated as `compile`; every other first token
-//! must be one of the subcommands above (model names only appear after
-//! `graph`).
+//! The first token must be one of the subcommands above (model names
+//! only appear after `graph`).
 
 use flashfuser::prelude::*;
 use std::process::ExitCode;
@@ -78,11 +76,11 @@ OPTIONS:
     --gated            Gated-FFN (SwiGLU) chain instead of standard FFN
                        (compile only; in batch use the ':gated' suffix)
     --conv             Compile a conv chain (compile only; see above)
-    --a100             Target the simulated A100 (no DSM) instead of H100
-    --machine SPEC     Target machine: a registry name (h100_sxm, a100_sxm)
-                       or a descriptor JSON file in the codec format, e.g.
-                       machines/tensix_like.json (excludes --a100; applies
-                       to compile, batch, graph, fuzz and serve)
+    --machine SPEC     Target machine: a registry name (h100_sxm, the
+                       default, or a100_sxm, which has no DSM) or a
+                       descriptor JSON file in the codec format, e.g.
+                       machines/tensix_like.json (applies to compile,
+                       batch, graph, fuzz and serve)
     --cache-dir DIR    Persist compiled plans under DIR and reuse them on
                        later runs (content-addressed; invalidates itself
                        when the machine or search config changes)
@@ -135,12 +133,11 @@ EXAMPLES:
     flashfuser-cli fuzz --seeds 16 --kernel naive
     flashfuser-cli fuzz --seeds 24 --attention 0.5 --report FUZZ_report.quick.json
     flashfuser-cli serve --port 8080 --workers 4 --queue-depth 64
-    flashfuser-cli serve --port 8080 --cache-dir /tmp/ff-plans --a100
+    flashfuser-cli serve --port 8080 --cache-dir /tmp/ff-plans --machine a100_sxm
     flashfuser-cli serve --port 8081 --preload /tmp/ff-snapshot
 ";
 
 struct CommonOpts {
-    a100: bool,
     machine: Option<String>,
     cache_dir: Option<String>,
     preload: Option<String>,
@@ -171,7 +168,6 @@ fn usage_error(msg: &str) -> ExitCode {
 /// Splits flags from positionals, consuming flag values.
 fn parse_opts(args: &[String]) -> Result<(CommonOpts, Vec<String>), String> {
     let mut opts = CommonOpts {
-        a100: false,
         machine: None,
         cache_dir: None,
         preload: None,
@@ -198,7 +194,6 @@ fn parse_opts(args: &[String]) -> Result<(CommonOpts, Vec<String>), String> {
         match args[i].as_str() {
             "--gated" => opts.gated = true,
             "--conv" => opts.conv = true,
-            "--a100" => opts.a100 = true,
             "--dry-run" => opts.dry_run = true,
             "--machine" | "--cache-dir" | "--preload" | "--workers" | "--repeat" | "--layers"
             | "--seeds" | "--start" | "--ops" | "--dims" | "--kernel" | "--tol" | "--attention"
@@ -311,19 +306,12 @@ fn parse_opts(args: &[String]) -> Result<(CommonOpts, Vec<String>), String> {
 
 /// Resolves the target machine: `--machine` takes a registry name
 /// (`h100_sxm`, `a100_sxm`) or a descriptor JSON file in the
-/// `core::codec` format (see `machines/*.json`); `--a100` stays as a
-/// shorthand for the built-in A100.
+/// `core::codec` format (see `machines/*.json`); without it the target
+/// is the built-in H100.
 fn machine(opts: &CommonOpts) -> Result<MachineDescriptor, String> {
     let Some(spec) = &opts.machine else {
-        return Ok(if opts.a100 {
-            MachineDescriptor::a100_sxm()
-        } else {
-            MachineDescriptor::h100_sxm()
-        });
+        return Ok(MachineDescriptor::h100_sxm());
     };
-    if opts.a100 {
-        return Err("--machine and --a100 are mutually exclusive".to_string());
-    }
     if let Some(desc) = MachineDescriptor::builtin(spec) {
         return Ok(desc);
     }
@@ -793,11 +781,10 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     for seed in opts.start..end {
         let graph = rand_graph(seed, &config);
         let repro = format!(
-            "flashfuser-cli fuzz --seeds 1 --start {seed} --ops {} --dims {} --kernel {}{}{}",
+            "flashfuser-cli fuzz --seeds 1 --start {seed} --ops {} --dims {} --kernel {}{}",
             opts.ops,
             opts.dims,
             opts.kernel,
-            if opts.a100 { " --a100" } else { "" },
             opts.machine
                 .as_deref()
                 .map(|m| format!(" --machine {m}"))
@@ -948,11 +935,6 @@ fn main() -> ExitCode {
         Some("graph") => cmd_graph(&args[1..]),
         Some("fuzz") => cmd_fuzz(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        // Legacy form: `flashfuser-cli <M> <N> <K> <L> [flags]`, with
-        // flags accepted in any position (`--a100 128 ...` included).
-        Some(first) if first.parse::<usize>().is_ok() || first.starts_with("--") => {
-            cmd_compile(&args)
-        }
         Some(other) => usage_error(&format!("unknown subcommand '{other}'")),
     }
 }

@@ -6,10 +6,13 @@
 //! four compilation entry points:
 //!
 //! * [`compile`] — one chain, one full search (enumerate → prune →
-//!   analyze → rank → profile), no caching;
-//! * [`Compiler`] — a reusable front door with a content-addressed plan
-//!   cache (in-memory LRU + optional on-disk store) and in-flight
-//!   coalescing, for serving workloads where repeated graphs dominate;
+//!   analyze → rank → profile) on a throwaway [`Compiler`];
+//! * [`Compiler`] — a reusable front door: a target machine plus a
+//!   search config over a shared content-addressed plan cache
+//!   (in-memory LRU + optional on-disk store) and in-flight coalescer,
+//!   for serving workloads where repeated graphs dominate;
+//!   [`Compiler::for_machine`] re-targets it per request without
+//!   splitting that state;
 //! * [`compile_batch`] — batch compilation that dedupes identical
 //!   graphs within the batch and shards distinct ones across worker
 //!   threads;
@@ -92,7 +95,7 @@ pub use flashfuser_sim as sim;
 pub use flashfuser_tensor as tensor;
 pub use flashfuser_workloads as workloads;
 
-use flashfuser_cache::{CacheStats, InFlight, PlanCache, PlanKey};
+use flashfuser_cache::{CacheStats, InFlight, PlanCache, PlanKey, DEFAULT_CAPACITY};
 use flashfuser_core::codec::PlanRecord;
 use flashfuser_core::segment::{partition_graph, PartitionError, Segment};
 use flashfuser_core::{
@@ -168,18 +171,7 @@ pub fn default_config_for(params: &MachineDescriptor) -> SearchConfig {
 /// Returns [`SearchError::NoFeasiblePlan`] when no fusion plan exists
 /// under the machine's capacity constraints.
 pub fn compile(chain: &ChainSpec, params: &MachineDescriptor) -> Result<Compiled, SearchError> {
-    let engine = SearchEngine::new(params.clone());
-    let mut profiler = SimProfiler::new(params.clone());
-    let config = default_config_for(params);
-    let result = engine.search_with_profiler(chain, &config, &mut profiler)?;
-    let best = result.best();
-    let measured = best.measured.expect("profiled search always measures");
-    Ok(Compiled {
-        plan: best.analysis.plan().clone(),
-        measured_seconds: measured.seconds,
-        global_bytes: measured.global_bytes,
-        feasible_candidates: result.stats().feasible,
-    })
+    Compiler::new(params.clone()).compile(chain)
 }
 
 /// Compiles a batch of chains with a fresh in-memory [`Compiler`]:
@@ -194,14 +186,11 @@ pub fn compile_batch(
 }
 
 /// Configuration of a [`Compiler`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CompilerOptions {
     /// Search configuration; `None` derives [`default_config_for`] the
     /// target machine. Part of the cache key (minus `threads`).
     pub config: Option<SearchConfig>,
-    /// In-memory LRU capacity in entries; `0` uses
-    /// [`flashfuser_cache::DEFAULT_CAPACITY`].
-    pub cache_capacity: usize,
     /// Directory for the persistent plan store; `None` keeps the cache
     /// memory-only.
     pub cache_dir: Option<PathBuf>,
@@ -209,24 +198,13 @@ pub struct CompilerOptions {
     /// available core. Each worker's inner search divides the remaining
     /// cores, so a batch never oversubscribes the host.
     pub batch_workers: usize,
-    /// Coalesce concurrent in-flight searches for the same key so the
-    /// search runs exactly once (`true` in [`Default`]; `false` lets
-    /// every caller search independently — only useful in benchmarks).
-    pub coalesce: bool,
 }
 
 impl CompilerOptions {
-    /// The defaults: derived search config, capacity
-    /// [`flashfuser_cache::DEFAULT_CAPACITY`], memory-only, auto batch
-    /// workers, coalescing on.
+    /// The defaults: derived search config, memory-only, auto batch
+    /// workers.
     pub fn new() -> Self {
-        Self {
-            config: None,
-            cache_capacity: 0,
-            cache_dir: None,
-            batch_workers: 0,
-            coalesce: true,
-        }
+        Self::default()
     }
 
     /// This configuration with a persistent cache directory.
@@ -236,17 +214,8 @@ impl CompilerOptions {
     }
 }
 
-impl Default for CompilerOptions {
-    /// Identical to [`CompilerOptions::new`] — in particular,
-    /// coalescing stays **on** under struct-update syntax
-    /// (`CompilerOptions { config, ..Default::default() }`).
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A reusable compilation front door with a content-addressed plan
-/// cache and in-flight coalescing.
+/// A reusable compilation front door: a target machine and a search
+/// config over a shared plan cache, in-flight coalescer and counters.
 ///
 /// Compilation is a pure function of `(graph, machine, search config)`
 /// — PR 1's deterministic search makes that exact — so results are
@@ -256,19 +225,26 @@ impl Default for CompilerOptions {
 ///
 /// `Compiler` is `Sync`: share it behind an `Arc` and call
 /// [`Compiler::compile`] from as many threads as you like; concurrent
-/// misses on the same key run one search.
+/// misses on the same key run one search. [`Compiler::for_machine`]
+/// returns a view on another target that shares all of that state.
 #[derive(Debug)]
 pub struct Compiler {
     engine: SearchEngine,
     config: SearchConfig,
-    /// `true` when [`CompilerOptions::config`] was explicit — the same
-    /// config then applies to per-request machines too, instead of
-    /// [`default_config_for`] each target.
-    config_overridden: bool,
+    shared: Arc<Shared>,
+}
+
+/// What every view of one [`Compiler`] shares. [`PlanKey`] hashes the
+/// machine fingerprint and the config, so plans for different targets
+/// never collide in the one cache and coalescer.
+#[derive(Debug)]
+struct Shared {
+    /// [`CompilerOptions::config`] when it was explicit — it then
+    /// applies to every target instead of [`default_config_for`] each.
+    config_override: Option<SearchConfig>,
     cache: PlanCache,
     inflight: InFlight<PlanKey, Result<Arc<PlanRecord>, SearchError>>,
     batch_workers: usize,
-    coalesce: bool,
     searches: AtomicU64,
     profile_calls: AtomicU64,
     coalesced: AtomicU64,
@@ -294,33 +270,46 @@ impl Compiler {
         params: MachineDescriptor,
         options: CompilerOptions,
     ) -> io::Result<Compiler> {
-        let config_overridden = options.config.is_some();
-        let config = options
-            .config
-            .unwrap_or_else(|| default_config_for(&params));
-        let capacity = if options.cache_capacity == 0 {
-            flashfuser_cache::DEFAULT_CAPACITY
-        } else {
-            options.cache_capacity
-        };
         let cache = match &options.cache_dir {
-            Some(dir) => PlanCache::with_disk(capacity, dir)?,
-            None => PlanCache::in_memory(capacity),
+            Some(dir) => PlanCache::with_disk(DEFAULT_CAPACITY, dir)?,
+            None => PlanCache::in_memory(DEFAULT_CAPACITY),
         };
-        Ok(Compiler {
-            engine: SearchEngine::new(params),
-            config,
-            config_overridden,
+        let shared = Shared {
+            config_override: options.config,
             cache,
             inflight: InFlight::new(),
             batch_workers: options.batch_workers,
-            coalesce: options.coalesce,
             searches: AtomicU64::new(0),
             profile_calls: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             preloaded: std::sync::RwLock::new(std::collections::HashSet::new()),
             preload_hits: AtomicU64::new(0),
-        })
+        };
+        Ok(Self::view(Arc::new(shared), params))
+    }
+
+    /// A view of this compiler targeting `machine`: same plan cache,
+    /// coalescer and counters, so repeat requests for one descriptor
+    /// hit warm entries whether it came inline, from a file or from the
+    /// built-in registry. The search config is the explicit
+    /// [`CompilerOptions::config`] when one was set, otherwise
+    /// [`default_config_for`] the new target — so an A100-class
+    /// descriptor gets its SMEM-only spill floor even on an
+    /// H100-default compiler.
+    pub fn for_machine(&self, machine: &MachineDescriptor) -> Compiler {
+        Self::view(Arc::clone(&self.shared), machine.clone())
+    }
+
+    fn view(shared: Arc<Shared>, machine: MachineDescriptor) -> Compiler {
+        let config = shared
+            .config_override
+            .clone()
+            .unwrap_or_else(|| default_config_for(&machine));
+        Compiler {
+            engine: SearchEngine::new(machine),
+            config,
+            shared,
+        }
     }
 
     /// The machine this compiler targets.
@@ -340,19 +329,19 @@ impl Compiler {
 
     /// Cache counter snapshot.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.shared.cache.stats()
     }
 
     /// Number of actual fusion searches this compiler has executed
     /// (cache hits and coalesced waits do not count).
     pub fn searches_run(&self) -> u64 {
-        self.searches.load(Ordering::Relaxed)
+        self.shared.searches.load(Ordering::Relaxed)
     }
 
     /// Total profiler invocations across all searches (the call
     /// accounting coalescing tests assert on).
     pub fn profile_calls(&self) -> u64 {
-        self.profile_calls.load(Ordering::Relaxed)
+        self.shared.profile_calls.load(Ordering::Relaxed)
     }
 
     /// Requests that joined another caller's in-flight search instead
@@ -360,7 +349,7 @@ impl Compiler {
     /// stats surface this: under a same-key thundering herd,
     /// `searches_run` stays at 1 while this counts the herd.
     pub fn coalesced_waits(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
+        self.shared.coalesced.load(Ordering::Relaxed)
     }
 
     /// Imports a warm-cache snapshot directory (as written by
@@ -375,9 +364,10 @@ impl Compiler {
     /// Returns the underlying I/O error when `dir` is missing or
     /// unreadable (individual corrupt records are skipped, not fatal).
     pub fn preload(&self, dir: impl AsRef<Path>) -> io::Result<usize> {
-        let keys = self.cache.preload_from(dir)?;
+        let keys = self.shared.cache.preload_from(dir)?;
         let count = keys.len();
-        self.preloaded
+        self.shared
+            .preloaded
             .write()
             .expect("preloaded set poisoned")
             .extend(keys);
@@ -393,18 +383,22 @@ impl Compiler {
     /// Returns the first I/O error; snapshot export never partially
     /// succeeds silently.
     pub fn export_snapshot(&self, dir: impl AsRef<Path>) -> io::Result<usize> {
-        self.cache.export_to(dir)
+        self.shared.cache.export_to(dir)
     }
 
     /// Keys imported by [`Compiler::preload`] so far.
     pub fn preloaded_keys(&self) -> u64 {
-        self.preloaded.read().expect("preloaded set poisoned").len() as u64
+        self.shared
+            .preloaded
+            .read()
+            .expect("preloaded set poisoned")
+            .len() as u64
     }
 
     /// Cache hits served by records that arrived via
     /// [`Compiler::preload`] rather than this process's own searches.
     pub fn preload_hits(&self) -> u64 {
-        self.preload_hits.load(Ordering::Relaxed)
+        self.shared.preload_hits.load(Ordering::Relaxed)
     }
 
     /// Compiles one chain, consulting the cache first.
@@ -414,7 +408,7 @@ impl Compiler {
     /// Returns [`SearchError::NoFeasiblePlan`] when no fusion plan
     /// exists (negative results are *not* cached).
     pub fn compile(&self, chain: &ChainSpec) -> Result<Compiled, SearchError> {
-        let record = self.compile_record(chain, None)?;
+        let (record, _) = self.compile_record(chain, None)?;
         Ok(self.to_compiled(chain, &record))
     }
 
@@ -447,20 +441,7 @@ impl Compiler {
     /// The shared batch path: per-input cached-or-searched records
     /// (duplicates share one `Arc`).
     fn batch_records(&self, chains: &[ChainSpec]) -> Vec<Result<Arc<PlanRecord>, SearchError>> {
-        self.batch_records_on(&self.engine, &self.config, chains)
-    }
-
-    /// [`Compiler::batch_records`] against an explicit target.
-    fn batch_records_on(
-        &self,
-        engine: &SearchEngine,
-        config: &SearchConfig,
-        chains: &[ChainSpec],
-    ) -> Vec<Result<Arc<PlanRecord>, SearchError>> {
-        let keys: Vec<PlanKey> = chains
-            .iter()
-            .map(|c| PlanKey::derive(c, engine.params(), config))
-            .collect();
+        let keys: Vec<PlanKey> = chains.iter().map(|c| self.key_for(c)).collect();
         // Dedupe: first occurrence of each key claims a slot.
         let mut slot_of = std::collections::HashMap::new();
         let mut unique = Vec::new();
@@ -471,12 +452,12 @@ impl Compiler {
             });
         }
         let workers = self.batch_worker_count(unique.len());
-        let inner_threads = (config.effective_threads() / workers.max(1)).max(1);
+        let inner_threads = (self.config.effective_threads() / workers.max(1)).max(1);
         let results: Vec<OnceLock<Result<Arc<PlanRecord>, SearchError>>> =
             (0..unique.len()).map(|_| OnceLock::new()).collect();
         if workers <= 1 {
             for (slot, &i) in unique.iter().enumerate() {
-                let outcome = self.compile_record_on(engine, config, &chains[i], None);
+                let outcome = self.compile_record(&chains[i], None).map(|(r, _)| r);
                 results[slot].set(outcome).expect("slot set once");
             }
         } else {
@@ -488,12 +469,9 @@ impl Compiler {
                         if slot >= unique.len() {
                             break;
                         }
-                        let outcome = self.compile_record_on(
-                            engine,
-                            config,
-                            &chains[unique[slot]],
-                            Some(inner_threads),
-                        );
+                        let outcome = self
+                            .compile_record(&chains[unique[slot]], Some(inner_threads))
+                            .map(|(r, _)| r);
                         results[slot].set(outcome).expect("slot claimed once");
                     });
                 }
@@ -520,162 +498,83 @@ impl Compiler {
     /// Returns [`SearchError::NoFeasiblePlan`] when no fusion plan
     /// exists.
     pub fn compile_record_for(&self, chain: &ChainSpec) -> Result<PlanRecord, SearchError> {
-        let record = self.compile_record(chain, None)?;
+        let (record, _) = self.compile_record(chain, None)?;
         Ok(project_record(&record, chain))
-    }
-
-    /// The search configuration for a per-request machine: the explicit
-    /// config when [`CompilerOptions::config`] was set, otherwise
-    /// [`default_config_for`] the target — so an A100-class descriptor
-    /// gets its SMEM-only spill floor even on an H100-default compiler.
-    fn config_for_machine(&self, machine: &MachineDescriptor) -> SearchConfig {
-        if self.config_overridden {
-            self.config.clone()
-        } else {
-            default_config_for(machine)
-        }
-    }
-
-    /// [`Compiler::compile`] against a per-request machine instead of
-    /// the compiler's default. Plans share this compiler's cache and
-    /// coalescer: [`PlanKey`] includes the machine fingerprint, so
-    /// distinct descriptors never collide and repeat requests for the
-    /// same descriptor hit warm entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SearchError::NoFeasiblePlan`] when no fusion plan
-    /// exists under `machine`'s capacity constraints.
-    pub fn compile_for_machine(
-        &self,
-        chain: &ChainSpec,
-        machine: &MachineDescriptor,
-    ) -> Result<Compiled, SearchError> {
-        let engine = SearchEngine::new(machine.clone());
-        let config = self.config_for_machine(machine);
-        let record = self.compile_record_on(&engine, &config, chain, None)?;
-        Ok(self.to_compiled(chain, &record))
-    }
-
-    /// [`Compiler::compile_record_for`] against a per-request machine.
-    pub fn compile_record_for_machine(
-        &self,
-        chain: &ChainSpec,
-        machine: &MachineDescriptor,
-    ) -> Result<PlanRecord, SearchError> {
-        let engine = SearchEngine::new(machine.clone());
-        let config = self.config_for_machine(machine);
-        let record = self.compile_record_on(&engine, &config, chain, None)?;
-        Ok(project_record(&record, chain))
-    }
-
-    /// [`Compiler::compile_batch_records`] against a per-request
-    /// machine.
-    pub fn compile_batch_records_for_machine(
-        &self,
-        chains: &[ChainSpec],
-        machine: &MachineDescriptor,
-    ) -> Vec<Result<PlanRecord, SearchError>> {
-        let engine = SearchEngine::new(machine.clone());
-        let config = self.config_for_machine(machine);
-        self.batch_records_on(&engine, &config, chains)
-            .into_iter()
-            .zip(chains)
-            .map(|(outcome, chain)| outcome.map(|record| project_record(&record, chain)))
-            .collect()
-    }
-
-    /// The cache key this compiler derives for `chain` on a
-    /// per-request machine.
-    pub fn key_for_machine(&self, chain: &ChainSpec, machine: &MachineDescriptor) -> PlanKey {
-        PlanKey::derive(chain, machine, &self.config_for_machine(machine))
     }
 
     /// Worker count for a batch of `unique` distinct keys.
     fn batch_worker_count(&self, unique: usize) -> usize {
-        let configured = if self.batch_workers > 0 {
-            self.batch_workers
+        let configured = if self.shared.batch_workers > 0 {
+            self.shared.batch_workers
         } else {
             flashfuser_core::available_threads()
         };
         configured.min(unique).max(1)
     }
 
-    /// The cached-or-searched record for `chain`.
+    /// The cached-or-searched record for `chain`, and whether *this
+    /// call* ran the search (`false` on a cache hit or when it joined
+    /// another caller's flight).
     fn compile_record(
         &self,
         chain: &ChainSpec,
         threads_override: Option<usize>,
-    ) -> Result<Arc<PlanRecord>, SearchError> {
-        self.compile_record_on(&self.engine, &self.config, chain, threads_override)
-    }
-
-    /// [`Compiler::compile_record`] against an explicit target. The
-    /// cache and the single-flight coalescer are shared across targets:
-    /// [`PlanKey`] hashes the machine fingerprint, so plans for
-    /// different descriptors never collide, while repeated requests for
-    /// the same descriptor hit the same entries whether the descriptor
-    /// came inline, from a file, or from the built-in registry.
-    fn compile_record_on(
-        &self,
-        engine: &SearchEngine,
-        config: &SearchConfig,
-        chain: &ChainSpec,
-        threads_override: Option<usize>,
-    ) -> Result<Arc<PlanRecord>, SearchError> {
-        let key = PlanKey::derive(chain, engine.params(), config);
-        if let Some(hit) = self.cache.get(&key) {
+    ) -> Result<(Arc<PlanRecord>, bool), SearchError> {
+        let key = self.key_for(chain);
+        if let Some(hit) = self.shared.cache.get(&key) {
             self.attribute_hit(&key);
-            return Ok(hit);
+            return Ok((hit, false));
         }
-        let search = || -> Result<Arc<PlanRecord>, SearchError> {
+        let mut searched = false;
+        let (outcome, leader) = self.shared.inflight.run(key, || {
             // Double-check: a leader that finished between our lookup
             // and this flight may already have populated the cache.
             // Untracked so one logical request counts one miss.
-            if let Some(hit) = self.cache.get_untracked(&key) {
+            if let Some(hit) = self.shared.cache.get_untracked(&key) {
                 return Ok(hit);
             }
-            let record = Arc::new(self.search_record(engine, config, chain, threads_override)?);
-            self.cache.put(key, Arc::clone(&record));
+            searched = true;
+            let record = Arc::new(self.search_record(chain, threads_override)?);
+            self.shared.cache.put(key, Arc::clone(&record));
             Ok(record)
-        };
-        if self.coalesce {
-            let (outcome, leader) = self.inflight.run(key, search);
-            if !leader {
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-            }
-            outcome
-        } else {
-            search()
+        });
+        if !leader {
+            self.shared.coalesced.fetch_add(1, Ordering::Relaxed);
         }
+        Ok((outcome?, searched))
     }
 
     /// Credits a cache hit to the snapshot when its key was preloaded.
     fn attribute_hit(&self, key: &PlanKey) {
-        let preloaded = self.preloaded.read().expect("preloaded set poisoned");
+        let preloaded = self
+            .shared
+            .preloaded
+            .read()
+            .expect("preloaded set poisoned");
         if !preloaded.is_empty() && preloaded.contains(key) {
-            self.preload_hits.fetch_add(1, Ordering::Relaxed);
+            self.shared.preload_hits.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Runs one full search (the cold path).
     fn search_record(
         &self,
-        engine: &SearchEngine,
-        config: &SearchConfig,
         chain: &ChainSpec,
         threads_override: Option<usize>,
     ) -> Result<PlanRecord, SearchError> {
-        self.searches.fetch_add(1, Ordering::Relaxed);
-        let mut config = config.clone();
+        self.shared.searches.fetch_add(1, Ordering::Relaxed);
+        let mut config = self.config.clone();
         if let Some(threads) = threads_override {
             // Thread count never changes the result (deterministic
             // merge), so batch workers may split the cores freely.
             config.threads = threads;
         }
-        let mut profiler = SimProfiler::new(engine.params().clone());
-        let result = engine.search_with_profiler(chain, &config, &mut profiler)?;
-        self.profile_calls
+        let mut profiler = SimProfiler::new(self.params().clone());
+        let result = self
+            .engine
+            .search_with_profiler(chain, &config, &mut profiler)?;
+        self.shared
+            .profile_calls
             .fetch_add(profiler.profiled, Ordering::Relaxed);
         let best = result.best();
         let measured = best.measured.expect("profiled search always measures");
@@ -726,32 +625,8 @@ impl Compiler {
     /// Returns [`GraphCompileError::Partition`] when the graph is
     /// ill-shaped or has no compute nodes.
     pub fn compile_graph(&self, graph: &OpGraph) -> Result<GraphPlan, GraphCompileError> {
-        self.compile_graph_on(&self.engine, &self.config, graph)
-    }
-
-    /// [`Compiler::compile_graph`] against a per-request machine.
-    /// Partitioning, per-segment search and unfused pricing all use
-    /// `machine`; segment plans share this compiler's cache under keys
-    /// that include the machine fingerprint.
-    pub fn compile_graph_for_machine(
-        &self,
-        graph: &OpGraph,
-        machine: &MachineDescriptor,
-    ) -> Result<GraphPlan, GraphCompileError> {
-        let engine = SearchEngine::new(machine.clone());
-        let config = self.config_for_machine(machine);
-        self.compile_graph_on(&engine, &config, graph)
-    }
-
-    /// The shared whole-graph path against an explicit target.
-    fn compile_graph_on(
-        &self,
-        engine: &SearchEngine,
-        config: &SearchConfig,
-        graph: &OpGraph,
-    ) -> Result<GraphPlan, GraphCompileError> {
-        let pricer = UnfusedKernelPricer::new(engine.params().clone(), UNFUSED_EFFICIENCY);
-        let partition = partition_graph(graph, engine.params(), &pricer)?;
+        let pricer = UnfusedKernelPricer::new(self.params().clone(), UNFUSED_EFFICIENCY);
+        let partition = partition_graph(graph, self.params(), &pricer)?;
         let shapes = graph
             .infer_shapes()
             .expect("partition_graph already validated the shapes");
@@ -776,44 +651,38 @@ impl Compiler {
                     nodes,
                     unfused_seconds: bar,
                     ..
-                } => {
-                    let before = self.searches_run();
-                    match self
-                        .compile_record_on(engine, config, &chain, None)
-                        .map(|record| self.to_compiled(&chain, &record))
-                    {
-                        Ok(compiled) => {
-                            let searched = self.searches_run() > before;
-                            let fell_back = compiled.measured_seconds >= bar;
-                            seconds += compiled.measured_seconds.min(bar);
-                            global_bytes += if fell_back {
-                                chain.unfused_global_bytes()
-                            } else {
-                                compiled.global_bytes
-                            };
-                            unfused_seconds += bar;
-                            segments.push(CompiledSegment::Fused(Box::new(FusedSegment {
-                                chain,
-                                compiled,
-                                nodes,
-                                unfused_seconds: bar,
-                                fell_back,
-                                searched,
-                            })));
-                        }
-                        Err(SearchError::NoFeasiblePlan) => {
-                            seconds += bar;
-                            unfused_seconds += bar;
-                            let bytes = op_bytes(&nodes);
-                            global_bytes += bytes;
-                            segments.push(CompiledSegment::Unfused(UnfusedSegment {
-                                nodes,
-                                seconds: bar,
-                                bytes,
-                            }));
-                        }
+                } => match self.compile_record(&chain, None) {
+                    Ok((record, searched)) => {
+                        let compiled = self.to_compiled(&chain, &record);
+                        let fell_back = compiled.measured_seconds >= bar;
+                        seconds += compiled.measured_seconds.min(bar);
+                        global_bytes += if fell_back {
+                            chain.unfused_global_bytes()
+                        } else {
+                            compiled.global_bytes
+                        };
+                        unfused_seconds += bar;
+                        segments.push(CompiledSegment::Fused(Box::new(FusedSegment {
+                            chain,
+                            compiled,
+                            nodes,
+                            unfused_seconds: bar,
+                            fell_back,
+                            searched,
+                        })));
                     }
-                }
+                    Err(SearchError::NoFeasiblePlan) => {
+                        seconds += bar;
+                        unfused_seconds += bar;
+                        let bytes = op_bytes(&nodes);
+                        global_bytes += bytes;
+                        segments.push(CompiledSegment::Unfused(UnfusedSegment {
+                            nodes,
+                            seconds: bar,
+                            bytes,
+                        }));
+                    }
+                },
                 Segment::Unfused {
                     nodes,
                     est_seconds,

@@ -167,6 +167,16 @@ impl Handler for CompileService {
 }
 
 impl CompileService {
+    /// The compiler a request targets: a view on its `"machine"` member
+    /// (sharing the server's cache and coalescer), or the server's
+    /// default.
+    fn target(&self, machine: Option<MachineDescriptor>) -> Arc<Compiler> {
+        match machine {
+            Some(m) => Arc::new(self.compiler.for_machine(&m)),
+            None => Arc::clone(&self.compiler),
+        }
+    }
+
     /// `POST /compile`: one chain/conv/graph spec, optionally against a
     /// per-request machine.
     fn compile_endpoint(&self, request: &Request) -> Response {
@@ -174,14 +184,11 @@ impl CompileService {
             Ok(parsed) => parsed,
             Err(e) => return e.into_response(),
         };
+        let compiler = self.target(machine);
         match spec {
             CompileSpec::Chain(chain) => {
                 self.counters.compile.fetch_add(1, Ordering::Relaxed);
-                let outcome = match &machine {
-                    Some(m) => self.compiler.compile_record_for_machine(&chain, m),
-                    None => self.compiler.compile_record_for(&chain),
-                };
-                match outcome {
+                match compiler.compile_record_for(&chain) {
                     Ok(record) => Response::json(200, codec::encode_record(&record)),
                     Err(SearchError::NoFeasiblePlan) => {
                         self.counters.infeasible.fetch_add(1, Ordering::Relaxed);
@@ -195,11 +202,7 @@ impl CompileService {
             CompileSpec::Graph { model, m, layers } => {
                 self.counters.graph.fetch_add(1, Ordering::Relaxed);
                 let graph = model.graph(m, layers);
-                let outcome = match &machine {
-                    Some(desc) => self.compiler.compile_graph_for_machine(&graph, desc),
-                    None => self.compiler.compile_graph(&graph),
-                };
-                match outcome {
+                match compiler.compile_graph(&graph) {
                     Ok(plan) => Response::json(200, graph_summary_json(&model, m, layers, &plan)),
                     Err(e) => api_error(422, &format!("cannot compile graph: {e}")),
                 }
@@ -216,10 +219,7 @@ impl CompileService {
             Ok(parsed) => parsed,
             Err(e) => return e.into_response(),
         };
-        let outcomes = match &machine {
-            Some(m) => self.compiler.compile_batch_records_for_machine(&chains, m),
-            None => self.compiler.compile_batch_records(&chains),
-        };
+        let outcomes = self.target(machine).compile_batch_records(&chains);
         let mut items = Vec::with_capacity(outcomes.len());
         for outcome in &outcomes {
             match outcome {
@@ -661,11 +661,6 @@ fn graph_summary_json(model: &ModelSpec, m: usize, layers: usize, plan: &GraphPl
         speedup = plan.speedup(),
         global_bytes = plan.global_bytes,
     )
-}
-
-/// Serving defaults for [`ServeOptions`] as the CLI exposes them.
-pub fn default_options() -> ServeOptions {
-    ServeOptions::default()
 }
 
 #[cfg(test)]

@@ -95,14 +95,6 @@ fn every_readme_example_parses() {
 }
 
 #[test]
-fn legacy_positional_form_still_parses_as_compile() {
-    let out = run(&["128", "512", "416", "256", "--dry-run"]);
-    assert!(out.status.success());
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("would compile"), "{text}");
-}
-
-#[test]
 fn graph_rejects_unknown_models_with_the_zoo_list() {
     let out = run(&["graph", "not-a-model", "128", "--dry-run"]);
     assert_eq!(out.status.code(), Some(2));
@@ -115,6 +107,11 @@ fn graph_rejects_unknown_models_with_the_zoo_list() {
 fn unknown_subcommand_is_a_usage_error() {
     let out = run(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(2));
+    // Bare dimensions are not a subcommand: `compile` must be spelled.
+    let out = run(&["128", "512", "416", "256", "--dry-run"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown subcommand '128'"), "{err}");
 }
 
 #[test]
@@ -152,7 +149,13 @@ fn serve_dry_run_covers_every_documented_form() {
             "64",
         ],
         vec!["serve", "--port", "0"],
-        vec!["serve", "--cache-dir", "/tmp/ff-serve-dry", "--a100"],
+        vec![
+            "serve",
+            "--cache-dir",
+            "/tmp/ff-serve-dry",
+            "--machine",
+            "a100_sxm",
+        ],
         // --preload must *parse* without the directory existing
         // (dry-run validates arguments, not deployment state).
         vec!["serve", "--port", "8081", "--preload", "/tmp/ff-snapshot"],
@@ -368,7 +371,7 @@ fn machine_flag_resolves_registry_names_and_descriptor_files() {
 }
 
 #[test]
-fn machine_flag_rejects_unknown_specs_and_flag_conflicts() {
+fn machine_flag_rejects_unknown_specs() {
     // Neither a registry name nor a file: usage error listing what is.
     let out = run(&[
         "compile",
@@ -405,22 +408,6 @@ fn machine_flag_rejects_unknown_specs_and_flag_conflicts() {
             .contains("cannot decode"),
         "decode failures are reported as such"
     );
-    // --machine and --a100 contradict each other.
-    let out = run(&[
-        "compile",
-        "128",
-        "512",
-        "416",
-        "256",
-        "--machine",
-        "h100_sxm",
-        "--a100",
-        "--dry-run",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8(out.stderr)
-        .unwrap()
-        .contains("mutually exclusive"));
 }
 
 #[test]

@@ -170,6 +170,46 @@ fn stitched_totals_are_consistent_and_no_worse_than_unfused() {
 }
 
 #[test]
+fn warm_graph_segments_are_not_labelled_searched_by_another_threads_search() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    // `searched` must say whether *this call* ran the search. On a
+    // shared compiler another thread's cold compiles bump the search
+    // counter all the time; a warm graph still hit the cache.
+    let compiler = Compiler::new(MachineDescriptor::h100_sxm());
+    let graph = flashfuser::workloads::find_model("GPT-2")
+        .expect("GPT-2 is in the zoo")
+        .graph(64, 2);
+    let cold = compiler.compile_graph(&graph).unwrap();
+    assert!(cold.fused_segments().any(|s| s.searched));
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for i in 0..96 {
+                let novel = ChainSpec::standard_ffn(64, 64 + 16 * i, 64, 64, Activation::Relu);
+                let _ = compiler.compile(&novel);
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        loop {
+            let finished = done.load(Ordering::SeqCst);
+            let warm = compiler.compile_graph(&graph).unwrap();
+            assert_eq!(warm.fused_segments().count(), cold.fused_segments().count());
+            assert!(
+                warm.fused_segments().all(|s| !s.searched),
+                "a cache-hit segment was labelled searched"
+            );
+            if finished {
+                break;
+            }
+        }
+    });
+    assert!(
+        compiler.searches_run() > 90,
+        "the cold thread really searched"
+    );
+}
+
+#[test]
 fn empty_graph_is_a_partition_error() {
     let compiler = Compiler::new(MachineDescriptor::h100_sxm());
     let err = compiler.compile_graph(&OpGraph::new()).unwrap_err();

@@ -49,13 +49,14 @@ fn round_tripped_builtins_compile_bit_identical_plans_with_identical_keys() {
             // And the machine axis does partition the key space.
             assert_ne!(
                 native.key_for(&chain),
-                native.key_for_machine(
-                    &chain,
-                    &MachineDescriptor::h100_sxm()
-                        .with_name("x")
-                        .with_tier(flashfuser_core::MemLevel::Dsm, |t| t.bandwidth *= 0.5)
-                        .unwrap()
-                ),
+                native
+                    .for_machine(
+                        &MachineDescriptor::h100_sxm()
+                            .with_name("x")
+                            .with_tier(flashfuser_core::MemLevel::Dsm, |t| t.bandwidth *= 0.5)
+                            .unwrap()
+                    )
+                    .key_for(&chain),
                 "{id}: {chain}: a different machine must produce a different key"
             );
 
@@ -82,15 +83,17 @@ fn round_tripped_builtins_compile_bit_identical_plans_with_identical_keys() {
 
 #[test]
 fn per_request_machine_path_matches_a_dedicated_compiler() {
-    // compile_for_machine on a shared H100 compiler must produce the
+    // A for_machine view of a shared H100 compiler must produce the
     // same plan as a compiler built natively for the target — the
-    // transient-engine path is not allowed to drift.
+    // per-request path is not allowed to drift.
     let shared = Compiler::new(MachineDescriptor::h100_sxm());
     let a100 = MachineDescriptor::a100_sxm();
     let dedicated = Compiler::new(a100.clone());
     let chain = ChainSpec::standard_ffn(128, 2048, 512, 512, Activation::Relu);
 
-    let via_shared = shared.compile_for_machine(&chain, &a100).unwrap();
+    let view = shared.for_machine(&a100);
+    assert_eq!(view.key_for(&chain), dedicated.key_for(&chain));
+    let via_shared = view.compile(&chain).unwrap();
     let via_dedicated = dedicated.compile(&chain).unwrap();
     assert_eq!(via_shared.plan, via_dedicated.plan);
     assert_eq!(
@@ -101,7 +104,7 @@ fn per_request_machine_path_matches_a_dedicated_compiler() {
     // The shared compiler cached the A100 plan under its own key: a
     // repeat request is a hit, and the H100 entry is untouched.
     let searches_before = shared.searches_run();
-    let again = shared.compile_for_machine(&chain, &a100).unwrap();
+    let again = shared.for_machine(&a100).compile(&chain).unwrap();
     assert_eq!(
         shared.searches_run(),
         searches_before,
@@ -110,7 +113,7 @@ fn per_request_machine_path_matches_a_dedicated_compiler() {
     assert_eq!(again.plan, via_shared.plan);
     assert_ne!(
         shared.key_for(&chain),
-        shared.key_for_machine(&chain, &a100),
+        view.key_for(&chain),
         "H100 and A100 keys must differ"
     );
 }
