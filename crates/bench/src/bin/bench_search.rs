@@ -7,9 +7,10 @@
 //! orders, and writes a machine-readable record so future changes have a
 //! perf trajectory to regress against:
 //!
-//! * per chain: candidates enumerated / considered / feasible /
-//!   prefiltered, candidates per second, sequential vs parallel
-//!   wall-clock and the resulting speedup;
+//! * per chain: candidates enumerated / considered / eligible (asserted
+//!   equal across the two runs), the parallel run's feasible and
+//!   prefiltered diagnostics, candidates per second, sequential vs
+//!   parallel wall-clock and the resulting speedup;
 //! * plus the host's thread count, so numbers from different machines
 //!   are comparable.
 //!
@@ -63,7 +64,7 @@ fn json_record(r: &ChainRecord) -> String {
     format!(
         concat!(
             "    {{\"id\": \"{}\", \"candidates\": {}, \"considered\": {}, ",
-            "\"feasible\": {}, \"prefiltered\": {}, ",
+            "\"eligible\": {}, \"feasible\": {}, \"prefiltered\": {}, ",
             "\"seq_wall_s\": {:.6}, \"par_wall_s\": {:.6}, \"speedup\": {:.3}, ",
             "\"seq_candidates_per_s\": {:.0}, \"par_candidates_per_s\": {:.0}, ",
             "\"par_threads\": {}, \"identical_top_k\": {}, \"winner\": \"{}\"}}"
@@ -71,6 +72,7 @@ fn json_record(r: &ChainRecord) -> String {
         r.id,
         r.candidates,
         r.par_stats.considered,
+        r.par_stats.eligible,
         r.par_stats.feasible,
         r.par_stats.prefiltered,
         r.seq_wall_s,
@@ -98,8 +100,16 @@ fn main() {
         if quick { " (quick mode)" } else { "" }
     );
     println!(
-        "{:<6}{:>12}{:>12}{:>12}{:>12}{:>12}{:>10}{:>12}",
-        "id", "candidates", "feasible", "prefiltered", "seq s", "par s", "speedup", "cand/s(par)"
+        "{:<6}{:>12}{:>12}{:>12}{:>12}{:>12}{:>12}{:>10}{:>12}",
+        "id",
+        "candidates",
+        "eligible",
+        "feasible",
+        "prefiltered",
+        "seq s",
+        "par s",
+        "speedup",
+        "cand/s(par)"
     );
 
     let mut records = Vec::new();
@@ -116,6 +126,12 @@ fn main() {
             "{}: parallel top-K diverged from sequential — determinism bug",
             w.id
         );
+        assert_eq!(
+            seq.stats().eligible,
+            par.stats().eligible,
+            "{}: the persisted candidate count moved with the thread count",
+            w.id
+        );
         let record = ChainRecord {
             id: w.id,
             candidates,
@@ -127,9 +143,10 @@ fn main() {
             winner: par.best().analysis.plan().summary(),
         };
         println!(
-            "{:<6}{:>12}{:>12}{:>12}{:>12.3}{:>12.3}{:>9.2}x{:>12.0}",
+            "{:<6}{:>12}{:>12}{:>12}{:>12}{:>12.3}{:>12.3}{:>9.2}x{:>12.0}",
             record.id,
             record.candidates,
+            record.par_stats.eligible,
             record.par_stats.feasible,
             record.par_stats.prefiltered,
             record.seq_wall_s,

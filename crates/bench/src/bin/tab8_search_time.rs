@@ -3,7 +3,7 @@
 //! Both paths use every available core (brute force forks the simulator
 //! profiler across workers; the guided engine shards candidate ranking),
 //! so the ratio reflects the algorithmic gap — top-K profiling plus the
-//! lower-bound prefilter versus profiling everything — not a threading
+//! lower-bound skip versus profiling everything — not a threading
 //! artefact. `FLASHFUSER_QUICK=1` restricts the run to G3 (the mode
 //! `scripts/verify.sh` uses).
 

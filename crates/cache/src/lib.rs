@@ -365,7 +365,7 @@ mod tests {
             seconds: 1e-6,
             global_bytes: 1,
             dsm_bytes: 2,
-            feasible: result.stats().feasible,
+            feasible: result.stats().eligible,
         })
     }
 

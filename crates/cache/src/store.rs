@@ -127,7 +127,7 @@ mod tests {
             seconds: 3.25e-6,
             global_bytes: 11,
             dsm_bytes: 22,
-            feasible: result.stats().feasible,
+            feasible: result.stats().eligible,
         }
     }
 

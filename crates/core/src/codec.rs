@@ -41,7 +41,9 @@ pub struct PlanRecord {
     pub global_bytes: u64,
     /// Measured DSM bytes.
     pub dsm_bytes: u64,
-    /// Feasible candidates the original search considered.
+    /// Candidates that passed Rules 1–4 and the tile/cluster geometry —
+    /// the population the bound and Rule 5 then work on; identical for
+    /// every thread count (`SearchStats::eligible`).
     pub feasible: u64,
 }
 
@@ -115,7 +117,10 @@ pub fn encode_chain(chain: &ChainSpec) -> String {
 }
 
 /// Renders a record as a JSON document (stable layout, trailing
-/// newline).
+/// newline). Its `"feasible"` member is [`PlanRecord::feasible`]: the
+/// candidates that passed Rules 1–4 and the tile/cluster geometry — the
+/// population the bound and Rule 5 then work on; identical for every
+/// thread count.
 pub fn encode_record(r: &PlanRecord) -> String {
     let plan = &r.plan;
     let chain = &plan.chain;
@@ -616,7 +621,7 @@ mod tests {
             seconds: measured.seconds,
             global_bytes: measured.global_bytes,
             dsm_bytes: measured.dsm_bytes,
-            feasible: result.stats().feasible,
+            feasible: result.stats().eligible,
         }
     }
 
@@ -646,7 +651,7 @@ mod tests {
             seconds: 1.25e-5,
             global_bytes: 42,
             dsm_bytes: 7,
-            feasible: result.stats().feasible,
+            feasible: result.stats().eligible,
         };
         let decoded = decode_record(&encode_record(&record)).unwrap();
         assert_eq!(decoded, record);
@@ -674,7 +679,7 @@ mod tests {
             seconds: 2.5e-5,
             global_bytes: 100,
             dsm_bytes: 10,
-            feasible: result.stats().feasible,
+            feasible: result.stats().eligible,
         };
         let text = encode_record(&record);
         let decoded = decode_record(&text).unwrap();

@@ -8,39 +8,40 @@
 //! from Fig. 12b), and then asks a [`PlanProfiler`] — the simulator — to
 //! measure those finalists and pick the winner.
 //!
+//! # One scan
+//!
+//! Every candidate takes the same three steps: derive its
+//! [`PlanGeometry`] (which fails for tiles and clusters that do not fit
+//! the problem), price [`CostModel::lower_bound_for`] from the geometry
+//! alone, and — unless the bound already loses to the worst of a full
+//! top-K buffer — run the dataflow analysis and the cost model. The
+//! bound is admissible (it never exceeds the true cost), so a skipped
+//! candidate could not have displaced a finalist: the top-K equals that
+//! of an exhaustive analyze-everything scan, which
+//! `tests/search_parallel.rs` checks against an in-test oracle and
+//! [`SearchEngine::brute_force`] checks on the simulator.
+//!
 //! # Parallel ranking
 //!
-//! Candidate evaluation is embarrassingly parallel: each candidate is a
-//! pure function of `(chain, schedule, cluster, tile)`. The engine
-//! therefore shards the [`CandidateStream`]'s total order across worker
-//! threads (a shared atomic block queue for load balance), giving every
-//! worker its own [`DataflowAnalyzer`] and [`CostModel`], and merges the
-//! per-worker bounded top-K buffers at the end. Ties in analytical cost
-//! are broken by the candidate's position in the stream's total order
-//! (`Candidate::seq`), so the merged result is **bit-identical** to a
-//! single-threaded scan regardless of thread count — see
-//! [`SearchConfig::threads`].
-//!
-//! # Lower-bound prefilter
-//!
-//! Before running the (comparatively expensive) dataflow analysis, the
-//! engine computes [`CostModel::lower_bound`] — an admissible bound from
-//! the plan geometry alone. Once a worker's top-K buffer is full, any
-//! candidate whose bound cannot beat the buffer's worst entry is skipped
-//! outright. Because the bound never exceeds the true cost, the skip can
-//! never evict a would-be finalist: results with the prefilter on are
-//! identical to results with it off ([`SearchConfig::prefilter`];
-//! [`SearchConfig::prefilter_relax`] is the escape hatch should the cost
-//! model and the bound ever drift apart).
+//! Each candidate is a pure function of `(chain, schedule, cluster,
+//! tile)`, so the engine shards the [`CandidateStream`]'s total order
+//! across worker threads (a shared atomic block queue for load balance),
+//! gives every worker its own bounded top-K buffer and merges the buffers
+//! at the end. Ties in analytical cost are broken by the candidate's
+//! position in the stream's total order (`Candidate::seq`), so the merged
+//! result is **bit-identical** to a single-threaded scan regardless of
+//! thread count — see [`SearchConfig::threads`]. What does depend on the
+//! interleaving is how many candidates the bound skipped; those counts
+//! are diagnostics ([`SearchStats`]) and are never persisted.
 
 use crate::analyzer::{DataflowAnalysis, DataflowAnalyzer};
 use crate::cost::{CostBreakdown, CostModel};
 use crate::machine::{MachineDescriptor, MemLevel};
 use crate::plan::PlanGeometry;
 use crate::profiler::{PlanProfiler, ProfileOutcome};
-use crate::prune::{CandidateStream, PruneConfig};
+use crate::prune::{CandidateIter, CandidateStream, PruneConfig};
 use crate::schedule::LoopSchedule;
-use flashfuser_graph::{ChainSpec, Dim};
+use flashfuser_graph::ChainSpec;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,21 +58,11 @@ pub struct SearchConfig {
     pub top_k: usize,
     /// Pruning configuration (cluster limit, lowest spill tier).
     pub prune: PruneConfig,
-    /// Worker threads for candidate ranking, brute-force profiling and
-    /// top-K profiling. `0` (the default) uses every available core;
-    /// `1` forces the sequential path. Results are identical for every
-    /// value — parallel merges are deterministic.
+    /// Worker threads for candidate ranking and brute-force profiling.
+    /// `0` (the default) uses every available core; `1` scans on the
+    /// calling thread. Results are identical for every value — parallel
+    /// merges are deterministic.
     pub threads: usize,
-    /// Skip dataflow analysis for candidates whose admissible cost lower
-    /// bound ([`CostModel::lower_bound`]) cannot beat the current top-K
-    /// worst. Provably never changes the search result; on by default.
-    pub prefilter: bool,
-    /// Relaxation factor in `(0, 1]` applied to the lower bound before
-    /// the skip comparison — the escape hatch if the cost model evolves
-    /// ahead of the bound. `1.0` (default) trusts the bound fully;
-    /// smaller values prune more conservatively; `0.0` disables pruning
-    /// while still skipping geometrically infeasible candidates.
-    pub prefilter_relax: f64,
 }
 
 impl Default for SearchConfig {
@@ -80,8 +71,6 @@ impl Default for SearchConfig {
             top_k: 11,
             prune: PruneConfig::default(),
             threads: 0,
-            prefilter: true,
-            prefilter_relax: 1.0,
         }
     }
 }
@@ -106,12 +95,6 @@ impl SearchConfig {
         self
     }
 
-    /// This configuration with the prefilter toggled (builder style).
-    pub fn with_prefilter(mut self, enabled: bool) -> Self {
-        self.prefilter = enabled;
-        self
-    }
-
     /// The worker count the engine will actually use: `threads`, or every
     /// available core when `threads == 0`.
     pub fn effective_threads(&self) -> usize {
@@ -127,18 +110,13 @@ impl SearchConfig {
     ///
     /// `threads` is deliberately excluded: the parallel merge is
     /// deterministic, so the result is identical for every thread count
-    /// and a plan searched on one host stays valid on another. The
-    /// prefilter knobs are included — provably result-neutral today,
-    /// but they are exactly the escape hatch for when the cost model
-    /// and the bound drift, at which point they must key the cache.
+    /// and a plan searched on one host stays valid on another.
     pub fn fingerprint(&self) -> u64 {
         let mut h = flashfuser_graph::StableHasher::new();
         h.write_usize(self.top_k);
         h.write_usize(self.prune.max_cluster);
         h.write_usize(self.prune.lowest_spill.index());
         h.write_u8(u8::from(self.prune.allow_inter_cluster_reduce));
-        h.write_u8(u8::from(self.prefilter));
-        h.write_f64_bits(self.prefilter_relax);
         h.finish()
     }
 }
@@ -159,23 +137,33 @@ pub struct RankedPlan {
 }
 
 /// Search statistics (feeds Tables III and VIII).
+///
+/// `considered` and `eligible` are pure functions of the chain, the
+/// machine and [`SearchConfig::prune`]. Everything else describes how
+/// *this run* went — it depends on the thread count and on worker
+/// interleaving — and is a diagnostic: print it, never persist it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchStats {
-    /// Candidates that reached the analyzer (survived Rules 1–4).
+    /// Candidates scanned: the whole stream after Rules 1–4.
     pub considered: u64,
-    /// Candidates that analyzed successfully (survived Rule 5).
-    /// With the prefilter on, candidates skipped by the bound are *not*
-    /// analyzed and therefore not counted here.
+    /// Candidates that passed Rules 1–4 and the tile/cluster geometry —
+    /// the population the bound and Rule 5 then work on. Counted before
+    /// the skip decision, so it is identical for every thread count;
+    /// this is the count plan records persist.
+    pub eligible: u64,
+    /// Diagnostic: candidates that analyzed successfully (survived Rule
+    /// 5). Candidates skipped by the bound are not analyzed and not
+    /// counted, so this varies with scan interleaving.
     pub feasible: u64,
-    /// Candidates skipped by the lower-bound prefilter (all of them
-    /// provably unable to enter the top-K). The exact count depends on
-    /// scan interleaving and is not stable across thread counts.
+    /// Diagnostic: candidates skipped because their lower bound could
+    /// not beat the worker's top-K worst. Varies with scan interleaving.
     pub prefiltered: u64,
-    /// Worker threads used for ranking.
+    /// Diagnostic: worker threads used for ranking.
     pub threads: usize,
-    /// Wall-clock seconds spent in enumeration + analysis + ranking.
+    /// Diagnostic: wall-clock seconds spent in enumeration + analysis +
+    /// ranking.
     pub analysis_seconds: f64,
-    /// Wall-clock seconds spent profiling the top-K.
+    /// Diagnostic: wall-clock seconds spent profiling the top-K.
     pub profiling_seconds: f64,
 }
 
@@ -266,17 +254,29 @@ fn push_top_k(top: &mut Vec<Scored>, k: usize, s: Scored) {
     top.truncate(k);
 }
 
-/// One brute-force worker's output: its best `(seconds, seq, plan)`
-/// (if any candidate in its share was feasible) plus its profile-call
-/// count.
-type BruteShard = (Option<(f64, u64, RankedPlan)>, u64);
-
-/// One ranking worker's output.
+/// One ranking worker's output: its bounded top-K and its share of the
+/// counts.
+#[derive(Default)]
 struct RankShard {
     top: Vec<Scored>,
-    considered: u64,
+    eligible: u64,
     feasible: u64,
     prefiltered: u64,
+}
+
+/// One brute-force worker's output: its best `(seconds, seq, plan)` (if
+/// any candidate in its share was feasible) and its profile-call count.
+#[derive(Default)]
+struct BruteShard {
+    best: Option<(f64, u64, RankedPlan)>,
+    profiled: u64,
+}
+
+/// What the workers of one scan share, read-only.
+struct Scan<'c> {
+    chain: &'c ChainSpec,
+    analyzer: DataflowAnalyzer,
+    cost_model: CostModel,
 }
 
 /// The fusion search engine.
@@ -318,11 +318,9 @@ impl SearchEngine {
         })
     }
 
-    /// Full Algorithm 2: rank candidates, then profile the top-K and
-    /// select the measured-fastest (`ProfileBestFromList`). Finalists are
-    /// profiled concurrently when the profiler supports
-    /// [`PlanProfiler::fork`]; the winner (minimum measured seconds,
-    /// earlier rank on ties) is identical either way.
+    /// Full Algorithm 2: rank candidates, then profile the top-K in rank
+    /// order on the calling thread and select the measured-fastest
+    /// (`ProfileBestFromList`; earlier rank on ties).
     ///
     /// # Errors
     ///
@@ -338,10 +336,10 @@ impl SearchEngine {
             return Err(SearchError::NoFeasiblePlan);
         }
         let t0 = Instant::now();
-        let outcomes = profile_all(profiler, &top_k, config.effective_threads());
         let mut best_idx = 0;
         let mut best_time = f64::INFINITY;
-        for (i, (ranked, outcome)) in top_k.iter_mut().zip(outcomes).enumerate() {
+        for (i, ranked) in top_k.iter_mut().enumerate() {
+            let outcome = profiler.profile(ranked.analysis.plan());
             if outcome.seconds < best_time {
                 best_time = outcome.seconds;
                 best_idx = i;
@@ -360,9 +358,10 @@ impl SearchEngine {
     /// the device and return the true optimum (minimum measured seconds;
     /// ties broken by stream position, so parallel and sequential runs
     /// agree exactly). Returns the winner, its outcome and the number of
-    /// candidates profiled. The lower-bound prefilter is deliberately
-    /// *not* applied here — brute force is the unfiltered ground truth
-    /// the prefilter is validated against.
+    /// candidates profiled. No bound is applied here — brute force is
+    /// the unfiltered oracle the guided search is validated against.
+    /// Workers profile on [`PlanProfiler::fork`]s when the profiler has
+    /// them, else everything runs on the calling thread.
     ///
     /// # Errors
     ///
@@ -376,100 +375,40 @@ impl SearchEngine {
         let all = LoopSchedule::enumerate_all();
         let stream = CandidateStream::build(chain, &config.prune, &all);
         let threads = worker_count(config, stream.len());
-        let queue = AtomicU64::new(0);
+        let scan = self.scan(chain, &config.prune);
 
         let forks: Option<Vec<Box<dyn PlanProfiler + Send>>> = if threads > 1 {
             (0..threads).map(|_| profiler.fork()).collect()
         } else {
             None
         };
-
-        let (best, profiled) = match forks {
+        let shards: Vec<BruteShard> = match forks {
             Some(forks) => {
-                let shards: Vec<BruteShard> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = forks
-                        .into_iter()
-                        .map(|mut fork| {
-                            let stream = &stream;
-                            let queue = &queue;
-                            scope.spawn(move || {
-                                self.brute_shard(chain, config, stream, queue, fork.as_mut())
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("brute-force worker panicked"))
-                        .collect()
-                });
-                let mut best: Option<(f64, u64, RankedPlan)> = None;
-                let mut profiled = 0u64;
-                for (shard_best, shard_profiled) in shards {
-                    profiler.join(shard_profiled);
-                    profiled += shard_profiled;
-                    if let Some((sec, seq, plan)) = shard_best {
-                        let better = best
-                            .as_ref()
-                            .is_none_or(|(bs, bq, _)| orders_before(sec, seq, *bs, *bq));
-                        if better {
-                            best = Some((sec, seq, plan));
-                        }
-                    }
-                }
-                (best, profiled)
+                let workers = forks
+                    .into_iter()
+                    .map(|fork| (fork, BruteShard::default()))
+                    .collect();
+                scan_blocks(&stream, workers, |(fork, shard), block| {
+                    scan.brute_shard(fork.as_mut(), shard, block);
+                })
+                .into_iter()
+                .map(|(_, shard)| shard)
+                .inspect(|shard| profiler.join(shard.profiled))
+                .collect()
             }
-            None => self.brute_shard(chain, config, &stream, &queue, profiler),
+            None => {
+                let mut shard = BruteShard::default();
+                scan.brute_shard(profiler, &mut shard, stream.iter());
+                vec![shard]
+            }
         };
-        best.map(|(_, _, plan)| (plan, profiled))
+        let profiled = shards.iter().map(|shard| shard.profiled).sum();
+        shards
+            .into_iter()
+            .filter_map(|shard| shard.best)
+            .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
+            .map(|(_, _, plan)| (plan, profiled))
             .ok_or(SearchError::NoFeasiblePlan)
-    }
-
-    /// Drains the brute-force work queue on one thread: analyze, profile,
-    /// keep the best `(seconds, seq)`.
-    fn brute_shard(
-        &self,
-        chain: &ChainSpec,
-        config: &SearchConfig,
-        stream: &CandidateStream<'_>,
-        queue: &AtomicU64,
-        profiler: &mut dyn PlanProfiler,
-    ) -> BruteShard {
-        let analyzer = self.analyzer_for(&config.prune);
-        let cost_model = CostModel::new(self.params.clone());
-        let total = stream.len();
-        let mut best: Option<(f64, u64, RankedPlan)> = None;
-        let mut profiled = 0u64;
-        loop {
-            let start = queue.fetch_add(WORK_BLOCK, Ordering::Relaxed);
-            if start >= total {
-                break;
-            }
-            for cand in stream.range(start, start + WORK_BLOCK) {
-                if let Ok(analysis) =
-                    analyzer.analyze(chain, cand.schedule, cand.cluster, cand.tile)
-                {
-                    let outcome = profiler.profile(analysis.plan());
-                    profiled += 1;
-                    let better = best.as_ref().is_none_or(|(bs, bq, _)| {
-                        orders_before(outcome.seconds, cand.seq, *bs, *bq)
-                    });
-                    if better {
-                        let cost = cost_model.evaluate(&analysis);
-                        best = Some((
-                            outcome.seconds,
-                            cand.seq,
-                            RankedPlan {
-                                est_seconds: cost.est_s,
-                                cost,
-                                analysis,
-                                measured: Some(outcome),
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        (best, profiled)
     }
 
     /// Ranks every candidate of the stream with the analytical cost
@@ -484,33 +423,21 @@ impl SearchEngine {
         let stream = CandidateStream::build(chain, &config.prune, &all);
         let k = config.top_k.max(1);
         let threads = worker_count(config, stream.len());
-        let queue = AtomicU64::new(0);
+        let scan = self.scan(chain, &config.prune);
 
-        let shards: Vec<RankShard> = if threads > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let stream = &stream;
-                        let queue = &queue;
-                        scope.spawn(move || self.rank_shard(chain, config, stream, queue, k))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("ranking worker panicked"))
-                    .collect()
-            })
-        } else {
-            vec![self.rank_shard(chain, config, &stream, &queue, k)]
-        };
+        let workers = (0..threads).map(|_| RankShard::default()).collect();
+        let shards = scan_blocks(&stream, workers, |shard, block| {
+            scan.rank_shard(k, shard, block);
+        });
 
         let mut stats = SearchStats {
+            considered: stream.len(),
             threads,
             ..SearchStats::default()
         };
         let mut merged: Vec<Scored> = Vec::with_capacity(k * shards.len());
         for shard in shards {
-            stats.considered += shard.considered;
+            stats.eligible += shard.eligible;
             stats.feasible += shard.feasible;
             stats.prefiltered += shard.prefiltered;
             merged.extend(shard.top);
@@ -532,93 +459,105 @@ impl SearchEngine {
         (top_k, stats)
     }
 
-    /// Drains the ranking work queue on one thread with its own analyzer
-    /// and cost model.
-    fn rank_shard(
-        &self,
-        chain: &ChainSpec,
-        config: &SearchConfig,
-        stream: &CandidateStream<'_>,
-        queue: &AtomicU64,
-        k: usize,
-    ) -> RankShard {
-        let analyzer = self.analyzer_for(&config.prune);
-        let cost_model = CostModel::new(self.params.clone());
-        let total = stream.len();
-        let mut shard = RankShard {
-            top: Vec::with_capacity(k + 1),
-            considered: 0,
-            feasible: 0,
-            prefiltered: 0,
-        };
-        loop {
-            let start = queue.fetch_add(WORK_BLOCK, Ordering::Relaxed);
-            if start >= total {
-                break;
-            }
-            for cand in stream.range(start, start + WORK_BLOCK) {
-                shard.considered += 1;
-                let analyzed = if config.prefilter {
-                    // Derive the geometry once; the bound and the
-                    // analyzer share it.
-                    let Ok(geometry) =
-                        PlanGeometry::derive(chain.dims(), cand.schedule, cand.cluster, cand.tile)
-                    else {
-                        continue;
-                    };
-                    // Rule 3 (temporal face): the analyzer would reject
-                    // it; skip the allocation-heavy call.
-                    if !cand.schedule.is_spatial(Dim::K)
-                        && cand.schedule.innermost_temporal() != Some(Dim::K)
-                    {
-                        continue;
-                    }
-                    if shard.top.len() == k {
-                        let lb =
-                            cost_model.lower_bound_for(chain, &geometry, cand.cluster, cand.tile);
-                        let worst = shard.top.last().expect("k >= 1");
-                        // Admissible: est >= lb, so lb >= worst means the
-                        // candidate cannot enter this shard's top-K (nor,
-                        // a fortiori, the merged global top-K).
-                        if lb * config.prefilter_relax >= worst.est {
-                            shard.prefiltered += 1;
-                            continue;
-                        }
-                    }
-                    analyzer.analyze_with_geometry(
-                        chain,
-                        cand.schedule,
-                        cand.cluster,
-                        cand.tile,
-                        geometry,
-                    )
-                } else {
-                    analyzer.analyze(chain, cand.schedule, cand.cluster, cand.tile)
-                };
-                if let Ok(analysis) = analyzed {
-                    shard.feasible += 1;
-                    let cost = cost_model.evaluate(&analysis);
-                    push_top_k(
-                        &mut shard.top,
-                        k,
-                        Scored {
-                            est: cost.est_s,
-                            seq: cand.seq,
-                            cost,
-                            analysis,
-                        },
-                    );
+    /// The analyzer and cost model for one scan of `chain`, configured
+    /// like the given pruning config.
+    fn scan<'c>(&self, chain: &'c ChainSpec, prune: &PruneConfig) -> Scan<'c> {
+        Scan {
+            chain,
+            analyzer: DataflowAnalyzer::new(self.params.clone())
+                .with_lowest_spill(prune.lowest_spill)
+                .with_inter_cluster_reduce(prune.allow_inter_cluster_reduce),
+            cost_model: CostModel::new(self.params.clone()),
+        }
+    }
+}
+
+impl Scan<'_> {
+    /// Ranks one claimed block into a worker's shard: geometry, bound,
+    /// then analysis and cost for whatever the bound lets through.
+    fn rank_shard(&self, k: usize, shard: &mut RankShard, block: CandidateIter<'_, '_>) {
+        let chain = self.chain;
+        for cand in block {
+            // Derive the geometry once; the bound and the analyzer
+            // share it.
+            let Ok(geometry) =
+                PlanGeometry::derive(chain.dims(), cand.schedule, cand.cluster, cand.tile)
+            else {
+                continue;
+            };
+            shard.eligible += 1;
+            if shard.top.len() == k {
+                let lb = self
+                    .cost_model
+                    .lower_bound_for(chain, &geometry, cand.cluster, cand.tile);
+                let worst = shard.top.last().expect("k >= 1");
+                // Admissible: est >= lb, so lb >= worst means the
+                // candidate cannot enter this shard's top-K (nor, a
+                // fortiori, the merged global top-K).
+                if lb >= worst.est {
+                    shard.prefiltered += 1;
+                    continue;
                 }
             }
+            let Ok(analysis) = self.analyzer.analyze_with_geometry(
+                chain,
+                cand.schedule,
+                cand.cluster,
+                cand.tile,
+                geometry,
+            ) else {
+                continue;
+            };
+            shard.feasible += 1;
+            let cost = self.cost_model.evaluate(&analysis);
+            push_top_k(
+                &mut shard.top,
+                k,
+                Scored {
+                    est: cost.est_s,
+                    seq: cand.seq,
+                    cost,
+                    analysis,
+                },
+            );
         }
-        shard
     }
 
-    /// An analyzer configured like the given pruning config.
-    fn analyzer_for(&self, prune: &PruneConfig) -> DataflowAnalyzer {
-        DataflowAnalyzer::new(self.params.clone())
-            .with_lowest_spill(prune.lowest_spill)
-            .with_inter_cluster_reduce(prune.allow_inter_cluster_reduce)
+    /// Analyzes and profiles every candidate of one claimed block,
+    /// keeping the shard's best `(seconds, seq)`.
+    fn brute_shard(
+        &self,
+        profiler: &mut dyn PlanProfiler,
+        shard: &mut BruteShard,
+        block: CandidateIter<'_, '_>,
+    ) {
+        for cand in block {
+            let Ok(analysis) =
+                self.analyzer
+                    .analyze(self.chain, cand.schedule, cand.cluster, cand.tile)
+            else {
+                continue;
+            };
+            let outcome = profiler.profile(analysis.plan());
+            shard.profiled += 1;
+            let better = shard
+                .best
+                .as_ref()
+                .is_none_or(|(bs, bq, _)| orders_before(outcome.seconds, cand.seq, *bs, *bq));
+            if better {
+                let cost = self.cost_model.evaluate(&analysis);
+                shard.best = Some((
+                    outcome.seconds,
+                    cand.seq,
+                    RankedPlan {
+                        est_seconds: cost.est_s,
+                        cost,
+                        analysis,
+                        measured: Some(outcome),
+                    },
+                ));
+            }
+        }
     }
 }
 
@@ -639,62 +578,39 @@ fn worker_count(config: &SearchConfig, candidates: u64) -> usize {
         .max(1)
 }
 
-/// Profiles every finalist, in rank order, forking the profiler across
-/// worker threads when it supports that; outcomes come back indexed so
-/// the caller's rank order is preserved.
-fn profile_all(
-    profiler: &mut dyn PlanProfiler,
-    top_k: &[RankedPlan],
-    threads: usize,
-) -> Vec<ProfileOutcome> {
-    let threads = threads.min(top_k.len()).max(1);
-    if threads > 1 {
-        let forks: Option<Vec<Box<dyn PlanProfiler + Send>>> =
-            (0..threads).map(|_| profiler.fork()).collect();
-        if let Some(forks) = forks {
-            let chunk = top_k.len().div_ceil(threads);
-            let shards: Vec<(usize, Vec<ProfileOutcome>, u64)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = forks
-                    .into_iter()
-                    .zip(top_k.chunks(chunk))
-                    .enumerate()
-                    .map(|(i, (mut fork, plans))| {
-                        scope.spawn(move || {
-                            let outcomes: Vec<ProfileOutcome> = plans
-                                .iter()
-                                .map(|p| fork.profile(p.analysis.plan()))
-                                .collect();
-                            let n = outcomes.len() as u64;
-                            (i * chunk, outcomes, n)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("profiling worker panicked"))
-                    .collect()
-            });
-            let mut outcomes = vec![
-                ProfileOutcome {
-                    seconds: f64::INFINITY,
-                    global_bytes: 0,
-                    dsm_bytes: 0,
-                };
-                top_k.len()
-            ];
-            for (offset, shard, profiled) in shards {
-                profiler.join(profiled);
-                for (j, o) in shard.into_iter().enumerate() {
-                    outcomes[offset + j] = o;
-                }
-            }
-            return outcomes;
+/// Drains `stream` with one thread per worker: each claims the next
+/// `WORK_BLOCK` positions off a shared queue and hands them to `visit`
+/// until none are left. A single worker drains on the calling thread.
+/// Every worker is moved into its thread — its counters live on that
+/// thread's stack, not beside a neighbour's in one cache line — and
+/// comes back in the order given.
+fn scan_blocks<'a, W: Send>(
+    stream: &CandidateStream<'a>,
+    workers: Vec<W>,
+    visit: impl Fn(&mut W, CandidateIter<'a, '_>) + Sync,
+) -> Vec<W> {
+    let queue = AtomicU64::new(0);
+    let total = stream.len();
+    let drain = &|mut worker: W| loop {
+        let start = queue.fetch_add(WORK_BLOCK, Ordering::Relaxed);
+        if start >= total {
+            break worker;
         }
+        visit(&mut worker, stream.range(start, start + WORK_BLOCK));
+    };
+    if workers.len() == 1 {
+        return workers.into_iter().map(drain).collect();
     }
-    top_k
-        .iter()
-        .map(|p| profiler.profile(p.analysis.plan()))
-        .collect()
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .into_iter()
+            .map(|worker| scope.spawn(move || drain(worker)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("scan worker panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -720,8 +636,10 @@ mod tests {
         assert!(costs.windows(2).all(|w| w[0] <= w[1]), "{costs:?}");
         assert!(result.top_k().len() <= 11);
         assert_eq!(result.best_index(), 0);
-        assert!(result.stats().feasible > 0);
-        assert!(result.stats().considered >= result.stats().feasible);
+        let stats = result.stats();
+        assert!(stats.feasible > 0);
+        assert!(stats.considered >= stats.eligible && stats.eligible >= stats.feasible);
+        assert!(stats.prefiltered > 0, "the bound should fire on this chain");
     }
 
     #[test]
@@ -818,25 +736,5 @@ mod tests {
             assert_eq!(x.est_seconds, y.est_seconds);
             assert_eq!(x.analysis.plan().summary(), y.analysis.plan().summary());
         }
-    }
-
-    #[test]
-    fn prefilter_does_not_change_the_top_k() {
-        let chain = small_chain();
-        let on = engine()
-            .search(&chain, &SearchConfig::default().with_prefilter(true))
-            .unwrap();
-        let off = engine()
-            .search(&chain, &SearchConfig::default().with_prefilter(false))
-            .unwrap();
-        assert_eq!(on.top_k().len(), off.top_k().len());
-        for (x, y) in on.top_k().iter().zip(off.top_k()) {
-            assert_eq!(x.est_seconds, y.est_seconds);
-            assert_eq!(x.analysis.plan().summary(), y.analysis.plan().summary());
-        }
-        assert!(
-            on.stats().prefiltered > 0,
-            "prefilter should fire on this chain"
-        );
     }
 }

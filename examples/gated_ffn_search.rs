@@ -28,9 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "\nsearch stats: {} candidates considered, {} feasible, {:.2} s analysis",
+        "\nsearch stats: {} candidates considered, {} eligible, {:.2} s analysis",
         result.stats().considered,
-        result.stats().feasible,
+        result.stats().eligible,
         result.stats().analysis_seconds
     );
     Ok(())

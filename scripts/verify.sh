@@ -29,8 +29,10 @@ echo "== cargo build --release (benches included) =="
 cargo build --release -q --workspace
 cargo check -q --workspace --benches
 
-echo "== cargo test -q (workspace) =="
-cargo test -q --workspace
+# --no-fail-fast: one red test binary must not hide the suites cargo
+# would have run after it.
+echo "== cargo test -q (workspace, every suite) =="
+cargo test -q --workspace --no-fail-fast
 
 # benchmark/ is its own workspace and names part of the facade's public
 # surface: a rename that breaks its `run` or `trace` bin must fail here,

@@ -423,7 +423,7 @@ fn cmd_compile(args: &[String]) -> ExitCode {
             let stats = compiler.cache_stats();
             println!("plan:     {}", compiled.plan.summary());
             println!(
-                "fused:    {:.2} us ({} feasible candidates searched)",
+                "fused:    {:.2} us ({} candidates passed Rules 1-4 and the tile/cluster geometry)",
                 compiled.measured_seconds * 1e6,
                 compiled.feasible_candidates
             );

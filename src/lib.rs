@@ -145,13 +145,15 @@ pub struct Compiled {
     pub measured_seconds: f64,
     /// Global-memory bytes the plan moves.
     pub global_bytes: u64,
-    /// Candidates that survived pruning and analysis.
+    /// Candidates that passed Rules 1–4 and the tile/cluster geometry —
+    /// the population the bound and Rule 5 then work on; identical for
+    /// every thread count.
     pub feasible_candidates: u64,
 }
 
 /// The default search configuration for a machine: top-K = 11, DSM
-/// spill, parallel search with the lower-bound prefilter; SMEM-only
-/// spill on devices without a DSM pool (cluster limit 1).
+/// spill, search on every core; SMEM-only spill on devices without a
+/// DSM pool (cluster limit 1).
 pub fn default_config_for(params: &MachineDescriptor) -> SearchConfig {
     let mut config = SearchConfig::default();
     config.prune.max_cluster = params.max_cluster();
@@ -218,8 +220,9 @@ impl CompilerOptions {
 /// config over a shared plan cache, in-flight coalescer and counters.
 ///
 /// Compilation is a pure function of `(graph, machine, search config)`
-/// — PR 1's deterministic search makes that exact — so results are
-/// memoized under [`PlanKey`]. A cache hit returns a plan
+/// — every field of a [`Compiled`] and of a persisted record is the
+/// same for any thread count, host or scan interleaving — so results
+/// are memoized under [`PlanKey`]. A cache hit returns a plan
 /// **bit-identical** to what a fresh search would produce, including
 /// the measured outcome of the original profiling run.
 ///
@@ -583,7 +586,7 @@ impl Compiler {
             seconds: measured.seconds,
             global_bytes: measured.global_bytes,
             dsm_bytes: measured.dsm_bytes,
-            feasible: result.stats().feasible,
+            feasible: result.stats().eligible,
         })
     }
 

@@ -1,11 +1,14 @@
 //! Integration tests of the plan cache + batch compilation front door
 //! (ISSUE 2): warm hits must be bit-identical to fresh searches, the
 //! disk tier must survive compiler restarts, keys must invalidate on
-//! machine/config changes, batches must dedupe, and concurrent misses
-//! must coalesce into exactly one search.
+//! machine/config changes, batches must dedupe, concurrent misses must
+//! coalesce into exactly one search, and nothing a compile returns or
+//! persists may vary with the search's thread count.
 
+use flashfuser::core::codec::encode_record;
 use flashfuser::prelude::*;
-use flashfuser::{Compiler, CompilerOptions};
+use flashfuser::workloads::{find_model, gemm_chains};
+use flashfuser::{default_config_for, Compiler, CompilerOptions};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -220,5 +223,46 @@ fn concurrent_compiles_coalesce_into_one_search() {
             pair[0].measured_seconds.to_bits(),
             pair[1].measured_seconds.to_bits()
         );
+    }
+}
+
+#[test]
+fn compiled_results_and_encoded_records_are_identical_for_every_thread_count() {
+    // The determinism contract: a cold compile is a pure function of
+    // (chain, machine, config minus `threads`). Fresh compiler per
+    // cell, so every answer comes from its own search.
+    let tensix = flashfuser::core::decode_machine(include_str!("../machines/tensix_like.json"))
+        .expect("committed descriptor decodes");
+    let mut chains: Vec<ChainSpec> = gemm_chains()
+        .into_iter()
+        .filter(|w| ["G1", "G2", "G3"].contains(&w.id))
+        .map(|w| w.chain)
+        .collect();
+    chains.push(find_model("BERT").expect("zoo model").ffn_chain(64));
+    assert_eq!(chains.len(), 4);
+
+    for machine in [MachineDescriptor::h100_sxm(), tensix] {
+        for chain in &chains {
+            let cold = |threads: usize| {
+                let mut options = CompilerOptions::new();
+                options.config = Some(default_config_for(&machine).with_threads(threads));
+                let compiler = Compiler::with_options(machine.clone(), options).unwrap();
+                let compiled = compiler.compile(chain);
+                let document = compiler
+                    .compile_record_for(chain)
+                    .map(|record| encode_record(&record));
+                assert_eq!(compiler.searches_run(), 1, "the record is that search's");
+                (compiled, document)
+            };
+            let reference = cold(1);
+            for threads in [2, 3, 8] {
+                assert_eq!(
+                    cold(threads),
+                    reference,
+                    "{}: {chain}: {threads} threads answered differently from 1",
+                    machine.name
+                );
+            }
+        }
     }
 }

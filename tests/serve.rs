@@ -4,7 +4,8 @@
 //! The load-bearing properties (ISSUE 5 acceptance):
 //!
 //! * a same-key burst of concurrent requests runs **exactly one**
-//!   fusion search and every response is **byte-identical**;
+//!   fusion search and every response is **byte-identical** — as are
+//!   the answers of two separately started cold replicas;
 //! * a saturated admission queue answers 503 + `Retry-After` — it
 //!   never hangs and never panics — while admitted requests still
 //!   complete;
@@ -97,6 +98,39 @@ fn same_key_burst_runs_one_search_and_responses_are_bit_identical() {
     let searches = stats.get("compiler").unwrap().get("searches").unwrap();
     assert_eq!(searches.as_u64(), Some(1));
     server.shutdown();
+}
+
+#[test]
+fn two_cold_replicas_answer_the_same_compile_with_the_same_bytes() {
+    // Two separately started services, each with an empty cache and a
+    // different search thread count (as two hosts of a fleet would
+    // have): the response is a pure function of the request. G1 is big
+    // enough that the workers' bound skipping interleaves differently.
+    let g1 = ChainSpec::standard_ffn(128, 512, 32, 256, Activation::Relu).named("G1");
+    let body = chain_body(&g1);
+    let answers = [1, 3].map(|threads| {
+        let machine = MachineDescriptor::h100_sxm();
+        let mut options = CompilerOptions::new();
+        options.config = Some(flashfuser::default_config_for(&machine).with_threads(threads));
+        let compiler = Arc::new(Compiler::with_options(machine, options).unwrap());
+        let server = service::start(
+            Arc::clone(&compiler),
+            ("127.0.0.1", 0),
+            ServeOptions::default(),
+        )
+        .expect("bind ephemeral loopback port");
+        let response = client::post(server.addr(), "/compile", body.as_bytes()).unwrap();
+        assert_eq!(response.status, 200, "{}", response.body_utf8());
+        assert_eq!(compiler.searches_run(), 1, "every replica starts cold");
+        server.shutdown();
+        response.body_utf8().to_string()
+    });
+    assert_eq!(
+        answers[0], answers[1],
+        "replicas must answer byte-identically"
+    );
+    let record = decode_record(&answers[0]).expect("record decodes");
+    assert_eq!(record.plan.chain, g1);
 }
 
 #[test]
