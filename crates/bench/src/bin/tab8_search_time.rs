@@ -7,7 +7,7 @@
 //! artefact. `FLASHFUSER_QUICK=1` restricts the run to G3 (the mode
 //! `scripts/verify.sh` uses).
 
-use flashfuser_bench::h100;
+use flashfuser_bench::{h100, quick_mode};
 use flashfuser_core::{SearchConfig, SearchEngine};
 use flashfuser_sim::SimProfiler;
 use flashfuser_workloads::gemm_chains;
@@ -16,7 +16,7 @@ use std::time::Instant;
 fn main() {
     let params = h100();
     let engine = SearchEngine::new(params.clone());
-    let quick = std::env::var("FLASHFUSER_QUICK").is_ok_and(|v| v == "1");
+    let quick = quick_mode();
     let ids: &[&str] = if quick { &["G3"] } else { &["G3", "G4", "G5"] };
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("== Table VIII: search time, engine (top-K=11) vs brute force ==");

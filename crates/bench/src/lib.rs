@@ -4,7 +4,9 @@
 //! paper and prints the same rows/series the paper reports, in plain
 //! text. Absolute numbers come from the machine model, so only the
 //! *shape* (who wins, by what rough factor, where fusion fails) is
-//! comparable with the paper — EXPERIMENTS.md records both sides.
+//! comparable with the paper. The one exception is `bench_machine`,
+//! the machine-descriptor sensitivity sweep. Nothing here times the
+//! program: that is `benchmark/`'s job (see `BENCHMARK.json`).
 
 use flashfuser_baselines::{Baseline, BaselineResult};
 use flashfuser_core::MachineDescriptor;
@@ -72,21 +74,11 @@ pub fn h100() -> MachineDescriptor {
     MachineDescriptor::h100_sxm()
 }
 
-/// `true` when `FLASHFUSER_QUICK=1`: benches restrict themselves to the
-/// smallest chain and write to `*.quick.json` (the verify-gate mode).
+/// `true` when `FLASHFUSER_QUICK=1`: `tab8_search_time` restricts itself
+/// to the smallest chain and `bench_machine` to a reduced sweep written
+/// to `BENCH_machine.quick.json` (the verify-gate mode).
 pub fn quick_mode() -> bool {
     std::env::var("FLASHFUSER_QUICK").is_ok_and(|v| v == "1")
-}
-
-/// The worker-thread override from `FLASHFUSER_THREADS`, or `0` (all
-/// cores) when unset/unparseable. Honored by the bench bins so CI and
-/// operators can pin parallelism without editing code; search results
-/// are identical for every value.
-pub fn env_threads() -> usize {
-    std::env::var("FLASHFUSER_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //!   misses on one key run the search exactly once.
 //!
 //! Cached plans are **bit-identical** to freshly searched plans — the
-//! property `bench_cache` asserts and CI gates.
+//! property `tests/plan_cache.rs` in the facade asserts.
 //!
 //! Whole-graph compilation reuses [`PlanKey`] unchanged: every fused
 //! segment of a partitioned `OpGraph` is keyed by its *recovered*

@@ -13,9 +13,7 @@
 //! callers, never as an error surfaced to users.
 
 use crate::json::{self, JsonValue};
-use crate::machine::{
-    ComputeParams, MachineDescriptor, MachineError, MemLevel, MemTier, TierScope,
-};
+use crate::machine::{ComputeParams, MachineDescriptor, MachineError, MemLevel, MemTier};
 use crate::mapping::{ResourceMapping, TensorMapping, TensorRole};
 use crate::plan::{FusedPlan, PlanGeometry};
 use crate::schedule::LoopSchedule;
@@ -428,7 +426,7 @@ pub fn encode_machine(d: &MachineDescriptor) -> String {
              \"latency_cycles\": {latency}, \"bandwidth_derate\": {derate}, \
              \"latency_slope_cycles\": {slope}, \"peak_bandwidth\": {peak}}}",
             name = json::escape(&t.name),
-            scope = t.scope,
+            scope = t.scope.scope_name(),
             capacity = t.capacity_bytes,
             bandwidth = json::format_f64(t.bandwidth),
             latency = json::format_f64(t.latency_cycles),
@@ -565,10 +563,10 @@ pub fn decode_machine_value(doc: &JsonValue) -> Result<MachineDescriptor, CodecE
             ],
         )?;
         let scope_name = field_str(tier_v, "scope")?;
-        let scope = TierScope::parse(scope_name)
+        let scope = MemLevel::from_scope_name(scope_name)
             .ok_or_else(|| malformed(&format!("unknown tier scope '{scope_name}'")))?;
         let name = match tier_v.get("name") {
-            None => scope.as_str().to_string(),
+            None => scope.scope_name().to_string(),
             Some(raw) => raw
                 .as_str()
                 .ok_or_else(|| malformed(&format!("field 'name' in tiers[{i}] is not a string")))?

@@ -56,7 +56,7 @@ pub use codec::{
     PlanRecord,
 };
 pub use cost::{CostBreakdown, CostModel};
-pub use machine::{ComputeParams, MachineDescriptor, MachineError, MemLevel, MemTier, TierScope};
+pub use machine::{ComputeParams, MachineDescriptor, MachineError, MemLevel, MemTier};
 pub use mapping::{ResourceMapping, TensorMapping, TensorRole};
 pub use plan::{FusedPlan, PlanError, PlanGeometry};
 pub use profiler::{PlanProfiler, ProfileOutcome};

@@ -28,26 +28,37 @@
 
 use std::fmt;
 
-/// One tier of the modelled memory hierarchy.
+/// One tier of the modelled memory hierarchy, named for Hopper: `Reg`
+/// is the paper's L0, `Smem` the L1, `Dsm` the "L1.5" created by the
+/// SM-to-SM interconnect, and `L2`/`Global` the off-core tiers.
 ///
-/// `Reg` is the paper's L0, `Smem` the L1, `Dsm` the "L1.5" created by
-/// the SM-to-SM interconnect, and `L2`/`Global` the off-core tiers.
+/// A level is also the architectural *scope* a [`MemTier`] serves — what
+/// the tier means to the placement and pricing machinery, independent of
+/// what a vendor calls it. A descriptor carries exactly one tier per
+/// level, in this fastest-to-slowest order; tier *names* ("smem",
+/// "Tensix SRAM") are labels for humans, and descriptors on the wire
+/// spell the level by its vendor-neutral [`MemLevel::scope_name`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MemLevel {
-    /// Per-thread register file (L0).
+    /// Per-thread register file (L0); holds accumulator tiles.
     Reg,
-    /// Per-SM shared memory (L1).
+    /// Per-core scratchpad (L1): SMEM on NVIDIA, SRAM on Tensix.
     Smem,
-    /// Distributed shared memory: peer-SM SMEM over the cluster NoC (L1.5).
+    /// Peer-core scratchpad reachable over the inter-core fabric (L1.5):
+    /// DSM over the cluster NoC on Hopper, the NoC on Tensix. The only
+    /// level whose bandwidth may be zero — meaning the machine has no
+    /// such fabric (pre-Hopper GPUs).
     Dsm,
-    /// Device-wide L2 cache.
+    /// Device-wide L2 cache. A transparent cache, not a placement
+    /// target — see [`MemLevel::SPILL_ORDER`].
     L2,
-    /// HBM global memory.
+    /// Off-chip memory (HBM/DRAM).
     Global,
 }
 
 impl MemLevel {
-    /// All tiers from fastest to slowest.
+    /// All tiers from fastest to slowest — the canonical descriptor
+    /// order.
     pub const ALL: [MemLevel; 5] = [
         MemLevel::Reg,
         MemLevel::Smem,
@@ -76,6 +87,24 @@ impl MemLevel {
             MemLevel::Global => 4,
         }
     }
+
+    /// The vendor-neutral scope name machine descriptors and
+    /// [`MachineError`] messages use (`"register"`, `"block"`,
+    /// `"cluster"`, `"device"`, `"offchip"`).
+    pub fn scope_name(self) -> &'static str {
+        match self {
+            MemLevel::Reg => "register",
+            MemLevel::Smem => "block",
+            MemLevel::Dsm => "cluster",
+            MemLevel::L2 => "device",
+            MemLevel::Global => "offchip",
+        }
+    }
+
+    /// Parses a [`MemLevel::scope_name`].
+    pub fn from_scope_name(s: &str) -> Option<MemLevel> {
+        MemLevel::ALL.into_iter().find(|l| l.scope_name() == s)
+    }
 }
 
 impl fmt::Display for MemLevel {
@@ -91,86 +120,6 @@ impl fmt::Display for MemLevel {
     }
 }
 
-/// The architectural *scope* a memory tier serves — what the tier means
-/// to the placement and pricing machinery, independent of what a vendor
-/// calls it.
-///
-/// Scopes map 1:1 onto [`MemLevel`] and must appear in a descriptor in
-/// this canonical fastest-to-slowest order, exactly once each. Tier
-/// *names* ("smem", "L1 scratchpad", "Tensix SRAM") are labels for
-/// humans; scopes are the semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum TierScope {
-    /// Per-thread register file; holds accumulator tiles.
-    Register,
-    /// Per-core scratchpad (SMEM on NVIDIA, SRAM on Tensix).
-    Block,
-    /// Peer-core scratchpad reachable over the inter-core fabric (DSM on
-    /// Hopper, the NoC on Tensix). The only scope whose bandwidth may be
-    /// zero — meaning the machine has no such fabric (pre-Hopper GPUs).
-    Cluster,
-    /// Device-wide cache (L2). A transparent cache, not a placement
-    /// target — see [`MemLevel::SPILL_ORDER`].
-    Device,
-    /// Off-chip memory (HBM/DRAM).
-    Offchip,
-}
-
-impl TierScope {
-    /// All scopes in the canonical descriptor order (fastest first).
-    pub const ALL: [TierScope; 5] = [
-        TierScope::Register,
-        TierScope::Block,
-        TierScope::Cluster,
-        TierScope::Device,
-        TierScope::Offchip,
-    ];
-
-    /// The [`MemLevel`] this scope is addressed by.
-    pub fn level(self) -> MemLevel {
-        match self {
-            TierScope::Register => MemLevel::Reg,
-            TierScope::Block => MemLevel::Smem,
-            TierScope::Cluster => MemLevel::Dsm,
-            TierScope::Device => MemLevel::L2,
-            TierScope::Offchip => MemLevel::Global,
-        }
-    }
-
-    /// The scope addressed by a [`MemLevel`].
-    pub fn from_level(level: MemLevel) -> TierScope {
-        match level {
-            MemLevel::Reg => TierScope::Register,
-            MemLevel::Smem => TierScope::Block,
-            MemLevel::Dsm => TierScope::Cluster,
-            MemLevel::L2 => TierScope::Device,
-            MemLevel::Global => TierScope::Offchip,
-        }
-    }
-
-    /// The canonical wire name (`"register"`, `"block"`, ...).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TierScope::Register => "register",
-            TierScope::Block => "block",
-            TierScope::Cluster => "cluster",
-            TierScope::Device => "device",
-            TierScope::Offchip => "offchip",
-        }
-    }
-
-    /// Parses a canonical wire name.
-    pub fn parse(s: &str) -> Option<TierScope> {
-        TierScope::ALL.into_iter().find(|t| t.as_str() == s)
-    }
-}
-
-impl fmt::Display for TierScope {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// One memory tier of a [`MachineDescriptor`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemTier {
@@ -179,15 +128,15 @@ pub struct MemTier {
     /// not invalidate cached plans.
     pub name: String,
     /// What the tier means to placement and pricing.
-    pub scope: TierScope,
-    /// Capacity in bytes. For [`TierScope::Cluster`] this is the window
+    pub scope: MemLevel,
+    /// Capacity in bytes. For [`MemLevel::Dsm`] this is the window
     /// *one peer core* contributes to the pool (227 KB on H100 — a peer's
     /// SMEM); the pool a block can place into is
     /// `(cluster_size - 1) x capacity` minus the peers' own working sets.
     pub capacity_bytes: u64,
-    /// Aggregate bandwidth in bytes/s. For [`TierScope::Cluster`] this is
+    /// Aggregate bandwidth in bytes/s. For [`MemLevel::Dsm`] this is
     /// the fabric bandwidth at cluster size 2 (larger clusters derate by
-    /// [`MemTier::bandwidth_derate`]); `0.0` on a Cluster tier means the
+    /// [`MemTier::bandwidth_derate`]); `0.0` on that tier means the
     /// machine has no inter-core fabric and the tier prices as off-chip.
     pub bandwidth: f64,
     /// Access latency in core cycles.
@@ -195,13 +144,13 @@ pub struct MemTier {
     /// Multiplicative bandwidth derate per doubling of cluster size
     /// beyond 2 (`0.82` reproduces the paper's Fig. 4 ≈3.3 → ≈1.7 TB/s
     /// drop from cluster 2 to 16). `1.0` = flat. Only meaningful on
-    /// [`TierScope::Cluster`].
+    /// [`MemLevel::Dsm`].
     pub bandwidth_derate: f64,
     /// Additional latency per doubling of cluster size, cycles. Only
-    /// meaningful on [`TierScope::Cluster`].
+    /// meaningful on [`MemLevel::Dsm`].
     pub latency_slope_cycles: f64,
     /// Peak (datasheet) bandwidth for rooflines, bytes/s; `0.0` means
-    /// "same as `bandwidth`". Only meaningful on [`TierScope::Offchip`].
+    /// "same as `bandwidth`". Only meaningful on [`MemLevel::Global`].
     pub peak_bandwidth: f64,
 }
 
@@ -210,7 +159,7 @@ impl MemTier {
     /// parameters (flat derate, no latency slope, peak = achievable).
     pub fn new(
         name: impl Into<String>,
-        scope: TierScope,
+        scope: MemLevel,
         capacity_bytes: u64,
         bandwidth: f64,
         latency_cycles: f64,
@@ -264,19 +213,19 @@ pub enum MachineError {
     /// The tier list is empty.
     EmptyTiers,
     /// A required scope has no tier.
-    MissingTier(TierScope),
+    MissingTier(MemLevel),
     /// A scope appears more than once.
-    DuplicateTier(TierScope),
+    DuplicateTier(MemLevel),
     /// Tiers are not in the canonical fastest-to-slowest scope order.
     TierOutOfOrder {
         /// Position of the offending tier in the list.
         index: usize,
         /// Its scope.
-        scope: TierScope,
+        scope: MemLevel,
     },
     /// A tier that must move data has zero bandwidth (every scope except
-    /// [`TierScope::Cluster`], where zero means "no fabric").
-    ZeroBandwidth(TierScope),
+    /// [`MemLevel::Dsm`], where zero means "no fabric").
+    ZeroBandwidth(MemLevel),
     /// A numeric field is NaN or infinite.
     NonFinite {
         /// Dotted path of the field ("compute.clock_hz", "tiers\[2\].bandwidth").
@@ -289,9 +238,9 @@ pub enum MachineError {
     },
     /// An on-chip tier capacity (or the cluster pool
     /// `max_cluster x capacity`) exceeds the model's addressable range.
-    CapacityOverflow(TierScope),
+    CapacityOverflow(MemLevel),
     /// A bandwidth derate outside `(0, 1]`.
-    BadDerate(TierScope),
+    BadDerate(MemLevel),
     /// A compute parameter is zero or out of range.
     BadCompute {
         /// Dotted path of the field.
@@ -303,23 +252,31 @@ impl fmt::Display for MachineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MachineError::EmptyTiers => write!(f, "machine has an empty tier list"),
-            MachineError::MissingTier(s) => write!(f, "machine has no '{s}'-scope tier"),
-            MachineError::DuplicateTier(s) => write!(f, "machine has duplicate '{s}'-scope tiers"),
+            MachineError::MissingTier(s) => {
+                write!(f, "machine has no '{}'-scope tier", s.scope_name())
+            }
+            MachineError::DuplicateTier(s) => {
+                write!(f, "machine has duplicate '{}'-scope tiers", s.scope_name())
+            }
             MachineError::TierOutOfOrder { index, scope } => write!(
                 f,
-                "tier {index} ('{scope}') is out of canonical order (register, block, cluster, device, offchip)"
+                "tier {index} ('{}') is out of canonical order (register, block, cluster, device, offchip)",
+                scope.scope_name()
             ),
             MachineError::ZeroBandwidth(s) => {
-                write!(f, "'{s}'-scope tier has zero bandwidth")
+                write!(f, "'{}'-scope tier has zero bandwidth", s.scope_name())
             }
             MachineError::NonFinite { field } => write!(f, "field '{field}' is not finite"),
             MachineError::Negative { field } => write!(f, "field '{field}' is negative"),
-            MachineError::CapacityOverflow(s) => {
-                write!(f, "'{s}'-scope tier capacity overflows the model's range")
-            }
+            MachineError::CapacityOverflow(s) => write!(
+                f,
+                "'{}'-scope tier capacity overflows the model's range",
+                s.scope_name()
+            ),
             MachineError::BadDerate(s) => write!(
                 f,
-                "'{s}'-scope tier bandwidth derate must be in (0, 1]"
+                "'{}'-scope tier bandwidth derate must be in (0, 1]",
+                s.scope_name()
             ),
             MachineError::BadCompute { field } => {
                 write!(f, "compute parameter '{field}' is out of range")
@@ -336,7 +293,7 @@ impl std::error::Error for MachineError {}
 const MAX_ONCHIP_CAPACITY: u64 = 1 << 48;
 
 /// A machine described as data: compute parameters plus one [`MemTier`]
-/// per [`TierScope`], in canonical order.
+/// per [`MemLevel`], in canonical order.
 ///
 /// Flat per-level figures are accessor methods
 /// ([`MachineDescriptor::num_sms`], [`MachineDescriptor::hbm_bw`], ...)
@@ -380,7 +337,7 @@ impl MachineDescriptor {
         if self.tiers.is_empty() {
             return Err(MachineError::EmptyTiers);
         }
-        for scope in TierScope::ALL {
+        for scope in MemLevel::ALL {
             let n = self.tiers.iter().filter(|t| t.scope == scope).count();
             if n > 1 {
                 return Err(MachineError::DuplicateTier(scope));
@@ -390,7 +347,7 @@ impl MachineDescriptor {
             }
         }
         // Exactly one tier per scope; now the order must be canonical.
-        for (i, (tier, scope)) in self.tiers.iter().zip(TierScope::ALL).enumerate() {
+        for (i, (tier, scope)) in self.tiers.iter().zip(MemLevel::ALL).enumerate() {
             if tier.scope != scope {
                 return Err(MachineError::TierOutOfOrder {
                     index: i,
@@ -417,13 +374,13 @@ impl MachineDescriptor {
                     });
                 }
             }
-            if t.bandwidth == 0.0 && t.scope != TierScope::Cluster {
+            if t.bandwidth == 0.0 && t.scope != MemLevel::Dsm {
                 return Err(MachineError::ZeroBandwidth(t.scope));
             }
             if !(0.0..=1.0).contains(&t.bandwidth_derate) || t.bandwidth_derate == 0.0 {
                 return Err(MachineError::BadDerate(t.scope));
             }
-            if t.scope != TierScope::Offchip && t.capacity_bytes > MAX_ONCHIP_CAPACITY {
+            if t.scope != MemLevel::Global && t.capacity_bytes > MAX_ONCHIP_CAPACITY {
                 return Err(MachineError::CapacityOverflow(t.scope));
             }
         }
@@ -468,7 +425,7 @@ impl MachineDescriptor {
         // inside u64 for the analyzer's placement arithmetic.
         let cluster_cap = self.tier(MemLevel::Dsm).capacity_bytes;
         if (c.max_cluster as u64).checked_mul(cluster_cap).is_none() {
-            return Err(MachineError::CapacityOverflow(TierScope::Cluster));
+            return Err(MachineError::CapacityOverflow(MemLevel::Dsm));
         }
         Ok(())
     }
@@ -564,21 +521,21 @@ impl MachineDescriptor {
                 // 64K 32-bit registers per SM = 256 KB; roughly half is
                 // realistically available for accumulator tiles. The
                 // bandwidth is effectively the tensor-core operand feed.
-                MemTier::new("reg", TierScope::Register, 128 * 1024, 600e12, 0.0),
+                MemTier::new("reg", MemLevel::Reg, 128 * 1024, 600e12, 0.0),
                 // ~128 B/clk/SM x 132 SMs x 1.83 GHz ≈ 31 TB/s.
-                MemTier::new("smem", TierScope::Block, smem, 31e12, 0.0),
+                MemTier::new("smem", MemLevel::Smem, smem, 31e12, 0.0),
                 MemTier {
                     bandwidth_derate: 0.82,
                     latency_slope_cycles: 16.0,
-                    ..MemTier::new("dsm", TierScope::Cluster, smem, 3.27e12, 184.0)
+                    ..MemTier::new("dsm", MemLevel::Dsm, smem, 3.27e12, 184.0)
                 },
-                MemTier::new("l2", TierScope::Device, 50 * 1024 * 1024, 12e12, 0.0),
+                MemTier::new("l2", MemLevel::L2, 50 * 1024 * 1024, 12e12, 0.0),
                 MemTier {
                     // Achievable ~2 TB/s under kernel access patterns
                     // (the "Global Memory" line of Fig. 4); 3.35 TB/s
                     // datasheet peak for rooflines.
                     peak_bandwidth: 3.35e12,
-                    ..MemTier::new("hbm", TierScope::Offchip, 80 * (1 << 30), 2.0e12, 478.0)
+                    ..MemTier::new("hbm", MemLevel::Global, 80 * (1 << 30), 2.0e12, 478.0)
                 },
             ],
         }
@@ -600,13 +557,13 @@ impl MachineDescriptor {
                 kernel_launch_s: 1.5e-6,
             },
             tiers: vec![
-                MemTier::new("reg", TierScope::Register, 128 * 1024, 300e12, 0.0),
-                MemTier::new("smem", TierScope::Block, smem, 19e12, 0.0),
-                MemTier::new("dsm", TierScope::Cluster, smem, 0.0, 0.0),
-                MemTier::new("l2", TierScope::Device, 40 * 1024 * 1024, 7e12, 0.0),
+                MemTier::new("reg", MemLevel::Reg, 128 * 1024, 300e12, 0.0),
+                MemTier::new("smem", MemLevel::Smem, smem, 19e12, 0.0),
+                MemTier::new("dsm", MemLevel::Dsm, smem, 0.0, 0.0),
+                MemTier::new("l2", MemLevel::L2, 40 * 1024 * 1024, 7e12, 0.0),
                 MemTier {
                     peak_bandwidth: 2.0e12,
-                    ..MemTier::new("hbm", TierScope::Offchip, 40 * (1 << 30), 1.4e12, 480.0)
+                    ..MemTier::new("hbm", MemLevel::Global, 40 * (1 << 30), 1.4e12, 480.0)
                 },
             ],
         }
@@ -768,7 +725,7 @@ impl MachineDescriptor {
         h.write_f64_bits(self.compute.kernel_launch_s);
         h.write_usize(self.tiers.len());
         for t in &self.tiers {
-            h.write_usize(t.scope.level().index());
+            h.write_usize(t.scope.index());
             h.write_u64(t.capacity_bytes);
             h.write_f64_bits(t.bandwidth);
             h.write_f64_bits(t.latency_cycles);
@@ -867,11 +824,10 @@ mod tests {
 
     #[test]
     fn scope_level_round_trips() {
-        for scope in TierScope::ALL {
-            assert_eq!(TierScope::from_level(scope.level()), scope);
-            assert_eq!(TierScope::parse(scope.as_str()), Some(scope));
+        for level in MemLevel::ALL {
+            assert_eq!(MemLevel::from_scope_name(level.scope_name()), Some(level));
         }
-        assert_eq!(TierScope::parse("smem"), None);
+        assert_eq!(MemLevel::from_scope_name("smem"), None);
     }
 
     #[test]
@@ -891,7 +847,7 @@ mod tests {
         };
         assert_eq!(
             missing.validate(),
-            Err(MachineError::MissingTier(TierScope::Offchip))
+            Err(MachineError::MissingTier(MemLevel::Global))
         );
         // Duplicate tier.
         let mut tiers = h.tiers().to_vec();
@@ -899,7 +855,7 @@ mod tests {
         let dup = MachineDescriptor { tiers, ..h.clone() };
         assert_eq!(
             dup.validate(),
-            Err(MachineError::DuplicateTier(TierScope::Block))
+            Err(MachineError::DuplicateTier(MemLevel::Smem))
         );
         // Out-of-order tiers.
         let mut tiers = h.tiers().to_vec();
@@ -909,7 +865,7 @@ mod tests {
             swapped.validate(),
             Err(MachineError::TierOutOfOrder {
                 index: 1,
-                scope: TierScope::Cluster
+                scope: MemLevel::Dsm
             })
         );
     }
@@ -921,7 +877,7 @@ mod tests {
             h.clone()
                 .with_tier(MemLevel::Smem, |t| t.bandwidth = 0.0)
                 .unwrap_err(),
-            MachineError::ZeroBandwidth(TierScope::Block)
+            MachineError::ZeroBandwidth(MemLevel::Smem)
         );
         // A zero-bandwidth *cluster* tier is fine — that's the A100.
         assert!(h
@@ -942,13 +898,13 @@ mod tests {
             h.clone()
                 .with_tier(MemLevel::Smem, |t| t.capacity_bytes = u64::MAX)
                 .unwrap_err(),
-            MachineError::CapacityOverflow(TierScope::Block)
+            MachineError::CapacityOverflow(MemLevel::Smem)
         );
         assert_eq!(
             h.clone()
                 .with_tier(MemLevel::Dsm, |t| t.bandwidth_derate = 1.5)
                 .unwrap_err(),
-            MachineError::BadDerate(TierScope::Cluster)
+            MachineError::BadDerate(MemLevel::Dsm)
         );
         assert!(matches!(
             h.clone().with_compute(|c| c.num_sms = 0).unwrap_err(),

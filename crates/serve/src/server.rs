@@ -82,9 +82,6 @@ pub struct ServeOptions {
     /// Requests served per connection before the server answers
     /// `Connection: close` (bounds per-connection state lifetime).
     pub max_requests_per_conn: u64,
-    /// Test-only: hold each request in the worker for this long before
-    /// handling, to make saturation deterministic in integration tests.
-    pub debug_handle_delay: Option<Duration>,
 }
 
 impl Default for ServeOptions {
@@ -96,7 +93,6 @@ impl Default for ServeOptions {
             max_body_bytes: http::DEFAULT_MAX_BODY_BYTES,
             max_connections: 1024,
             max_requests_per_conn: 1024,
-            debug_handle_delay: None,
         }
     }
 }
@@ -235,10 +231,9 @@ impl Server {
             let handler = Arc::clone(&handler);
             let stats = Arc::clone(&stats);
             let shared = Arc::clone(&shared);
-            let options = options.clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&queue, &*handler, &stats, &shared, &options));
+                .spawn(move || worker_loop(&queue, &*handler, &stats, &shared));
             match spawned {
                 Ok(handle) => workers.push(handle),
                 Err(e) => return Err(cleanup(workers, e)),
@@ -372,14 +367,10 @@ fn worker_loop(
     handler: &dyn Handler,
     stats: &ServeStats,
     shared: &ReactorShared,
-    options: &ServeOptions,
 ) {
     while let Some(job) = queue.pop() {
         stats.queue_wait.record_duration(job.at.elapsed());
         stats.in_flight.fetch_add(1, Ordering::Relaxed);
-        if let Some(delay) = options.debug_handle_delay {
-            std::thread::sleep(delay);
-        }
         // A panicking handler must cost one 500, not one worker thread
         // (the pool is fixed; a shrunk pool is a silent capacity leak).
         let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -775,10 +766,17 @@ mod tests {
     /// Echoes method + path; `/die` asks for shutdown.
     struct Echo;
 
+    /// How long `Echo` keeps a worker busy on `/hold`, to make
+    /// saturation deterministic.
+    const HOLD: Duration = Duration::from_millis(500);
+
     impl Handler for Echo {
         fn handle(&self, request: &Request) -> Response {
             if request.path == "/panic" {
                 panic!("handler bug");
+            }
+            if request.path == "/hold" {
+                std::thread::sleep(HOLD);
             }
             let mut response = Response::json(
                 200,
@@ -848,14 +846,13 @@ mod tests {
         let (server, stats) = start_echo(ServeOptions {
             workers: 1,
             queue_depth: 1,
-            debug_handle_delay: Some(Duration::from_millis(300)),
             ..ServeOptions::default()
         });
         let addr = server.addr();
         let mut statuses = Vec::new();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..6)
-                .map(|_| scope.spawn(move || client::get(addr, "/x").unwrap()))
+                .map(|_| scope.spawn(move || client::get(addr, "/hold").unwrap()))
                 .collect();
             for h in handles {
                 statuses.push(h.join().unwrap());
@@ -863,8 +860,8 @@ mod tests {
         });
         let rejected: Vec<_> = statuses.iter().filter(|r| r.status == 503).collect();
         let served = statuses.iter().filter(|r| r.status == 200).count();
-        // With 1 worker holding a request for 300 ms and a queue of
-        // depth 1, at most 1 + (1 per 300 ms drain) requests can be
+        // With 1 worker holding a request for `HOLD` and a queue of
+        // depth 1, at most 1 + (1 per `HOLD` drain) requests can be
         // admitted while the rest of the burst arrives within
         // milliseconds — so at least 3 of 6 see the 503, and every
         // request gets *some* definitive answer (nothing hangs).
@@ -887,7 +884,6 @@ mod tests {
         let (server, stats) = start_echo(ServeOptions {
             workers: 1,
             queue_depth: 1,
-            debug_handle_delay: Some(Duration::from_millis(500)),
             ..ServeOptions::default()
         });
         let addr = server.addr();

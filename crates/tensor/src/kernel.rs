@@ -322,7 +322,8 @@ fn pack_b(
 /// gather/scatter, an order of magnitude slower. With per-row locals
 /// the tile is SROA'd into vector registers and each row update
 /// becomes one broadcast + one fused multiply-add over the whole row —
-/// measured at `BENCH_interp.json` rates, all in safe Rust.
+/// measured by the benchmark as `tensor.kernel.blocked_gflops_512`, all
+/// in safe Rust.
 #[inline]
 fn micro_tile(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
     let mut r0 = [0.0f32; NR];

@@ -1,20 +1,21 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: formatting, lints, rustdoc (warnings
-# fatal), the full test suite, and reduced-mode runs of the search +
-# cache benchmarks. CI runs exactly this script.
+# fatal), the full test suite, a 2-second smoke of every benchmark/
+# workload, and the table/descriptor/fuzz smokes. CI runs exactly this
+# script. The test suite is the only thing that judges the program and
+# benchmark/ the only thing that times it; nothing here gates on a
+# wall-clock number.
 #
-# Environment knobs (both honored, never hardcoded):
-#   FLASHFUSER_QUICK    1 (default here) = quick bench mode, writes
-#                       *.quick.json; set 0 to run the full-size chains
-#                       and refresh the committed BENCH_*.json baselines.
-#   FLASHFUSER_THREADS  worker-thread override for the bench bins
-#                       (0/unset = all cores; results are identical for
-#                       every value — only wall-clock changes).
+# Environment knob (honored, never hardcoded):
+#   FLASHFUSER_QUICK    1 (default here) = quick mode: tab8_search_time
+#                       runs G3 only, bench_machine a reduced sweep
+#                       written to BENCH_machine.quick.json, fuzz 16
+#                       seeds; set 0 for the full sizes and to refresh
+#                       the committed BENCH_machine.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export FLASHFUSER_QUICK="${FLASHFUSER_QUICK:-1}"
-export FLASHFUSER_THREADS="${FLASHFUSER_THREADS:-}"
 
 echo "== cargo fmt --check =="
 cargo fmt --check
@@ -25,9 +26,8 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 echo "== cargo doc (RUSTDOCFLAGS=-D warnings, no deps) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
-echo "== cargo build --release (benches included) =="
+echo "== cargo build --release =="
 cargo build --release -q --workspace
-cargo check -q --workspace --benches
 
 # --no-fail-fast: one red test binary must not hide the suites cargo
 # would have run after it.
@@ -40,11 +40,29 @@ cargo test -q --workspace --no-fail-fast
 echo "== benchmark bins build against the facade =="
 cargo build --offline -q --release --manifest-path benchmark/Cargo.toml --bins
 
-# Run a bench bin, failing the gate loudly if it panics or exits
-# non-zero (a panicking bench must never look like a pass).
+# One short run of every benchmark workload: each checks its own
+# answers (byte-identical replies, codec round trips, plans vs the
+# reference) and ends with a result line that must say so. This is a
+# does-it-run smoke, not a timing gate — `benchmark/run.sh --compare`
+# against benchmark/baseline.json judges the numbers.
+for w in cold_chain serve_hit serve_graph serve_mixed exec_zoo; do
+    echo "== benchmark-smoke (${w}, 2 s) =="
+    result="$(bash benchmark/run.sh --workload "${w}" --seed 1 --seconds 2 --trace 0 | tail -n 1)" || result=""
+    echo "${result}"
+    case "${result}" in
+        '{"correct": true'*) ;;
+        *)
+            echo "verify: FAIL — benchmark workload '${w}' did not end with a correct result line" >&2
+            exit 1
+            ;;
+    esac
+done
+
+# Run a crates/bench bin, failing the gate loudly if it panics or exits
+# non-zero (a panicking bin must never look like a pass).
 run_bench() {
     local bin="$1"
-    echo "== ${bin} (FLASHFUSER_QUICK=${FLASHFUSER_QUICK}, FLASHFUSER_THREADS=${FLASHFUSER_THREADS:-auto}) =="
+    echo "== ${bin} (FLASHFUSER_QUICK=${FLASHFUSER_QUICK}) =="
     if ! cargo run --release -q -p flashfuser-bench --bin "${bin}"; then
         echo "verify: FAIL — bench bin '${bin}' exited non-zero (panic or gate violation)" >&2
         exit 1
@@ -52,27 +70,6 @@ run_bench() {
 }
 
 run_bench tab8_search_time
-run_bench bench_search
-run_bench bench_cache
-
-# Numeric-backend smoke: bench_interp measures naive vs packed blocked
-# GEMM throughput and validates every zoo layer graph under both
-# backends; it exits non-zero unless blocked wins by >= 5x at dim 1024
-# and the zoo stays green.
-echo "== interp-smoke (bench_interp) =="
-run_bench bench_interp
-
-# Serving smoke: bench_serve starts the real HTTP server on an
-# ephemeral loopback port, fires a mixed load (compile/batch/healthz,
-# plus a same-key burst), measures keep-alive connection reuse against
-# one-shot connections, and round-trips a warm-cache snapshot into a
-# fresh replica. It exits non-zero unless the run had zero errors,
-# >= 90% cache hit rate, byte-identical responses (one-shot and
-# pipelined), exactly one burst search, the gated reuse ratio
-# (reuse_ok), a warm replica with zero searches (snapshot_warm), and a
-# clean drain through the control endpoint.
-echo "== serve-smoke (bench_serve) =="
-run_bench bench_serve
 
 # Machine-model smoke: bench_machine sweeps descriptor mutations
 # (cluster size, DSM bandwidth, SMEM capacity, whole targets including
@@ -82,14 +79,6 @@ run_bench bench_serve
 # speedup >= 1 fallback bar.
 echo "== machine-smoke (bench_machine) =="
 run_bench bench_machine
-
-# Attention-fusion smoke: bench_attention compiles zoo-shaped
-# Q.K^T -> softmax -> A.V windows on the H100 and the committed
-# Tensix-like descriptor, validates each against the per-op oracle,
-# and exits non-zero unless every fused plan moves strictly fewer
-# priced global bytes than the per-op unfused fallback.
-echo "== attention-smoke (bench_attention) =="
-run_bench bench_attention
 
 # Differential fuzzing smoke: generator -> compiler -> stitched
 # execution vs per-op reference. The population is attention-bearing

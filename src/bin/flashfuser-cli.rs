@@ -1,13 +1,18 @@
 //! The FlashFuser command-line driver.
 //!
 //! ```text
-//! flashfuser-cli compile <M> <N> <K> <L> [--gated] [--machine SPEC] [--cache-dir DIR]
-//! flashfuser-cli compile --conv <IC> <H> <W> <OC1> <OC2> <K1> <K2> [--machine SPEC]
-//! flashfuser-cli batch [--machine SPEC] [--cache-dir DIR] [--workers N] [--repeat R] <SPEC>...
-//! flashfuser-cli graph <MODEL> <M> [--layers N] [--machine SPEC] [--cache-dir DIR]
-//! flashfuser-cli fuzz --seeds <N> [--ops K] [--dims D] [--kernel NAME] [--start S] [--tol T] [--report PATH]
-//! flashfuser-cli serve [--port P] [--workers N] [--queue-depth D] [--cache-dir DIR]
+//! flashfuser-cli compile <M> <N> <K> <L> [--gated]
+//! flashfuser-cli compile --conv <IC> <H> <W> <OC1> <OC2> <K1> <K2>
+//! flashfuser-cli batch [--gated] [--workers N] [--repeat R] <SPEC>...
+//! flashfuser-cli graph <MODEL> <M> [--layers N]
+//! flashfuser-cli fuzz --seeds <N> [--ops K] [--dims D] [--kernel NAME] [--start S] [--tol T]
+//!                     [--attention P] [--report PATH]
+//! flashfuser-cli serve [--port P] [--workers N] [--queue-depth D] [--preload DIR]
 //! ```
+//!
+//! Every subcommand also takes `--machine SPEC`, `--cache-dir DIR` and
+//! `--dry-run`; a flag outside a subcommand's own list is a usage error
+//! (exit 2), never silently ignored.
 //!
 //! `compile` runs the full pipeline for one chain and prints the
 //! selected plan, its simulated time and the comparison against the
@@ -74,7 +79,8 @@ SPEC (batch): MxNxKxL with an optional ':gated' suffix,
 
 OPTIONS:
     --gated            Gated-FFN (SwiGLU) chain instead of standard FFN
-                       (compile only; in batch use the ':gated' suffix)
+                       (compile; in batch, the default for specs without
+                       the ':gated' suffix)
     --conv             Compile a conv chain (compile only; see above)
     --machine SPEC     Target machine: a registry name (h100_sxm, the
                        default, or a100_sxm, which has no DSM) or a
@@ -83,7 +89,8 @@ OPTIONS:
                        batch, graph, fuzz and serve)
     --cache-dir DIR    Persist compiled plans under DIR and reuse them on
                        later runs (content-addressed; invalidates itself
-                       when the machine or search config changes)
+                       when the machine or search config changes; every
+                       subcommand)
     --preload DIR      Serve: import a warm-cache snapshot from DIR before
                        accepting traffic, so a fresh replica boots hot
                        (write one with POST /admin/snapshot; /stats then
@@ -116,7 +123,11 @@ OPTIONS:
     --queue-depth D    Serve: admission queue depth before requests are
                        answered 503 (default 64)
     --dry-run          Parse and validate, print what would run, exit
+                       (every subcommand)
     -h, --help         Print this help
+
+A flag that its subcommand does not read (say, --port on compile) is a
+usage error, not ignored.
 
 EXAMPLES:
     flashfuser-cli compile 128 16384 4096 4096
@@ -165,8 +176,34 @@ fn usage_error(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Splits flags from positionals, consuming flag values.
-fn parse_opts(args: &[String]) -> Result<(CommonOpts, Vec<String>), String> {
+/// Flags every subcommand reads.
+const COMMON_FLAGS: [&str; 3] = ["--machine", "--cache-dir", "--dry-run"];
+
+/// The flags `subcommand` reads besides [`COMMON_FLAGS`].
+fn own_flags(subcommand: &str) -> &'static [&'static str] {
+    match subcommand {
+        "compile" => &["--gated", "--conv"],
+        "batch" => &["--gated", "--workers", "--repeat"],
+        "graph" => &["--layers"],
+        "fuzz" => &[
+            "--seeds",
+            "--start",
+            "--ops",
+            "--dims",
+            "--kernel",
+            "--tol",
+            "--attention",
+            "--report",
+        ],
+        "serve" => &["--port", "--workers", "--queue-depth", "--preload"],
+        _ => &[],
+    }
+}
+
+/// Splits `subcommand`'s flags from its positionals, consuming flag
+/// values. A flag the subcommand does not read is an error, even when
+/// another subcommand knows it.
+fn parse_opts(subcommand: &str, args: &[String]) -> Result<(CommonOpts, Vec<String>), String> {
     let mut opts = CommonOpts {
         machine: None,
         cache_dir: None,
@@ -191,7 +228,14 @@ fn parse_opts(args: &[String]) -> Result<(CommonOpts, Vec<String>), String> {
     let mut positional = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let arg = args[i].as_str();
+        if arg.starts_with("--")
+            && !COMMON_FLAGS.contains(&arg)
+            && !own_flags(subcommand).contains(&arg)
+        {
+            return Err(format!("unknown flag '{arg}' for '{subcommand}'"));
+        }
+        match arg {
             "--gated" => opts.gated = true,
             "--conv" => opts.conv = true,
             "--dry-run" => opts.dry_run = true,
@@ -296,7 +340,6 @@ fn parse_opts(args: &[String]) -> Result<(CommonOpts, Vec<String>), String> {
                     _ => unreachable!(),
                 }
             }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
             _ => positional.push(args[i].clone()),
         }
         i += 1;
@@ -359,7 +402,7 @@ fn parse_spec(spec: &str, default_gated: bool) -> Result<ChainSpec, String> {
 }
 
 fn cmd_compile(args: &[String]) -> ExitCode {
-    let (opts, positional) = match parse_opts(args) {
+    let (opts, positional) = match parse_opts("compile", args) {
         Ok(v) => v,
         Err(e) => return usage_error(&e),
     };
@@ -456,7 +499,7 @@ fn cmd_compile(args: &[String]) -> ExitCode {
 }
 
 fn cmd_batch(args: &[String]) -> ExitCode {
-    let (opts, positional) = match parse_opts(args) {
+    let (opts, positional) = match parse_opts("batch", args) {
         Ok(v) => v,
         Err(e) => return usage_error(&e),
     };
@@ -532,7 +575,7 @@ fn find_model(name: &str) -> Option<flashfuser::workloads::ModelSpec> {
 }
 
 fn cmd_graph(args: &[String]) -> ExitCode {
-    let (opts, positional) = match parse_opts(args) {
+    let (opts, positional) = match parse_opts("graph", args) {
         Ok(v) => v,
         Err(e) => return usage_error(&e),
     };
@@ -643,7 +686,7 @@ fn cmd_graph(args: &[String]) -> ExitCode {
 }
 
 fn cmd_serve(args: &[String]) -> ExitCode {
-    let (opts, positional) = match parse_opts(args) {
+    let (opts, positional) = match parse_opts("serve", args) {
         Ok(v) => v,
         Err(e) => return usage_error(&e),
     };
@@ -735,7 +778,7 @@ struct FuzzOutcome {
 }
 
 fn cmd_fuzz(args: &[String]) -> ExitCode {
-    let (opts, positional) = match parse_opts(args) {
+    let (opts, positional) = match parse_opts("fuzz", args) {
         Ok(v) => v,
         Err(e) => return usage_error(&e),
     };

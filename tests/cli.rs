@@ -115,6 +115,38 @@ fn unknown_subcommand_is_a_usage_error() {
 }
 
 #[test]
+fn a_flag_its_subcommand_does_not_read_is_a_usage_error() {
+    // Each row is valid without its last flag (+ value); the stranger
+    // is a real flag of *another* subcommand, so it must be refused by
+    // name rather than parsed and dropped.
+    for (args, stranger) in [
+        (
+            vec!["compile", "128", "512", "256", "256", "--seeds", "5"],
+            "--seeds",
+        ),
+        (
+            vec!["compile", "128", "512", "256", "256", "--port", "1"],
+            "--port",
+        ),
+        (vec!["batch", "128x512x256x256", "--conv"], "--conv"),
+        (vec!["graph", "GPT-2", "128", "--repeat", "3"], "--repeat"),
+        (vec!["fuzz", "--seeds", "2", "--layers", "2"], "--layers"),
+        (vec!["serve", "--port", "0", "--gated"], "--gated"),
+        (vec!["serve", "--attention", "0.5"], "--attention"),
+    ] {
+        let mut args = args;
+        args.push("--dry-run");
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains(stranger) && err.contains(&format!("'{}'", args[0])),
+            "error must name the flag and the subcommand: {err}"
+        );
+    }
+}
+
+#[test]
 fn fuzz_runs_real_seeds_and_writes_the_report() {
     let report = std::env::temp_dir().join(format!("ff-fuzz-cli-{}.json", std::process::id()));
     let report_str = report.to_str().unwrap();

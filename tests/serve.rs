@@ -29,7 +29,7 @@
 //!   searches.
 
 use flashfuser::prelude::*;
-use flashfuser::serve::{client, ServeOptions};
+use flashfuser::serve::{client, Handler, Request, Response, ServeOptions, ServeStats, Server};
 use flashfuser::service;
 use flashfuser_core::codec::{decode_record, encode_chain, encode_machine};
 use flashfuser_core::json;
@@ -46,12 +46,46 @@ fn chain_body(chain: &ChainSpec) -> String {
     format!("{{\"chain\": {}}}", encode_chain(chain))
 }
 
-fn start(options: ServeOptions) -> (flashfuser::serve::Server, Arc<Compiler>, SocketAddr) {
+fn start(options: ServeOptions) -> (Server, Arc<Compiler>, SocketAddr) {
     let compiler = Arc::new(Compiler::new(MachineDescriptor::h100_sxm()));
     let server = service::start(Arc::clone(&compiler), ("127.0.0.1", 0), options)
         .expect("bind ephemeral loopback port");
     let addr = server.addr();
     (server, compiler, addr)
+}
+
+/// The compile service behind a handler that first holds the worker for
+/// `hold`, to make saturation deterministic.
+struct Delayed {
+    inner: service::CompileService,
+    hold: Duration,
+}
+
+impl Handler for Delayed {
+    fn handle(&self, request: &Request) -> Response {
+        std::thread::sleep(self.hold);
+        self.inner.handle(request)
+    }
+}
+
+/// A service that saturates on its third concurrent request: one worker
+/// holding every request for `hold`, one queue slot behind it.
+fn start_saturable(hold: Duration) -> (Server, SocketAddr) {
+    let compiler = Arc::new(Compiler::new(MachineDescriptor::h100_sxm()));
+    let stats = Arc::new(ServeStats::new());
+    let handler = Arc::new(Delayed {
+        inner: service::CompileService::new(compiler, Arc::clone(&stats)),
+        hold,
+    });
+    let options = ServeOptions {
+        workers: 1,
+        queue_depth: 1,
+        ..ServeOptions::default()
+    };
+    let server = Server::start(("127.0.0.1", 0), handler, stats, options)
+        .expect("bind ephemeral loopback port");
+    let addr = server.addr();
+    (server, addr)
 }
 
 #[test]
@@ -135,12 +169,7 @@ fn two_cold_replicas_answer_the_same_compile_with_the_same_bytes() {
 
 #[test]
 fn saturated_queue_answers_503_and_admitted_requests_complete() {
-    let (server, _compiler, addr) = start(ServeOptions {
-        workers: 1,
-        queue_depth: 1,
-        debug_handle_delay: Some(Duration::from_millis(300)),
-        ..ServeOptions::default()
-    });
+    let (server, addr) = start_saturable(Duration::from_millis(300));
     const K: usize = 6;
     let mut responses = Vec::with_capacity(K);
     std::thread::scope(|scope| {
@@ -596,12 +625,7 @@ fn read_deadline_rearms_per_request_and_kills_a_trickling_second_request() {
 #[test]
 fn saturation_503_does_not_cost_a_keep_alive_client_its_connection() {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let (server, _compiler, addr) = start(ServeOptions {
-        workers: 1,
-        queue_depth: 1,
-        debug_handle_delay: Some(Duration::from_millis(800)),
-        ..ServeOptions::default()
-    });
+    let (server, addr) = start_saturable(Duration::from_millis(800));
     // Two slow holds, staggered so the first is *popped into the
     // worker* before the second arrives to fill the queue slot (fired
     // back-to-back on one core, both can race the worker's pop and
@@ -781,6 +805,52 @@ fn cold_stats_document_is_pinned() {
         uptime = uptime,
     );
     assert_eq!(raw, expected, "cold /stats drifted from the pinned shape");
+    server.shutdown();
+}
+
+#[test]
+fn mixed_concurrent_load_is_answered_without_errors_or_rejections() {
+    // Eight clients over distinct keys and every hot endpoint at once —
+    // the same-key burst above only exercises one key. The queue (64)
+    // is deeper than the client count, so nothing may bounce.
+    let (server, _compiler, addr) = start(ServeOptions {
+        workers: 4,
+        ..ServeOptions::default()
+    });
+    let mix = [
+        chain_body(&small_chain()),
+        chain_body(&ChainSpec::standard_ffn(64, 64, 32, 32, Activation::Gelu)),
+        chain_body(&ChainSpec::gated_ffn(64, 32, 16, 16, Activation::Silu)),
+        "{\"conv\": {\"dims\": [16, 8, 8, 32, 16, 1, 1]}}".to_string(),
+    ];
+    let batch = format!("{{\"requests\": [{}, {}]}}", mix.join(", "), mix.join(", "));
+    const CLIENTS: usize = 8;
+    const PER_CLIENT: usize = 12;
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let (mix, batch) = (&mix, &batch);
+            scope.spawn(move || {
+                for i in 0..PER_CLIENT {
+                    let response = match (c + i) % 6 {
+                        4 => client::post(addr, "/batch", batch.as_bytes()),
+                        5 => client::get(addr, "/healthz"),
+                        shape => client::post(addr, "/compile", mix[shape].as_bytes()),
+                    }
+                    .expect("every request gets an answer");
+                    assert_eq!(response.status, 200, "{}", response.body_utf8());
+                }
+            });
+        }
+    });
+    assert_eq!(
+        stat(addr, "outcomes", "ok"),
+        (CLIENTS * PER_CLIENT) as u64,
+        "every request of the load was answered 2xx"
+    );
+    assert_eq!(stat(addr, "admission", "rejected_busy"), 0);
+    for outcome in ["bad_requests", "infeasible", "dropped"] {
+        assert_eq!(stat(addr, "outcomes", outcome), 0, "{outcome}");
+    }
     server.shutdown();
 }
 
