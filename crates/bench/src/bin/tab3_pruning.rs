@@ -12,5 +12,7 @@ fn main() {
     println!("== Table III: pruning cascade (GPT-6.7B, M=256) ==");
     println!("{stats}");
     println!("\npaper reference: 2.75e13 -> 1.14e8 -> 2.47e7 -> 1.44e7 -> 9.62e6 -> 1.15e6");
+    println!("(Geometry is this reproduction's row: the Rule-4 survivors whose tiles and");
+    println!("cluster fit the problem - closed form, and all the search engine scans.)");
     println!("traditional (no clusters) pruned space ~1e4; ours remains ~1e6 (\u{a7}III).");
 }

@@ -51,7 +51,7 @@ fn main() {
             if same { "within 2%" } else { "no" }
         );
         eprintln!(
-            "   ({} candidates brute-profiled; engine considered {}, prefiltered {})",
+            "   ({} candidates brute-profiled; engine scanned {} geometry-eligible, skipped {} on the bound)",
             profiled,
             guided.stats().considered,
             guided.stats().prefiltered

@@ -185,14 +185,17 @@ impl CostModel {
     }
 
     /// The pricing half of [`CostModel::lower_bound`], for callers that
-    /// already derived the candidate's [`PlanGeometry`] (the search
-    /// engine's hot loop derives it once and shares it with the
-    /// analyzer). `geometry` must come from the same
-    /// `(chain, schedule, cluster, tile)`.
-    // Called once per candidate from `search::rank_shard`, in another
-    // module: without the hint, whether it inlines there is up to how
-    // the crate's codegen units happen to be cut, and the out-of-line
-    // form costs ~45 % of a cold compile.
+    /// already derived the candidate's [`PlanGeometry`]. `geometry` must
+    /// come from the same `(chain, schedule, cluster, tile)`.
+    ///
+    /// With `grid_k = grid_l = 1` — which `PlanGeometry::derive`
+    /// enforces — the result does not depend on `tile.k` or `tile.l`
+    /// (the trip and tile factors of the mandatory traffic cancel); the
+    /// search engine prices it once per `(blk_m, blk_n)` plane on the
+    /// strength of that, and `tests/search_parallel.rs` pins it.
+    // Probed once per candidate from other crates' loops: without the
+    // hint, whether it inlines there is up to how the codegen units
+    // happen to be cut.
     #[inline]
     pub fn lower_bound_for(
         &self,

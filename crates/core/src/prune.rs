@@ -11,6 +11,10 @@
 //!   spatially separated L tiles would all need the whole intermediate
 //!   with no communication path (intra-cluster L parallelism via `cls_l`
 //!   remains available).
+//! * **Tile/cluster geometry** (reported between Rules 4 and 5):
+//!   `blk_d·cls_d` must tile every dim, and a spatial K or L must fit one
+//!   cluster. Separable per dimension, so the [`CandidateStream`] filters
+//!   its tile *axes* instead of its candidates.
 //! * **Rule 5 — memory capacity**: accumulators fit registers, the
 //!   streaming working set fits SMEM, and the reused strip fits at or
 //!   above the configured lowest spill tier. Enforced by running the
@@ -21,6 +25,7 @@ use crate::machine::{MachineDescriptor, MemLevel};
 use crate::schedule::LoopSchedule;
 use crate::space;
 use crate::tiling::{hardware_aware_tiles, BlockTile};
+use flashfuser_comm::geometry::CLUSTER_DIM_CHOICES;
 use flashfuser_comm::ClusterShape;
 use flashfuser_graph::{ChainSpec, Dim};
 use std::fmt;
@@ -63,6 +68,10 @@ pub struct PruneStats {
     pub after_rule3: u64,
     /// After Rule 4 (no grid-spatial L).
     pub after_rule4: u64,
+    /// After the tile/cluster geometry: candidates whose `blk_d·cls_d`
+    /// tile every dim, with a spatial K or L inside one cluster. Closed
+    /// form ([`CandidateStream::len`]); what the search scans.
+    pub after_geometry: u64,
     /// After Rule 5 (capacity-feasible; exact, via the analyzer).
     pub after_rule5: u64,
 }
@@ -84,6 +93,7 @@ impl fmt::Display for PruneStats {
         writeln!(f, "+ Rule 2         {:>14}", self.after_rule2)?;
         writeln!(f, "+ Rule 3         {:>14}", self.after_rule3)?;
         writeln!(f, "+ Rule 4         {:>14}", self.after_rule4)?;
+        writeln!(f, "+ Geometry       {:>14}", self.after_geometry)?;
         writeln!(f, "+ Rule 5         {:>14}", self.after_rule5)?;
         write!(
             f,
@@ -127,95 +137,198 @@ pub struct Candidate<'a> {
     pub tile: BlockTile,
 }
 
-/// The candidate stream after Rules 1–4: every (schedule, cluster, tile)
-/// triple that survives the cheap structural rules. Rule 5 (and the
-/// residual geometry checks) happen in the analyzer.
+/// `true` when one cluster must cover `dim` whole: K and L may be
+/// schedule-spatial only with `grid_d = 1` (see
+/// [`PlanGeometry::derive`](crate::plan::PlanGeometry::derive)).
+fn must_cover(schedule: &LoopSchedule, dim: Dim) -> bool {
+    matches!(dim, Dim::K | Dim::L) && schedule.is_spatial(dim)
+}
+
+/// Slot of the `(dim, cls_d, must_cover)` axis in `CandidateStream::axes`.
+fn axis_slot(dim: Dim, cls: usize, cover: bool) -> usize {
+    let cls_idx = CLUSTER_DIM_CHOICES
+        .iter()
+        .position(|&c| c == cls)
+        .expect("cluster extents come from CLUSTER_DIM_CHOICES");
+    (dim.index() * 2 + usize::from(cover)) * CLUSTER_DIM_CHOICES.len() + cls_idx
+}
+
+/// One `(schedule, cluster)` pair whose four tile axes are all non-empty:
+/// its candidates are exactly the cross product of those axes, M
+/// outermost, L innermost.
+struct Group<'a> {
+    schedule: &'a LoopSchedule,
+    cluster: ClusterShape,
+    /// Slots of the M, N, K, L axes in `CandidateStream::axes`.
+    axes: [usize; 4],
+    /// `seq` of the group's first candidate.
+    first_seq: u64,
+}
+
+/// The candidate stream: every (schedule, cluster, tile) triple that
+/// survives Rules 1–4 *and* derives a
+/// [`PlanGeometry`](crate::plan::PlanGeometry) — the population the cost
+/// bound and Rule 5 (the analyzer) then work on.
 ///
-/// The stream is *randomly addressable*: [`CandidateStream::get`]
-/// materialises the candidate at any position of the total order, so
-/// disjoint index ranges can be iterated by different worker threads
-/// without coordination (see [`CandidateStream::range`]).
+/// `PlanGeometry::derive` is separable per dimension: it fails iff, for
+/// some dim `d`, `S_d % (blk_d·cls_d) != 0`, or `d ∈ {K, L}` is
+/// schedule-spatial and `S_d != blk_d·cls_d`. So for each
+/// `(schedule, cluster)` the derivable candidates are a cross product of
+/// four *filtered* tile axes, and an axis depends only on
+/// `(d, cls_d, spatial?)` — at most 40 distinct ones per chain. The
+/// stream holds those axes plus one group header per `(schedule, cluster)`
+/// with a non-empty product; candidates that cannot exist are never
+/// materialised, and [`CandidateStream::len`] is a closed form.
+///
+/// The order is that of a nested loop over `schedules x clusters x blk_m
+/// x blk_n x blk_k x blk_l`, innermost last. The stream is *randomly
+/// addressable* ([`CandidateStream::get`]), iterates by odometer
+/// ([`CandidateStream::range`]), and hands the search engine whole
+/// `(blk_m, blk_n)` planes ([`CandidateStream::planes`]) so disjoint
+/// index ranges can be scanned by different worker threads without
+/// coordination.
 pub struct CandidateStream<'a> {
-    /// Surviving schedules (borrowed from the caller's full list).
-    pub schedules: Vec<&'a LoopSchedule>,
-    /// Legal cluster shapes under the configured limit.
-    pub clusters: Vec<ClusterShape>,
-    /// Divisible tile choices per dimension (M, N, K, L).
-    pub tiles: [Vec<usize>; 4],
+    /// Filtered tile axes, indexed by [`axis_slot`] (the must-cover slots
+    /// of M and N are filled but never referenced).
+    axes: Vec<Vec<usize>>,
+    groups: Vec<Group<'a>>,
+    len: u64,
 }
 
 impl<'a> CandidateStream<'a> {
     /// Builds the stream for a chain under `config`.
     pub fn build(chain: &ChainSpec, config: &PruneConfig, all: &'a [LoopSchedule]) -> Self {
         let dims = chain.dims();
-        CandidateStream {
-            schedules: schedules_after_rule4(all),
-            clusters: ClusterShape::enumerate(config.max_cluster),
-            tiles: [
-                hardware_aware_tiles(dims.m),
-                hardware_aware_tiles(dims.n),
-                hardware_aware_tiles(dims.k),
-                hardware_aware_tiles(dims.l),
-            ],
+        let mut axes = Vec::with_capacity(4 * 2 * CLUSTER_DIM_CHOICES.len());
+        for dim in Dim::ALL {
+            let size = dims.size(dim);
+            let tiles = hardware_aware_tiles(size);
+            for cover in [false, true] {
+                for cls in CLUSTER_DIM_CHOICES {
+                    let fits = |t: usize| {
+                        let unit = t * cls;
+                        size.is_multiple_of(unit) && (!cover || size == unit)
+                    };
+                    axes.push(tiles.iter().copied().filter(|&t| fits(t)).collect());
+                }
+            }
         }
+        let schedules = schedules_after_rule4(all);
+        let clusters = ClusterShape::enumerate(config.max_cluster);
+        let mut stream = CandidateStream {
+            axes,
+            groups: Vec::with_capacity(schedules.len() * clusters.len()),
+            len: 0,
+        };
+        for schedule in schedules {
+            for &cluster in &clusters {
+                let slots = Dim::ALL
+                    .map(|dim| axis_slot(dim, cluster.size(dim), must_cover(schedule, dim)));
+                let product: u64 = slots.iter().map(|&s| stream.axes[s].len() as u64).product();
+                if product > 0 {
+                    stream.groups.push(Group {
+                        schedule,
+                        cluster,
+                        axes: slots,
+                        first_seq: stream.len,
+                    });
+                    stream.len += product;
+                }
+            }
+        }
+        stream
     }
 
-    /// Candidates in the stream (product of the component counts).
+    /// Candidates in the stream — the Table III "geometry" row and
+    /// `SearchStats::eligible`, in closed form.
     pub fn len(&self) -> u64 {
-        self.schedules.len() as u64
-            * self.clusters.len() as u64
-            * self.tiles.iter().map(|t| t.len() as u64).product::<u64>()
+        self.len
     }
 
-    /// `true` when no candidate survives the structural rules.
+    /// `true` when no candidate survives the structural rules and the
+    /// tile/cluster geometry.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
+    }
+
+    /// The M, N, K, L tile axes of a group.
+    fn axes_of(&self, group: &Group<'a>) -> [&[usize]; 4] {
+        group.axes.map(|slot| self.axes[slot].as_slice())
+    }
+
+    /// Iterator over the planes from the one *containing* `start` up to
+    /// `end`, plus `start`'s `(blk_k, blk_l)` digits inside that first
+    /// plane. Both bounds are clamped to the stream.
+    fn planes_containing(&self, start: u64, end: u64) -> (PlaneIter<'a, '_>, [usize; 2]) {
+        let end = end.min(self.len);
+        let mut planes = PlaneIter {
+            stream: self,
+            group: 0,
+            pos: [0, 0],
+            seq: end,
+            end,
+        };
+        if start >= end {
+            return (planes, [0, 0]);
+        }
+        // Binary search on the group, then mixed radix inside it.
+        planes.group = self.groups.partition_point(|g| g.first_seq <= start) - 1;
+        let group = &self.groups[planes.group];
+        let mut rest = start - group.first_seq;
+        let [_, n, k, l] = self.axes_of(group).map(|axis| axis.len() as u64);
+        let mut digit = |radix: u64| {
+            let d = (rest % radix) as usize;
+            rest /= radix;
+            d
+        };
+        // Innermost (fastest-varying) digit first.
+        let (il, ik) = (digit(l), digit(k));
+        planes.pos[1] = digit(n);
+        planes.pos[0] = rest as usize;
+        planes.seq = start - (ik as u64 * l + il as u64);
+        (planes, [ik, il])
     }
 
     /// The candidate at position `seq` of the total order, or `None` past
-    /// the end. The order matches a nested loop over
-    /// `schedules x clusters x tiles_m x tiles_n x tiles_k x tiles_l`,
-    /// innermost last — the order [`CandidateStream::for_each`] visits.
+    /// the end.
     pub fn get(&self, seq: u64) -> Option<Candidate<'a>> {
-        if seq >= self.len() {
-            return None;
-        }
-        let mut rest = seq;
-        let mut digit = |radix: usize| -> usize {
-            let d = (rest % radix as u64) as usize;
-            rest /= radix as u64;
-            d
-        };
-        // Innermost (fastest-varying) component first.
-        let bl = self.tiles[3][digit(self.tiles[3].len())];
-        let bk = self.tiles[2][digit(self.tiles[2].len())];
-        let bn = self.tiles[1][digit(self.tiles[1].len())];
-        let bm = self.tiles[0][digit(self.tiles[0].len())];
-        let cluster = self.clusters[digit(self.clusters.len())];
-        let schedule = self.schedules[digit(self.schedules.len())];
-        Some(Candidate {
-            seq,
-            schedule,
-            cluster,
-            tile: BlockTile::new(bm, bn, bk, bl),
-        })
+        self.range(seq, seq.saturating_add(1)).next()
     }
 
     /// Iterates the whole stream in total order.
     pub fn iter(&self) -> CandidateIter<'a, '_> {
-        self.range(0, self.len())
+        self.range(0, self.len)
     }
 
     /// Iterates the half-open index range `[start, end)` of the total
-    /// order (clamped to the stream length) — the unit of work a search
-    /// worker thread claims.
+    /// order (clamped to the stream length).
     pub fn range(&self, start: u64, end: u64) -> CandidateIter<'a, '_> {
-        let end = end.min(self.len());
+        let (mut planes, [ik, il]) = self.planes_containing(start, end);
+        let left = planes.end.saturating_sub(start);
+        let current = planes.next().map(|plane| PlaneCandidates {
+            plane,
+            ik,
+            il,
+            seq: start,
+        });
         CandidateIter {
-            stream: self,
-            next: start.min(end),
-            end,
+            planes,
+            current,
+            left,
         }
+    }
+
+    /// Iterates the `(blk_m, blk_n)` planes whose first candidate lies in
+    /// `[start, end)` (clamped to the stream length) — the unit of work a
+    /// search worker thread claims. Adjacent ranges partition the
+    /// stream's planes.
+    pub fn planes(&self, start: u64, end: u64) -> PlaneIter<'a, '_> {
+        let (mut planes, offset) = self.planes_containing(start, end);
+        if offset != [0, 0] {
+            // `start` falls inside a plane that began before it.
+            planes.next();
+        }
+        planes
     }
 
     /// Visits every candidate; the callback returns `true` to keep
@@ -238,36 +351,174 @@ impl<'a, 's> IntoIterator for &'s CandidateStream<'a> {
     }
 }
 
-/// Iterator over a contiguous index range of a [`CandidateStream`].
-pub struct CandidateIter<'a, 's> {
+/// One `(schedule, cluster, blk_m, blk_n)` plane of the stream: a
+/// contiguous run of `|tiles_k| x |tiles_l|` candidates that differ only
+/// in `blk_k` and `blk_l`. `CostModel::lower_bound_for` is the same for
+/// all of them, which is what lets the search price a plane once.
+#[derive(Debug, Clone, Copy)]
+pub struct Plane<'a, 's> {
+    /// Stream position of the plane's first candidate.
+    pub seq: u64,
+    /// The loop schedule.
+    pub schedule: &'a LoopSchedule,
+    /// The cluster shape.
+    pub cluster: ClusterShape,
+    /// Tile extent along M.
+    pub blk_m: usize,
+    /// Tile extent along N.
+    pub blk_n: usize,
+    /// The plane's `blk_k` choices (outer), never empty.
+    pub tiles_k: &'s [usize],
+    /// The plane's `blk_l` choices (inner), never empty.
+    pub tiles_l: &'s [usize],
+}
+
+impl<'a, 's> Plane<'a, 's> {
+    /// Candidates in the plane; never zero.
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> u64 {
+        (self.tiles_k.len() * self.tiles_l.len()) as u64
+    }
+
+    /// The plane's tile with the given `blk_k` and `blk_l`.
+    pub fn tile(&self, blk_k: usize, blk_l: usize) -> BlockTile {
+        // Axis entries are `hardware_aware_tiles`, so `BlockTile::new`'s
+        // granule assertions hold by construction.
+        BlockTile {
+            m: self.blk_m,
+            n: self.blk_n,
+            k: blk_k,
+            l: blk_l,
+        }
+    }
+
+    /// The plane's candidates in stream order.
+    pub fn candidates(self) -> PlaneCandidates<'a, 's> {
+        PlaneCandidates {
+            plane: self,
+            ik: 0,
+            il: 0,
+            seq: self.seq,
+        }
+    }
+}
+
+/// Odometer over the stream's planes (see [`CandidateStream::planes`]).
+pub struct PlaneIter<'a, 's> {
     stream: &'s CandidateStream<'a>,
-    next: u64,
+    group: usize,
+    /// Positions on the group's M and N axes.
+    pos: [usize; 2],
+    /// `seq` of the next plane's first candidate.
+    seq: u64,
     end: u64,
+}
+
+impl<'a, 's> Iterator for PlaneIter<'a, 's> {
+    type Item = Plane<'a, 's>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Plane<'a, 's>> {
+        if self.seq >= self.end {
+            return None;
+        }
+        let group = &self.stream.groups[self.group];
+        let [m, n, tiles_k, tiles_l] = self.stream.axes_of(group);
+        let plane = Plane {
+            seq: self.seq,
+            schedule: group.schedule,
+            cluster: group.cluster,
+            blk_m: m[self.pos[0]],
+            blk_n: n[self.pos[1]],
+            tiles_k,
+            tiles_l,
+        };
+        self.seq += plane.len();
+        self.pos[1] += 1;
+        if self.pos[1] == n.len() {
+            self.pos[1] = 0;
+            self.pos[0] += 1;
+            if self.pos[0] == m.len() {
+                self.pos[0] = 0;
+                self.group += 1;
+            }
+        }
+        Some(plane)
+    }
+}
+
+/// Odometer over one plane's candidates (see [`Plane::candidates`]).
+pub struct PlaneCandidates<'a, 's> {
+    plane: Plane<'a, 's>,
+    ik: usize,
+    il: usize,
+    seq: u64,
+}
+
+impl<'a> Iterator for PlaneCandidates<'a, '_> {
+    type Item = Candidate<'a>;
+
+    // A dozen instructions per candidate, called from other crates'
+    // loops: left to the inliner's mood (it declines inside a large
+    // caller) the call costs four times the step itself.
+    #[inline(always)]
+    fn next(&mut self) -> Option<Candidate<'a>> {
+        let plane = &self.plane;
+        let &blk_k = plane.tiles_k.get(self.ik)?;
+        let candidate = Candidate {
+            seq: self.seq,
+            schedule: plane.schedule,
+            cluster: plane.cluster,
+            tile: plane.tile(blk_k, plane.tiles_l[self.il]),
+        };
+        self.seq += 1;
+        self.il += 1;
+        if self.il == plane.tiles_l.len() {
+            self.il = 0;
+            self.ik += 1;
+        }
+        Some(candidate)
+    }
+}
+
+/// Iterator over a contiguous index range of a [`CandidateStream`]: a
+/// plane odometer with a candidate odometer inside it.
+pub struct CandidateIter<'a, 's> {
+    planes: PlaneIter<'a, 's>,
+    current: Option<PlaneCandidates<'a, 's>>,
+    left: u64,
 }
 
 impl<'a> Iterator for CandidateIter<'a, '_> {
     type Item = Candidate<'a>;
 
+    // See `PlaneCandidates::next`.
+    #[inline(always)]
     fn next(&mut self) -> Option<Candidate<'a>> {
-        if self.next >= self.end {
+        if self.left == 0 {
             return None;
         }
-        let c = self.stream.get(self.next);
-        self.next += 1;
-        c
+        loop {
+            if let Some(candidate) = self.current.as_mut()?.next() {
+                self.left -= 1;
+                return Some(candidate);
+            }
+            self.current = self.planes.next().map(Plane::candidates);
+        }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = (self.end - self.next) as usize;
+        let n = self.left as usize;
         (n, Some(n))
     }
 }
 
 impl ExactSizeIterator for CandidateIter<'_, '_> {}
 
-/// Computes the full Table III cascade for one chain. Rule 5 runs the
-/// analyzer on every surviving candidate, so this is `O(|after_rule4|)`
-/// cheap arithmetic per candidate.
+/// Computes the full Table III cascade for one chain. Every row but the
+/// last is a closed form; Rule 5 runs the analyzer on every streamed
+/// candidate, so this is `O(|after_geometry|)` cheap arithmetic per
+/// candidate.
 pub fn count_cascade(
     chain: &ChainSpec,
     params: &MachineDescriptor,
@@ -298,6 +549,7 @@ pub fn count_cascade(
         after_rule2: space::NUM_SCHEDULES * clusters * tiles,
         after_rule3: r3 * clusters * tiles,
         after_rule4: r4 * clusters * tiles,
+        after_geometry: stream.len(),
         after_rule5: feasible,
     }
 }
@@ -343,9 +595,26 @@ mod tests {
         assert!(stats.after_rule1 >= stats.after_rule2);
         assert!(stats.after_rule2 >= stats.after_rule3);
         assert!(stats.after_rule3 >= stats.after_rule4);
-        assert!(stats.after_rule4 >= stats.after_rule5);
+        assert!(stats.after_rule4 >= stats.after_geometry);
+        assert!(stats.after_geometry >= stats.after_rule5);
         assert!(stats.after_rule5 > 0, "some candidate must survive");
         assert!(stats.total_reduction() > 0.99);
+    }
+
+    #[test]
+    fn gpt_6_7b_cascade_keeps_its_counts_and_gains_the_geometry_row() {
+        // Table III's chain. Rules 4 and 5 as counted before the stream
+        // was factored; the geometry row is what the search now scans.
+        let chain = ChainSpec::standard_ffn(256, 16384, 4096, 4096, Activation::Relu);
+        let stats = count_cascade(
+            &chain,
+            &MachineDescriptor::h100_sxm(),
+            &PruneConfig::default(),
+        );
+        assert_eq!(
+            (stats.after_rule4, stats.after_geometry, stats.after_rule5),
+            (4_989_600, 1_035_963, 181_879)
+        );
     }
 
     #[test]
@@ -401,7 +670,7 @@ mod tests {
             &PruneConfig::default(),
         );
         let s = stats.to_string();
-        for row in ["Rule 1", "Rule 5", "Total reduction"] {
+        for row in ["Rule 1", "Geometry", "Rule 5", "Total reduction"] {
             assert!(s.contains(row));
         }
     }

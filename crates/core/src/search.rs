@@ -3,31 +3,36 @@
 //! `EnumerateAllCandidates -> PruneCandidates -> DataflowAnalyzer ->
 //! CalculateCost -> UpdateTopKList -> ProfileBestFromList`.
 //!
-//! The engine ranks every candidate surviving Rules 1–4 with the
-//! analytical cost model, keeps the best `K` (the paper selects `K = 11`
-//! from Fig. 12b), and then asks a [`PlanProfiler`] — the simulator — to
-//! measure those finalists and pick the winner.
+//! The engine ranks every candidate of the [`CandidateStream`] — Rules
+//! 1–4 plus the tile/cluster geometry, so every one of them *can* exist —
+//! with the analytical cost model, keeps the best `K` (the paper selects
+//! `K = 11` from Fig. 12b), and then asks a [`PlanProfiler`] — the
+//! simulator — to measure those finalists and pick the winner.
 //!
-//! # One scan
+//! # One scan, one bound per plane
 //!
-//! Every candidate takes the same three steps: derive its
-//! [`PlanGeometry`] (which fails for tiles and clusters that do not fit
-//! the problem), price [`CostModel::lower_bound_for`] from the geometry
-//! alone, and — unless the bound already loses to the worst of a full
-//! top-K buffer — run the dataflow analysis and the cost model. The
-//! bound is admissible (it never exceeds the true cost), so a skipped
-//! candidate could not have displaced a finalist: the top-K equals that
-//! of an exhaustive analyze-everything scan, which
+//! [`CostModel::lower_bound`] does not depend on `blk_k` or `blk_l`:
+//! with `grid_k = grid_l = 1` (true of every streamed candidate) the
+//! trip and tile factors of the mandatory traffic cancel, so the bound
+//! is bit-equal across a whole `(schedule, cluster, blk_m, blk_n)`
+//! [`Plane`] (`tests/search_parallel.rs` pins that). The scan therefore
+//! prices the bound once per plane and — when it already loses to the
+//! worst of a full top-K buffer — skips the plane's entire `blk_k x
+//! blk_l` sub-lattice; inside a surviving plane it re-tests the same
+//! bound against the (possibly tightened) worst before each dataflow
+//! analysis. The bound is admissible (it never exceeds the true cost),
+//! so a skipped candidate could not have displaced a finalist: the top-K
+//! equals that of an exhaustive analyze-everything scan, which
 //! `tests/search_parallel.rs` checks against an in-test oracle and
 //! [`SearchEngine::brute_force`] checks on the simulator.
 //!
 //! # Parallel ranking
 //!
 //! Each candidate is a pure function of `(chain, schedule, cluster,
-//! tile)`, so the engine shards the [`CandidateStream`]'s total order
-//! across worker threads (a shared atomic block queue for load balance),
-//! gives every worker its own bounded top-K buffer and merges the buffers
-//! at the end. Ties in analytical cost are broken by the candidate's
+//! tile)`, so the engine shards the stream's total order across worker
+//! threads (a shared atomic queue of plane runs for load balance), gives
+//! every worker its own bounded top-K buffer and merges the buffers at
+//! the end. Ties in analytical cost are broken by the candidate's
 //! position in the stream's total order (`Candidate::seq`), so the merged
 //! result is **bit-identical** to a single-threaded scan regardless of
 //! thread count — see [`SearchConfig::threads`]. What does depend on the
@@ -37,9 +42,8 @@
 use crate::analyzer::{DataflowAnalysis, DataflowAnalyzer};
 use crate::cost::{CostBreakdown, CostModel};
 use crate::machine::{MachineDescriptor, MemLevel};
-use crate::plan::PlanGeometry;
 use crate::profiler::{PlanProfiler, ProfileOutcome};
-use crate::prune::{CandidateIter, CandidateStream, PruneConfig};
+use crate::prune::{CandidateStream, Plane, PlaneIter, PruneConfig};
 use crate::schedule::LoopSchedule;
 use flashfuser_graph::ChainSpec;
 use std::error::Error;
@@ -47,9 +51,11 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Candidates claimed per queue pop: small enough for load balance,
-/// large enough that the atomic is cold.
-const WORK_BLOCK: u64 = 512;
+/// Stream positions claimed per queue pop — a worker scans the planes
+/// that begin inside its window: small enough for load balance, large
+/// enough that the atomic is cold and a scan too short to repay a thread
+/// start stays on the calling thread (see [`worker_count`]).
+const WORK_BLOCK: u64 = 8192;
 
 /// Search-engine configuration.
 #[derive(Debug, Clone)]
@@ -138,25 +144,28 @@ pub struct RankedPlan {
 
 /// Search statistics (feeds Tables III and VIII).
 ///
-/// `considered` and `eligible` are pure functions of the chain, the
-/// machine and [`SearchConfig::prune`]. Everything else describes how
-/// *this run* went — it depends on the thread count and on worker
-/// interleaving — and is a diagnostic: print it, never persist it.
+/// `considered` and `eligible` are pure functions of the chain and
+/// [`SearchConfig::prune`]. Everything else describes how *this run*
+/// went — it depends on the thread count and on worker interleaving —
+/// and is a diagnostic: print it, never persist it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchStats {
-    /// Candidates scanned: the whole stream after Rules 1–4.
+    /// Candidates scanned: the whole [`CandidateStream`]. The stream
+    /// holds only candidates that pass Rules 1–4 *and* the tile/cluster
+    /// geometry, so this equals `eligible`.
     pub considered: u64,
     /// Candidates that passed Rules 1–4 and the tile/cluster geometry —
-    /// the population the bound and Rule 5 then work on. Counted before
-    /// the skip decision, so it is identical for every thread count;
+    /// the population the bound and Rule 5 then work on. The stream's
+    /// closed-form length, so it is identical for every thread count;
     /// this is the count plan records persist.
     pub eligible: u64,
     /// Diagnostic: candidates that analyzed successfully (survived Rule
     /// 5). Candidates skipped by the bound are not analyzed and not
     /// counted, so this varies with scan interleaving.
     pub feasible: u64,
-    /// Diagnostic: candidates skipped because their lower bound could
-    /// not beat the worker's top-K worst. Varies with scan interleaving.
+    /// Diagnostic: candidates skipped — one at a time or a whole plane
+    /// at once — because their lower bound could not beat the worker's
+    /// top-K worst. Varies with scan interleaving.
     pub prefiltered: u64,
     /// Diagnostic: worker threads used for ranking.
     pub threads: usize,
@@ -168,7 +177,8 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Ranking throughput in candidates per second.
+    /// Ranking throughput in geometry-eligible candidates per second
+    /// (`considered`, skipped planes included).
     pub fn candidates_per_second(&self) -> f64 {
         if self.analysis_seconds <= 0.0 {
             return 0.0;
@@ -259,7 +269,6 @@ fn push_top_k(top: &mut Vec<Scored>, k: usize, s: Scored) {
 #[derive(Default)]
 struct RankShard {
     top: Vec<Scored>,
-    eligible: u64,
     feasible: u64,
     prefiltered: u64,
 }
@@ -388,8 +397,8 @@ impl SearchEngine {
                     .into_iter()
                     .map(|fork| (fork, BruteShard::default()))
                     .collect();
-                scan_blocks(&stream, workers, |(fork, shard), block| {
-                    scan.brute_shard(fork.as_mut(), shard, block);
+                scan_blocks(&stream, workers, |(fork, shard), planes| {
+                    scan.brute_shard(fork.as_mut(), shard, planes);
                 })
                 .into_iter()
                 .map(|(_, shard)| shard)
@@ -398,7 +407,7 @@ impl SearchEngine {
             }
             None => {
                 let mut shard = BruteShard::default();
-                scan.brute_shard(profiler, &mut shard, stream.iter());
+                scan.brute_shard(profiler, &mut shard, stream.planes(0, stream.len()));
                 vec![shard]
             }
         };
@@ -426,18 +435,18 @@ impl SearchEngine {
         let scan = self.scan(chain, &config.prune);
 
         let workers = (0..threads).map(|_| RankShard::default()).collect();
-        let shards = scan_blocks(&stream, workers, |shard, block| {
-            scan.rank_shard(k, shard, block);
+        let shards = scan_blocks(&stream, workers, |shard, planes| {
+            scan.rank_shard(k, shard, planes);
         });
 
         let mut stats = SearchStats {
             considered: stream.len(),
+            eligible: stream.len(),
             threads,
             ..SearchStats::default()
         };
         let mut merged: Vec<Scored> = Vec::with_capacity(k * shards.len());
         for shard in shards {
-            stats.eligible += shard.eligible;
             stats.feasible += shard.feasible;
             stats.prefiltered += shard.prefiltered;
             merged.extend(shard.top);
@@ -473,65 +482,64 @@ impl SearchEngine {
 }
 
 impl Scan<'_> {
-    /// Ranks one claimed block into a worker's shard: geometry, bound,
-    /// then analysis and cost for whatever the bound lets through.
-    fn rank_shard(&self, k: usize, shard: &mut RankShard, block: CandidateIter<'_, '_>) {
+    /// Ranks one claimed run of planes into a worker's shard: one bound
+    /// per plane, then analysis and cost for whatever the bound lets
+    /// through.
+    fn rank_shard(&self, k: usize, shard: &mut RankShard, planes: PlaneIter<'_, '_>) {
         let chain = self.chain;
-        for cand in block {
-            // Derive the geometry once; the bound and the analyzer
-            // share it.
-            let Ok(geometry) =
-                PlanGeometry::derive(chain.dims(), cand.schedule, cand.cluster, cand.tile)
-            else {
+        for plane in planes {
+            // Priced on the plane's first candidate: the bound does not
+            // read `blk_k` or `blk_l`.
+            let first = plane.tile(plane.tiles_k[0], plane.tiles_l[0]);
+            let lb = self
+                .cost_model
+                .lower_bound(chain, plane.schedule, plane.cluster, first)
+                .expect("streamed candidates derive a geometry and pass Rule 3");
+            // Admissible: est >= lb, so lb >= worst means no candidate
+            // of the plane can enter this shard's top-K (nor, a
+            // fortiori, the merged global top-K).
+            let loses = |top: &[Scored]| top.len() == k && lb >= top.last().expect("k >= 1").est;
+            if loses(&shard.top) {
+                shard.prefiltered += plane.len();
                 continue;
-            };
-            shard.eligible += 1;
-            if shard.top.len() == k {
-                let lb = self
-                    .cost_model
-                    .lower_bound_for(chain, &geometry, cand.cluster, cand.tile);
-                let worst = shard.top.last().expect("k >= 1");
-                // Admissible: est >= lb, so lb >= worst means the
-                // candidate cannot enter this shard's top-K (nor, a
-                // fortiori, the merged global top-K).
-                if lb >= worst.est {
+            }
+            for cand in plane.candidates() {
+                // The worst may have tightened since the plane began.
+                if loses(&shard.top) {
                     shard.prefiltered += 1;
                     continue;
                 }
+                let Ok(analysis) =
+                    self.analyzer
+                        .analyze(chain, cand.schedule, cand.cluster, cand.tile)
+                else {
+                    continue;
+                };
+                shard.feasible += 1;
+                let cost = self.cost_model.evaluate(&analysis);
+                push_top_k(
+                    &mut shard.top,
+                    k,
+                    Scored {
+                        est: cost.est_s,
+                        seq: cand.seq,
+                        cost,
+                        analysis,
+                    },
+                );
             }
-            let Ok(analysis) = self.analyzer.analyze_with_geometry(
-                chain,
-                cand.schedule,
-                cand.cluster,
-                cand.tile,
-                geometry,
-            ) else {
-                continue;
-            };
-            shard.feasible += 1;
-            let cost = self.cost_model.evaluate(&analysis);
-            push_top_k(
-                &mut shard.top,
-                k,
-                Scored {
-                    est: cost.est_s,
-                    seq: cand.seq,
-                    cost,
-                    analysis,
-                },
-            );
         }
     }
 
-    /// Analyzes and profiles every candidate of one claimed block,
-    /// keeping the shard's best `(seconds, seq)`.
+    /// Analyzes and profiles every candidate of one claimed run of
+    /// planes, keeping the shard's best `(seconds, seq)`.
     fn brute_shard(
         &self,
         profiler: &mut dyn PlanProfiler,
         shard: &mut BruteShard,
-        block: CandidateIter<'_, '_>,
+        planes: PlaneIter<'_, '_>,
     ) {
-        for cand in block {
+        for cand in planes.flat_map(Plane::candidates) {
             let Ok(analysis) =
                 self.analyzer
                     .analyze(self.chain, cand.schedule, cand.cluster, cand.tile)
@@ -569,7 +577,7 @@ pub fn available_threads() -> usize {
 }
 
 /// Resolves the worker count for a stream: the configured thread count,
-/// capped so no worker would start without work.
+/// capped so no worker would start without a window of its own.
 fn worker_count(config: &SearchConfig, candidates: u64) -> usize {
     let max_useful = candidates.div_ceil(WORK_BLOCK).max(1);
     config
@@ -579,15 +587,17 @@ fn worker_count(config: &SearchConfig, candidates: u64) -> usize {
 }
 
 /// Drains `stream` with one thread per worker: each claims the next
-/// `WORK_BLOCK` positions off a shared queue and hands them to `visit`
-/// until none are left. A single worker drains on the calling thread.
-/// Every worker is moved into its thread — its counters live on that
-/// thread's stack, not beside a neighbour's in one cache line — and
-/// comes back in the order given.
+/// `WORK_BLOCK` positions off a shared queue and hands the planes that
+/// begin there to `visit` until none are left. The first worker drains
+/// on the calling thread — a scan that needs one worker spawns nothing,
+/// and a short scan is not held up by a thread start — the others on
+/// threads of their own. Every worker is moved into its thread — its
+/// counters live on that thread's stack, not beside a neighbour's in one
+/// cache line — and comes back in the order given.
 fn scan_blocks<'a, W: Send>(
     stream: &CandidateStream<'a>,
     workers: Vec<W>,
-    visit: impl Fn(&mut W, CandidateIter<'a, '_>) + Sync,
+    visit: impl Fn(&mut W, PlaneIter<'a, '_>) + Sync,
 ) -> Vec<W> {
     let queue = AtomicU64::new(0);
     let total = stream.len();
@@ -596,20 +606,21 @@ fn scan_blocks<'a, W: Send>(
         if start >= total {
             break worker;
         }
-        visit(&mut worker, stream.range(start, start + WORK_BLOCK));
+        visit(&mut worker, stream.planes(start, start + WORK_BLOCK));
     };
-    if workers.len() == 1 {
-        return workers.into_iter().map(drain).collect();
-    }
     std::thread::scope(|scope| {
+        let mut workers = workers.into_iter();
+        let first = workers.next().expect("at least one worker");
         let handles: Vec<_> = workers
-            .into_iter()
             .map(|worker| scope.spawn(move || drain(worker)))
             .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("scan worker panicked"))
-            .collect()
+        let mut done = vec![drain(first)];
+        done.extend(
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("scan worker panicked")),
+        );
+        done
     })
 }
 
@@ -638,7 +649,7 @@ mod tests {
         assert_eq!(result.best_index(), 0);
         let stats = result.stats();
         assert!(stats.feasible > 0);
-        assert!(stats.considered >= stats.eligible && stats.eligible >= stats.feasible);
+        assert!(stats.considered == stats.eligible && stats.eligible >= stats.feasible);
         assert!(stats.prefiltered > 0, "the bound should fire on this chain");
     }
 

@@ -11,11 +11,16 @@
 //!    equals that of an in-test scan that analyzes and prices *every*
 //!    candidate, and the bound never exceeds the evaluated cost of any
 //!    feasible candidate.
+//! 3. **One bound per plane** — the engine prices the bound once per
+//!    `(schedule, cluster, blk_m, blk_n)` plane and skips the plane on
+//!    it, which is sound only while the bound ignores `blk_k` and
+//!    `blk_l`: it must be bit-equal across every plane.
 
 use flashfuser_core::profiler::FakeProfiler;
-use flashfuser_core::prune::CandidateStream;
+use flashfuser_core::prune::{Candidate, CandidateStream, PruneConfig};
 use flashfuser_core::{
-    CostModel, DataflowAnalyzer, LoopSchedule, MachineDescriptor, SearchConfig, SearchEngine,
+    decode_machine, CostModel, DataflowAnalyzer, LoopSchedule, MachineDescriptor, PlanGeometry,
+    SearchConfig, SearchEngine,
 };
 use flashfuser_graph::ChainSpec;
 use flashfuser_tensor::Activation;
@@ -194,6 +199,56 @@ fn lower_bound_is_admissible_for_every_feasible_candidate() {
             checked > 100,
             "too few feasible candidates ({checked}) to be meaningful"
         );
+    }
+}
+
+#[test]
+fn lower_bound_is_bit_equal_across_every_plane() {
+    // A future edit to `mandatory_traffic` that lets `blk_k` or `blk_l`
+    // into the bound must fail here, not silently make the plane skip
+    // inadmissible.
+    let all = LoopSchedule::enumerate_all();
+    let tensix = decode_machine(include_str!("../../../machines/tensix_like.json"))
+        .expect("machines/tensix_like.json decodes");
+    for machine in [MachineDescriptor::h100_sxm(), tensix] {
+        let cost_model = CostModel::new(machine.clone());
+        let prune = PruneConfig {
+            max_cluster: machine.max_cluster(),
+            ..PruneConfig::default()
+        };
+        for chain in small_chains() {
+            let bound = |c: Candidate<'_>| {
+                let geometry = PlanGeometry::derive(chain.dims(), c.schedule, c.cluster, c.tile)
+                    .expect("streamed candidates derive a geometry");
+                cost_model
+                    .lower_bound_for(&chain, &geometry, c.cluster, c.tile)
+                    .to_bits()
+            };
+            let stream = CandidateStream::build(&chain, &prune, &all);
+            let mut compared = 0u64;
+            for plane in stream.planes(0, stream.len()) {
+                let mut candidates = plane.candidates();
+                let first = bound(candidates.next().expect("planes are never empty"));
+                for c in candidates {
+                    assert_eq!(
+                        bound(c),
+                        first,
+                        "{} on {}: the bound moved inside the plane of {} {} {}",
+                        chain.dims(),
+                        machine.name,
+                        c.schedule,
+                        c.cluster,
+                        c.tile
+                    );
+                    compared += 1;
+                }
+            }
+            assert!(
+                compared > 1000,
+                "{}: only {compared} in-plane comparisons",
+                chain.dims()
+            );
+        }
     }
 }
 

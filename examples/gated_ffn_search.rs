@@ -28,9 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "\nsearch stats: {} candidates considered, {} eligible, {:.2} s analysis",
+        "\nsearch stats: {} geometry-eligible candidates scanned, {} skipped on the bound, {:.2} s analysis",
         result.stats().considered,
-        result.stats().eligible,
+        result.stats().prefiltered,
         result.stats().analysis_seconds
     );
     Ok(())
