@@ -51,10 +51,12 @@ fn main() {
             if same { "within 2%" } else { "no" }
         );
         eprintln!(
-            "   ({} candidates brute-profiled; engine scanned {} geometry-eligible, skipped {} on the bound)",
+            "   ({} candidates brute-profiled; engine scanned {} geometry-eligible, skipped {} on the bound; {} planes, {} dropped whole)",
             profiled,
             guided.stats().considered,
-            guided.stats().prefiltered
+            guided.stats().prefiltered,
+            guided.stats().planes,
+            guided.stats().planes_skipped
         );
     }
     println!("\npaper: 1.2-8.1 hr brute vs ~380 s engine (12-68x); wall-clock");

@@ -14,6 +14,16 @@
 //!    reuse pass, and the `dsm_comm` volumes of
 //!    `flashfuser-comm::volume`.
 //!
+//! Steps 2–4 are [`DataflowAnalyzer::score`]: closed-form arithmetic over
+//! a handful of integers, returning [`CostTerms`] and touching no heap —
+//! what the search engine runs on every candidate. Turning a score into
+//! a [`FusedPlan`] with its [`ResourceMapping`] is
+//! [`DataflowAnalyzer::materialise`], which the search runs on its top-K
+//! finalists only; [`DataflowAnalyzer::analyze`] is the two in sequence.
+//! The half of `score` that does not read `blk_k` or `blk_l` is
+//! [`DataflowAnalyzer::plane`], computed once per `(schedule, cluster,
+//! blk_m, blk_n)` plane.
+//!
 //! # Traffic model
 //!
 //! Whole-device global-memory bytes (f16) charged per tensor:
@@ -30,8 +40,8 @@
 //! accumulated E strip).
 
 use crate::machine::{MachineDescriptor, MemLevel};
-use crate::mapping::{ResourceMapping, TensorMapping, TensorRole};
-use crate::plan::{FusedPlan, PlanError, PlanGeometry};
+use crate::mapping::{Placement, ResourceMapping, TensorMapping, TensorRole};
+use crate::plan::{FusedPlan, MandatoryTraffic, PlanError, PlanGeometry};
 use crate::schedule::LoopSchedule;
 use crate::tiling::BlockTile;
 use flashfuser_comm::volume::{
@@ -39,7 +49,6 @@ use flashfuser_comm::volume::{
 };
 use flashfuser_comm::ClusterShape;
 use flashfuser_graph::{ChainSpec, Dim};
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -56,7 +65,7 @@ pub enum StripKind {
 
 /// Why a candidate fails analysis (these are exactly the conditions
 /// pruning Rules 3–5 reject).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnalysisError {
     /// Geometry (divisibility / cross-cluster) failure.
     Plan(PlanError),
@@ -154,33 +163,33 @@ impl From<PlanError> for AnalysisError {
     }
 }
 
-/// The result of Algorithm 1: the final plan plus per-tier data-movement
-/// volumes and latency-chain counts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DataflowAnalysis {
-    plan: FusedPlan,
-    volumes: BTreeMap<MemLevel, u64>,
+/// Everything Algorithm 1 decides about one candidate, as plain
+/// integers: the geometry, the per-tier data-movement volumes, the
+/// reused strip and where it was placed, and the latency-chain counts.
+/// `Copy` and heap-free — this is what [`DataflowAnalyzer::score`]
+/// returns, what the cost model prices ([`CostModel::estimate`]) and
+/// what the search engine holds per top-K entry; a [`FusedPlan`] is
+/// built from it only for finalists
+/// ([`DataflowAnalyzer::materialise`]).
+///
+/// [`CostModel::estimate`]: crate::cost::CostModel::estimate
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostTerms {
+    geometry: PlanGeometry,
+    /// Bytes per tier, indexed by [`MemLevel::index`].
+    volumes: [u64; MemLevel::ALL.len()],
     strip_kind: StripKind,
     strip_footprint: u64,
+    strip_placement: Placement,
     smem_working: u64,
     dsm_steps: u64,
     barriers: u64,
 }
 
-impl DataflowAnalysis {
-    /// The final plan (`p_final`).
-    pub fn plan(&self) -> &FusedPlan {
-        &self.plan
-    }
-
+impl CostTerms {
     /// Data-movement volume charged to `level` (bytes, whole device).
     pub fn volume(&self, level: MemLevel) -> u64 {
-        self.volumes.get(&level).copied().unwrap_or(0)
-    }
-
-    /// All per-tier volumes.
-    pub fn volumes(&self) -> &BTreeMap<MemLevel, u64> {
-        &self.volumes
+        self.volumes[level.index()]
     }
 
     /// Which strip dataflow the schedule induced.
@@ -210,6 +219,32 @@ impl DataflowAnalysis {
     }
 }
 
+/// The result of Algorithm 1: the final plan plus the [`CostTerms`] it
+/// was built from (which it derefs to, so `analysis.volume(level)` and
+/// the other terms read straight off it). The search engine ranks on
+/// `CostTerms` alone and only the top-K finalists ever become one of
+/// these.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DataflowAnalysis {
+    plan: FusedPlan,
+    terms: CostTerms,
+}
+
+impl DataflowAnalysis {
+    /// The final plan (`p_final`).
+    pub fn plan(&self) -> &FusedPlan {
+        &self.plan
+    }
+}
+
+impl std::ops::Deref for DataflowAnalysis {
+    type Target = CostTerms;
+
+    fn deref(&self) -> &CostTerms {
+        &self.terms
+    }
+}
+
 /// The dataflow analyzer: machine parameters plus the lowest tier the
 /// reused strip may spill to.
 ///
@@ -222,6 +257,45 @@ pub struct DataflowAnalyzer {
     params: MachineDescriptor,
     lowest_spill: MemLevel,
     allow_inter_cluster_reduce: bool,
+}
+
+/// What Algorithm 1 knows about a candidate before it reads `blk_k` or
+/// `blk_l`: the half of the analysis a whole `(schedule, cluster, blk_m,
+/// blk_n)` plane shares ([`DataflowAnalyzer::plane`]). The search builds
+/// one per plane that survives the cost bound, drops the plane when
+/// [`PlaneTerms::infeasible`] says no candidate of it can pass, and
+/// otherwise calls [`PlaneTerms::score`] per candidate.
+#[derive(Debug, Clone, Copy)]
+pub struct PlaneTerms<'z> {
+    analyzer: &'z DataflowAnalyzer,
+    cluster: ClusterShape,
+    /// A rejection that precedes every per-candidate check: the plane
+    /// needs an unavailable inter-cluster reduce, or the schedule fails
+    /// Rule 3's temporal face.
+    early: Option<AnalysisError>,
+    /// An attention chain outside the C-strip order, or with N split
+    /// across clusters. Reported after the capacity checks, as
+    /// [`AnalysisError::AttentionNeedsCStrip`].
+    attention_illegal: bool,
+    attention: bool,
+    /// 2 for gated chains (two B branches), else 1.
+    branches: u64,
+    c_strip_order: bool,
+    trips_m: u64,
+    trips_n: u64,
+    clusters: u64,
+    blocks: u64,
+    traffic: MandatoryTraffic,
+    c_tile_bytes: u64,
+    /// f32 accumulator of the GEMM0 tile.
+    c_accum: u64,
+    reg_volume: u64,
+    /// Blocks per shuffle group, and shuffle groups per cluster.
+    shuffle_group: u64,
+    shuffle_groups: u64,
+    /// Shuffle groups per reduce, and reduce groups per cluster.
+    reduce_group: u64,
+    reduce_groups: u64,
 }
 
 impl DataflowAnalyzer {
@@ -277,11 +351,14 @@ impl DataflowAnalyzer {
         self.analyze_with_geometry(chain, schedule, cluster, tile, geometry)
     }
 
-    /// [`DataflowAnalyzer::analyze`] for callers that already derived the
-    /// candidate's [`PlanGeometry`] (the search engine's hot loop shares
-    /// one derivation between the cost lower bound and the analyzer).
-    /// `geometry` must come from the same
-    /// `(chain.dims(), schedule, cluster, tile)`.
+    /// [`DataflowAnalyzer::analyze`] for callers that already hold the
+    /// candidate's [`PlanGeometry`]: [`DataflowAnalyzer::score`], then
+    /// [`DataflowAnalyzer::materialise`]. `geometry` must come from the
+    /// same `(chain.dims(), schedule, cluster, tile)`.
+    ///
+    /// The search engine does not call this: it scores every candidate
+    /// and materialises only its top-K finalists. Brute force, the
+    /// Table III count's callers and the differential tests do.
     ///
     /// # Errors
     ///
@@ -295,52 +372,201 @@ impl DataflowAnalyzer {
         tile: BlockTile,
         geometry: PlanGeometry,
     ) -> Result<DataflowAnalysis, AnalysisError> {
-        if geometry.needs_inter_cluster_reduce() && !self.allow_inter_cluster_reduce {
-            return Err(AnalysisError::InterClusterReduceUnavailable);
-        }
+        let terms = self.score(chain, schedule, cluster, tile, geometry)?;
+        Ok(self.materialise(chain, schedule, cluster, tile, &terms))
+    }
 
-        // Rule 3 (temporal face): a temporal K must be innermost, else the
-        // activation between the GEMMs would consume partial sums.
-        if !schedule.is_spatial(Dim::K) && schedule.innermost_temporal() != Some(Dim::K) {
-            return Err(AnalysisError::KNotInnermost);
-        }
+    /// Algorithm 1 without the plan: checks Rules 3–5 and charges every
+    /// tier, allocating nothing. `geometry` must come from the same
+    /// `(chain.dims(), schedule, cluster, tile)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError`] when the candidate is structurally or
+    /// capacity-wise infeasible (Rules 3–5).
+    pub fn score(
+        &self,
+        chain: &ChainSpec,
+        schedule: &LoopSchedule,
+        cluster: ClusterShape,
+        tile: BlockTile,
+        geometry: PlanGeometry,
+    ) -> Result<CostTerms, AnalysisError> {
+        let traffic = geometry.mandatory_traffic(chain, cluster, tile, self.params.l2_bytes());
+        self.plane(chain, schedule, cluster, tile, &geometry, traffic)
+            .score(tile, geometry)
+    }
 
-        let gated = chain.kind().is_gated();
-        let branches: u64 = if gated { 2 } else { 1 };
+    /// The plane-level half of [`DataflowAnalyzer::score`]: everything
+    /// that reads only the chain, the schedule, the cluster, `blk_m`,
+    /// `blk_n` and the M/N half of the geometry. `(tile, geometry)` may
+    /// be any candidate of the plane, and `traffic` its
+    /// [`PlanGeometry::mandatory_traffic`] at this analyzer's L2 size —
+    /// bit-equal across the plane (with `grid_k = grid_l = 1` the trip
+    /// and tile factors along K and L cancel), so the search computes it
+    /// once and feeds it to the cost bound and to this.
+    pub fn plane(
+        &self,
+        chain: &ChainSpec,
+        schedule: &LoopSchedule,
+        cluster: ClusterShape,
+        tile: BlockTile,
+        geometry: &PlanGeometry,
+        traffic: MandatoryTraffic,
+    ) -> PlaneTerms<'_> {
+        let early = if geometry.needs_inter_cluster_reduce() && !self.allow_inter_cluster_reduce {
+            Some(AnalysisError::InterClusterReduceUnavailable)
+        } else if !schedule.is_spatial(Dim::K) && schedule.innermost_temporal() != Some(Dim::K) {
+            // Rule 3 (temporal face): a temporal K must be innermost,
+            // else the activation between the GEMMs would consume
+            // partial sums.
+            Some(AnalysisError::KNotInnermost)
+        } else {
+            None
+        };
+        let c_strip_order = !schedule.is_spatial(Dim::N)
+            && !schedule.is_spatial(Dim::L)
+            && schedule.is_outer(Dim::L, Dim::N);
+        let attention = chain.kind().is_attention();
+        // Attention's rowwise softmax reads *complete* score rows, so a
+        // fused plan must materialise the whole C strip of a block-row
+        // before GEMM1 starts: only the C-strip order qualifies, and the
+        // full N extent must live inside one cluster (a spatial N grid
+        // would split rows across clusters with no DSM path between
+        // them).
+        let attention_illegal = attention && (!c_strip_order || geometry.grid(Dim::N) > 1);
+        let clusters = geometry.clusters_total();
+        let shuffle_group = cluster.cls_shuffle() as u64;
+        let reduce_group = cluster.cls_reduce() as u64;
+        PlaneTerms {
+            analyzer: self,
+            cluster,
+            early,
+            attention_illegal,
+            attention,
+            branches: if chain.kind().is_gated() { 2 } else { 1 },
+            c_strip_order,
+            trips_m: geometry.trips(Dim::M) as u64,
+            trips_n: geometry.trips(Dim::N) as u64,
+            clusters,
+            blocks: geometry.blocks_total(cluster),
+            traffic,
+            c_tile_bytes: tile.c_tile_bytes(),
+            c_accum: (tile.m * tile.n) as u64 * 4,
+            // Tensor-core operand feed out of the register file: ~3
+            // bytes per FLOP-pair (two f16 operands in, f32 accumulate
+            // forwarded).
+            reg_volume: (chain.total_flops() as f64 * 1.5) as u64,
+            shuffle_group,
+            shuffle_groups: cluster.blocks() as u64 / shuffle_group,
+            reduce_group,
+            reduce_groups: cluster.blocks() as u64 / reduce_group,
+        }
+    }
+
+    /// Builds the [`FusedPlan`] and its [`ResourceMapping`] for a scored
+    /// candidate. `terms` must be [`DataflowAnalyzer::score`]'s answer
+    /// for the same `(chain, schedule, cluster, tile)`.
+    pub fn materialise(
+        &self,
+        chain: &ChainSpec,
+        schedule: &LoopSchedule,
+        cluster: ClusterShape,
+        tile: BlockTile,
+        terms: &CostTerms,
+    ) -> DataflowAnalysis {
+        let staged = |bytes: u64| TensorMapping::single(MemLevel::Smem, 2 * bytes);
+        let mut mapping = ResourceMapping::new();
+        mapping.insert(TensorRole::A, staged(tile.a_tile_bytes()));
+        mapping.insert(TensorRole::B, staged(tile.b_tile_bytes()));
+        if chain.kind().is_gated() {
+            mapping.insert(TensorRole::BGate, staged(tile.b_tile_bytes()));
+        }
+        mapping.insert(TensorRole::D, staged(tile.d_tile_bytes()));
+        let strip_role = match terms.strip_kind {
+            StripKind::CStrip => TensorRole::CStrip,
+            StripKind::EStrip => TensorRole::EStrip,
+        };
+        mapping.insert(strip_role, terms.strip_placement.into());
+        DataflowAnalysis {
+            plan: FusedPlan {
+                chain: chain.clone(),
+                schedule: schedule.clone(),
+                cluster,
+                tile,
+                geometry: terms.geometry,
+                mapping,
+            },
+            terms: *terms,
+        }
+    }
+}
+
+impl PlaneTerms<'_> {
+    /// `true` when no candidate of the plane can pass
+    /// [`PlaneTerms::score`], whatever its `blk_k` and `blk_l`: one of
+    /// the plane-level rejections holds, the GEMM0 accumulator alone
+    /// overflows the register file, or the intermediate tile pair alone
+    /// overflows SMEM.
+    pub fn infeasible(&self) -> bool {
+        let params = &self.analyzer.params;
+        self.early.is_some()
+            || self.attention_illegal
+            || self.c_accum > params.reg_bytes_per_sm()
+            || 2 * self.c_tile_bytes > params.smem_bytes_per_sm()
+    }
+
+    /// The candidate-level half of [`DataflowAnalyzer::score`]. `tile`
+    /// and `geometry` must belong to a candidate of this plane.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError`] when the candidate is structurally or
+    /// capacity-wise infeasible (Rules 3–5). Precedence, when several
+    /// hold: inter-cluster reduce, Rule 3, accumulators, working set,
+    /// attention's strip order, strip placement.
+    #[inline]
+    pub fn score(
+        &self,
+        tile: BlockTile,
+        geometry: PlanGeometry,
+    ) -> Result<CostTerms, AnalysisError> {
+        if let Some(early) = self.early {
+            return Err(early);
+        }
+        let params = &self.analyzer.params;
+        let (cluster, branches) = (self.cluster, self.branches);
+        let (trips_m, trips_n, clusters, blocks) =
+            (self.trips_m, self.trips_n, self.clusters, self.blocks);
 
         // --- Register accumulators (f32). --------------------------------
-        let c_accum = (tile.m * tile.n) as u64 * 4;
         let e_accum = (tile.m * tile.l) as u64 * 4;
-        let reg_needed = c_accum.max(e_accum);
-        if reg_needed > self.params.reg_bytes_per_sm() {
+        let reg_needed = self.c_accum.max(e_accum);
+        if reg_needed > params.reg_bytes_per_sm() {
             return Err(AnalysisError::AccumulatorTooLarge {
                 required: reg_needed,
-                available: self.params.reg_bytes_per_sm(),
+                available: params.reg_bytes_per_sm(),
             });
         }
 
         // --- Streaming working set in SMEM (double-buffered stages). -----
         let smem_working = 2
             * (tile.a_tile_bytes() + branches * tile.b_tile_bytes() + tile.d_tile_bytes())
-            + 2 * tile.c_tile_bytes();
-        if smem_working > self.params.smem_bytes_per_sm() {
+            + 2 * self.c_tile_bytes;
+        if smem_working > params.smem_bytes_per_sm() {
             return Err(AnalysisError::WorkingSetTooLarge {
                 required: smem_working,
-                available: self.params.smem_bytes_per_sm(),
+                available: params.smem_bytes_per_sm(),
             });
         }
 
         // --- Reused strip footprint (Fig. 9). -----------------------------
-        let trips_n = geometry.trips(Dim::N) as u64;
         let trips_l = geometry.trips(Dim::L) as u64;
-        let trips_m = geometry.trips(Dim::M) as u64;
         let trips_k = geometry.trips(Dim::K) as u64;
-        let c_strip_order = !schedule.is_spatial(Dim::N)
-            && !schedule.is_spatial(Dim::L)
-            && schedule.is_outer(Dim::L, Dim::N);
+        let c_strip_order = self.c_strip_order;
         let (strip_kind, strip_footprint, reuse_passes) = if c_strip_order {
             // L outer: hold the C strip, re-read it on every L trip.
-            (StripKind::CStrip, trips_n * tile.c_tile_bytes(), trips_l)
+            (StripKind::CStrip, trips_n * self.c_tile_bytes, trips_l)
         } else {
             // N outer (or spatial): accumulate the E strip across N trips.
             let footprint = if trips_n > 1 {
@@ -351,87 +577,48 @@ impl DataflowAnalyzer {
             (StripKind::EStrip, footprint, 2 * trips_n - 1)
         };
 
-        // Attention's rowwise softmax reads *complete* score rows, so a
-        // fused plan must materialise the whole C strip of a block-row
-        // before GEMM1 starts: only the C-strip order qualifies, and the
-        // full N extent must live inside one cluster (a spatial N grid
-        // would split rows across clusters with no DSM path between
-        // them).
-        let attention = chain.kind().is_attention();
-        if attention && (!c_strip_order || geometry.grid(Dim::N) > 1) {
+        if self.attention_illegal {
             return Err(AnalysisError::AttentionNeedsCStrip);
         }
 
         // --- Greedy placement (Algorithm 1 lines 15-23). ------------------
-        let free_smem = self.params.smem_bytes_per_sm() - smem_working;
-        let free_reg = self.params.reg_bytes_per_sm() - reg_needed;
+        let free_smem = params.smem_bytes_per_sm() - smem_working;
+        let free_reg = params.reg_bytes_per_sm() - reg_needed;
         let peer_blocks = cluster.blocks().saturating_sub(1) as u64;
         // The pool one peer contributes over the fabric is its Cluster-
         // tier window minus its own working set (peers run the same
         // kernel). On machines where the window is the peer's whole
         // scratchpad (H100) this is exactly the peer's free SMEM.
-        let peer_free = self
-            .params
-            .capacity(MemLevel::Dsm)
-            .saturating_sub(smem_working);
-        let mut budget = BTreeMap::from([
-            (MemLevel::Reg, free_reg),
-            (MemLevel::Smem, free_smem),
-            // The DSM pool is the aggregated free window of the peer
-            // blocks in the cluster. Strips of peer blocks are disjoint
-            // slices of the same logical tensor, so per-block accounting
-            // against the peer pool does not double-count (see DESIGN.md).
-            (MemLevel::Dsm, peer_blocks * peer_free),
-            (MemLevel::Global, u64::MAX),
-        ]);
-        let mut mapping = ResourceMapping::new();
-        mapping.insert(
-            TensorRole::A,
-            TensorMapping::single(MemLevel::Smem, 2 * tile.a_tile_bytes()),
-        );
-        mapping.insert(
-            TensorRole::B,
-            TensorMapping::single(MemLevel::Smem, 2 * tile.b_tile_bytes()),
-        );
-        if gated {
-            mapping.insert(
-                TensorRole::BGate,
-                TensorMapping::single(MemLevel::Smem, 2 * tile.b_tile_bytes()),
-            );
-        }
-        mapping.insert(
-            TensorRole::D,
-            TensorMapping::single(MemLevel::Smem, 2 * tile.d_tile_bytes()),
-        );
-        let strip_role = match strip_kind {
-            StripKind::CStrip => TensorRole::CStrip,
-            StripKind::EStrip => TensorRole::EStrip,
-        };
-        let strip_mapping = TensorMapping::greedy(strip_footprint, &mut budget, self.lowest_spill)
-            .ok_or(AnalysisError::StripDoesNotFit {
+        let peer_free = params.capacity(MemLevel::Dsm).saturating_sub(smem_working);
+        // In `SPILL_ORDER`. The DSM pool is the aggregated free window of
+        // the peer blocks in the cluster. Strips of peer blocks are
+        // disjoint slices of the same logical tensor, so per-block
+        // accounting against the peer pool does not double-count (see
+        // DESIGN.md).
+        let budget = [free_reg, free_smem, peer_blocks * peer_free, u64::MAX];
+        let lowest = self.analyzer.lowest_spill;
+        let strip_placement = Placement::greedy(strip_footprint, budget, lowest).ok_or(
+            AnalysisError::StripDoesNotFit {
                 footprint: strip_footprint,
-                lowest: self.lowest_spill,
-            })?;
-        mapping.insert(strip_role, strip_mapping.clone());
+                lowest,
+            },
+        )?;
 
         // --- Global tile traffic (multicast-deduplicated). ----------------
         // Shared with the cost model's admissible lower bound — see
         // `PlanGeometry::mandatory_traffic`.
-        let clusters = geometry.clusters_total();
-        let blocks = clusters * cluster.blocks() as u64;
         let (cls_m, cls_n, cls_k) = (cluster.m() as u64, cluster.n() as u64, cluster.k() as u64);
-        let traffic = geometry.mandatory_traffic(chain, cluster, tile, self.params.l2_bytes());
-        let l2_raw = traffic.l2_raw_bytes;
-        let mut global = traffic.hbm_bytes;
+        let l2_raw = self.traffic.l2_raw_bytes;
+        let mut global = self.traffic.hbm_bytes;
 
         // --- Strip spill traffic per tier. ---------------------------------
-        let mut volumes: BTreeMap<MemLevel, u64> = BTreeMap::new();
-        for &(level, alloc) in strip_mapping.allocations() {
+        let mut volumes = [0u64; MemLevel::ALL.len()];
+        for &(level, alloc) in strip_placement.allocations() {
             let passes = reuse_passes.max(1);
             let touched = blocks * trips_m * alloc * passes;
-            *volumes.entry(level).or_insert(0) += touched;
+            volumes[level.index()] += touched;
         }
-        let strip_global_spill = volumes.get(&MemLevel::Global).copied().unwrap_or(0);
+        let strip_global_spill = volumes[MemLevel::Global.index()];
         global += strip_global_spill;
 
         // --- dsm_comm traffic. ---------------------------------------------
@@ -441,14 +628,14 @@ impl DataflowAnalyzer {
         let uses_exchange = cls_k > 1;
         if uses_exchange {
             // Gated chains exchange both branch accumulators.
-            let exchange_bytes = branches * tile.c_tile_bytes();
+            let exchange_bytes = branches * self.c_tile_bytes;
             let invocations = clusters * trips_m * trips_n * cls_m * cls_n;
             dsm = dsm.merge(all_exchange_volume(cluster.k(), exchange_bytes).scaled(invocations));
             let per_block = trips_m * trips_n * (cls_k - 1);
             dsm_steps += per_block;
             barriers += trips_m * trips_n;
         }
-        if attention && cls_n > 1 {
+        if self.attention && cls_n > 1 {
             // Rowwise softmax statistics: the C strip of one block-row is
             // split across the cls_n column-owner blocks, so the row max
             // and the row sum are each combined in an all-exchange round
@@ -462,32 +649,30 @@ impl DataflowAnalyzer {
             dsm_steps += trips_m * 2 * (cls_n - 1);
             barriers += trips_m * 2;
         }
-        let shuffle_group = cluster.cls_shuffle() as u64;
+        let shuffle_group = self.shuffle_group;
         if shuffle_group > 1 {
             // In the E-strip order a received C tile serves every L trip,
             // so the ring runs once per (m, n) iteration; the C-strip
             // order re-shuffles per (l, n) iteration.
             let shuffle_repeats = if c_strip_order { trips_l } else { 1 };
-            let groups = cluster.blocks() as u64 / shuffle_group;
-            let invocations = clusters * trips_m * trips_n * shuffle_repeats * groups;
+            let invocations = clusters * trips_m * trips_n * shuffle_repeats * self.shuffle_groups;
             dsm = dsm.merge(
-                shuffle_volume(cluster.cls_shuffle(), tile.c_tile_bytes()).scaled(invocations),
+                shuffle_volume(shuffle_group as usize, self.c_tile_bytes).scaled(invocations),
             );
             dsm_steps += trips_m * trips_n * shuffle_repeats * (shuffle_group - 1);
             barriers += trips_m * trips_n * shuffle_repeats * (shuffle_group - 1);
         }
-        let reduce_group = cluster.cls_reduce() as u64;
+        let reduce_group = self.reduce_group;
         if reduce_group > 1 {
-            let groups = cluster.blocks() as u64 / reduce_group;
-            let invocations = clusters * trips_m * trips_l * groups;
+            let invocations = clusters * trips_m * trips_l * self.reduce_groups;
             dsm = dsm.merge(
-                reduce_scatter_volume(cluster.cls_reduce(), tile.e_tile_bytes())
+                reduce_scatter_volume(reduce_group as usize, tile.e_tile_bytes())
                     .scaled(invocations),
             );
             dsm_steps += trips_m * trips_l * (reduce_group - 1);
             barriers += trips_m * trips_l;
         }
-        *volumes.entry(MemLevel::Dsm).or_insert(0) += dsm.dsm_bytes;
+        volumes[MemLevel::Dsm.index()] += dsm.dsm_bytes;
         global += dsm.global_bytes;
 
         // --- SMEM / register volume. ---------------------------------------
@@ -497,30 +682,20 @@ impl DataflowAnalyzer {
             * trips_m
             * trips_n
             * (trips_k * (tile.a_tile_bytes() + branches * tile.b_tile_bytes())
-                + trips_l * (tile.c_tile_bytes() + tile.d_tile_bytes()));
+                + trips_l * (self.c_tile_bytes + tile.d_tile_bytes()));
         let smem_volume = l2_raw + strip_global_spill + 2 * dsm.dsm_bytes + mma_reads;
-        *volumes.entry(MemLevel::Smem).or_insert(0) += smem_volume;
-        // Tensor-core operand feed out of the register file: ~3 bytes per
-        // FLOP-pair (two f16 operands in, f32 accumulate forwarded).
-        let reg_volume = (chain.total_flops() as f64 * 1.5) as u64;
-        *volumes.entry(MemLevel::Reg).or_insert(0) += reg_volume;
-        *volumes.entry(MemLevel::Global).or_insert(0) = global;
+        volumes[MemLevel::Smem.index()] += smem_volume;
+        volumes[MemLevel::Reg.index()] += self.reg_volume;
+        volumes[MemLevel::Global.index()] = global;
         // L2 sees every load, including the re-loads it filters from HBM.
-        *volumes.entry(MemLevel::L2).or_insert(0) += l2_raw + strip_global_spill;
+        volumes[MemLevel::L2.index()] += l2_raw + strip_global_spill;
 
-        let plan = FusedPlan {
-            chain: chain.clone(),
-            schedule: schedule.clone(),
-            cluster,
-            tile,
+        Ok(CostTerms {
             geometry,
-            mapping,
-        };
-        Ok(DataflowAnalysis {
-            plan,
             volumes,
             strip_kind,
             strip_footprint,
+            strip_placement,
             smem_working,
             dsm_steps,
             barriers,

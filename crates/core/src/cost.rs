@@ -12,11 +12,12 @@
 //! which is exactly why the paper profiles the top-K candidates on
 //! hardware instead of trusting rank 1 (Fig. 12).
 
-use crate::analyzer::DataflowAnalysis;
+use crate::analyzer::{CostTerms, DataflowAnalysis};
 use crate::machine::{MachineDescriptor, MemLevel};
 use crate::plan::PlanGeometry;
 use crate::schedule::LoopSchedule;
 use crate::tiling::BlockTile;
+use flashfuser_comm::geometry::H100_MAX_CLUSTER;
 use flashfuser_comm::ClusterShape;
 use flashfuser_graph::{ChainSpec, Dim};
 use std::collections::BTreeMap;
@@ -67,16 +68,79 @@ impl fmt::Display for CostBreakdown {
     }
 }
 
+/// The half of Eq. 1–2 that a whole `(schedule, cluster, blk_m, blk_n)`
+/// plane of candidates shares: everything the model derives from the
+/// chain's FLOPs, the block count and the cluster size. Every candidate
+/// of a plane launches the same grid, so the search computes this once
+/// per plane ([`CostModel::plane_pricing`]) and prices each candidate's
+/// volumes against it ([`CostModel::estimate`]).
+///
+/// Like Chimera's model (which this one extends, §IV-C1), the tier costs
+/// account for parallelism: a grid with fewer resident blocks than SMs
+/// can neither saturate the memory system nor fill the tensor cores, so
+/// both are derated by the occupancy fraction.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanePricing {
+    /// Tensor-core time at the grid's wave-quantised occupancy, seconds.
+    compute_s: f64,
+    /// Bandwidth of each tier at the cluster size in effect, derated by
+    /// the grid's occupancy; indexed by [`MemLevel::index`].
+    tier_bw: [f64; MemLevel::ALL.len()],
+    /// Fabric remote-access latency at the cluster size, cycles.
+    dsm_latency_cycles: f64,
+}
+
+impl PlanePricing {
+    /// The admissible bound `max(compute time, minimum-HBM-traffic
+    /// time)` for a plane whose mandatory traffic reaches HBM with
+    /// `hbm_bytes` (see [`CostModel::lower_bound`]).
+    pub fn lower_bound(&self, hbm_bytes: u64) -> f64 {
+        let hbm_s = hbm_bytes as f64 / self.tier_bw[MemLevel::Global.index()];
+        self.compute_s.max(hbm_s)
+    }
+}
+
+/// What the pricing core returns: [`CostBreakdown`] without its map.
+struct Priced {
+    /// Transfer time per tier; only tiers with a non-zero volume count.
+    tier_s: [f64; MemLevel::ALL.len()],
+    latency_s: f64,
+    est_s: f64,
+    bottleneck: Option<MemLevel>,
+}
+
+/// Fabric bandwidth and remote-access latency at one cluster size — a
+/// `log2` and a `powf` each, which is why [`CostModel`] tabulates them.
+fn dsm_terms(params: &MachineDescriptor, cluster_size: usize) -> (f64, f64) {
+    (
+        params.dsm_bw(cluster_size),
+        params.dsm_latency_cycles(cluster_size),
+    )
+}
+
 /// The minimax cost model over [`MachineDescriptor`] bandwidths.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     params: MachineDescriptor,
+    /// [`dsm_terms`] by cluster size, for every size a
+    /// [`ClusterShape::new`] cluster can have: the search asks once per
+    /// plane.
+    dsm_by_cluster: Vec<(f64, f64)>,
+    cycle_s: f64,
 }
 
 impl CostModel {
     /// Creates the model.
     pub fn new(params: MachineDescriptor) -> Self {
-        Self { params }
+        let dsm_by_cluster = (0..=H100_MAX_CLUSTER)
+            .map(|size| dsm_terms(&params, size))
+            .collect();
+        let cycle_s = params.cycle_s();
+        Self {
+            params,
+            dsm_by_cluster,
+            cycle_s,
+        }
     }
 
     /// The machine parameters in use.
@@ -84,50 +148,96 @@ impl CostModel {
         &self.params
     }
 
-    /// Evaluates Eq. 1–2 for an analyzed plan, plus the amortized
-    /// DSM-latency chain (hops and barriers that pipelining cannot hide).
-    ///
-    /// Like Chimera's model (which this one extends, §IV-C1), the tier
-    /// costs account for parallelism: a grid with fewer resident blocks
-    /// than SMs can neither saturate the memory system nor fill the
-    /// tensor cores, so both are derated by the occupancy fraction.
-    pub fn evaluate(&self, analysis: &DataflowAnalysis) -> CostBreakdown {
-        let plan = analysis.plan();
-        let cluster_size = plan.cluster.blocks();
-        let blocks = plan.blocks_total();
+    /// The plane-invariant half of the model for a grid of `blocks`
+    /// blocks in clusters of `cluster_size`, running `flops` FLOPs.
+    pub fn plane_pricing(&self, flops: u64, blocks: u64, cluster_size: usize) -> PlanePricing {
         let sms = self.params.num_sms() as u64;
         let waves = blocks.div_ceil(sms).max(1);
         let wave_eff = blocks as f64 / (waves * sms) as f64;
         let bw_util = (blocks as f64 / sms as f64).clamp(0.05, 1.0);
-        let compute_s = plan.chain.total_flops() as f64 / self.params.peak_flops() / wave_eff;
-        let mut tier_s = BTreeMap::new();
-        let mut est_s = compute_s;
+        let compute_s = flops as f64 / self.params.peak_flops() / wave_eff;
+        let (dsm_bw, dsm_latency_cycles) = self
+            .dsm_by_cluster
+            .get(cluster_size)
+            .copied()
+            .unwrap_or_else(|| dsm_terms(&self.params, cluster_size));
+        let tier_bw = MemLevel::ALL.map(|level| {
+            let bw = match level {
+                MemLevel::Dsm => dsm_bw,
+                _ => self.params.bandwidth(level, cluster_size),
+            };
+            bw * bw_util
+        });
+        PlanePricing {
+            compute_s,
+            tier_bw,
+            dsm_latency_cycles,
+        }
+    }
+
+    /// The one pricing core: Eq. 1–2 over per-tier volumes plus the
+    /// amortized DSM-latency chain. [`CostModel::evaluate`] and
+    /// [`CostModel::estimate`] both end here, so their `est_s` are
+    /// bit-equal by construction.
+    #[inline]
+    fn price(&self, pricing: &PlanePricing, terms: &CostTerms) -> Priced {
+        let mut tier_s = [0.0; MemLevel::ALL.len()];
+        let mut est_s = pricing.compute_s;
         let mut bottleneck = None;
         for level in MemLevel::ALL {
-            let v = analysis.volume(level);
+            let v = terms.volume(level);
             if v == 0 {
                 continue;
             }
-            let bw = self.params.bandwidth(level, cluster_size) * bw_util;
-            let t = v as f64 / bw;
-            tier_s.insert(level, t);
+            let t = v as f64 / pricing.tier_bw[level.index()];
+            tier_s[level.index()] = t;
             if t > est_s {
                 est_s = t;
                 bottleneck = Some(level);
             }
         }
-        let cycle = self.params.cycle_s();
         let latency_s = LATENCY_AMORTIZATION
-            * (analysis.dsm_steps() as f64 * self.params.dsm_latency_cycles(cluster_size)
-                + analysis.barriers() as f64 * self.params.barrier_cycles())
-            * cycle;
-        CostBreakdown {
-            compute_s,
+            * (terms.dsm_steps() as f64 * pricing.dsm_latency_cycles
+                + terms.barriers() as f64 * self.params.barrier_cycles())
+            * self.cycle_s;
+        Priced {
             tier_s,
             latency_s,
             est_s: est_s + latency_s,
             bottleneck,
         }
+    }
+
+    /// Evaluates Eq. 1–2 for an analyzed plan, plus the amortized
+    /// DSM-latency chain (hops and barriers that pipelining cannot hide).
+    pub fn evaluate(&self, analysis: &DataflowAnalysis) -> CostBreakdown {
+        let plan = analysis.plan();
+        let pricing = self.plane_pricing(
+            plan.chain.total_flops(),
+            plan.blocks_total(),
+            plan.cluster.blocks(),
+        );
+        let priced = self.price(&pricing, analysis);
+        let tier_s = MemLevel::ALL
+            .into_iter()
+            .filter(|level| analysis.volume(*level) != 0)
+            .map(|level| (level, priced.tier_s[level.index()]))
+            .collect();
+        CostBreakdown {
+            compute_s: pricing.compute_s,
+            tier_s,
+            latency_s: priced.latency_s,
+            est_s: priced.est_s,
+            bottleneck: priced.bottleneck,
+        }
+    }
+
+    /// [`CostModel::evaluate`]`.est_s` for a scored candidate, without
+    /// building the plan or the breakdown: what the search ranks on.
+    /// `pricing` must be the candidate's plane's.
+    #[inline]
+    pub fn estimate(&self, pricing: &PlanePricing, terms: &CostTerms) -> f64 {
+        self.price(pricing, terms).est_s
     }
 
     /// An optimistic whole-chain bound used by the graph partitioner to
@@ -155,7 +265,8 @@ impl CostModel {
     /// The bound is `max(compute time, minimum-HBM-traffic time)` where:
     ///
     /// * the compute term is *identical* to the one `evaluate` charges
-    ///   (same wave-quantised occupancy derate), and
+    ///   (same wave-quantised occupancy derate — both read it off
+    ///   [`CostModel::plane_pricing`]), and
     /// * the HBM term prices the A/B/D/E tile traffic through the same
     ///   [`PlanGeometry::mandatory_traffic`] helper the analyzer itself
     ///   charges — the analyzer only ever *adds* strip-spill and
@@ -164,9 +275,9 @@ impl CostModel {
     ///
     /// Hence for every candidate the analyzer accepts,
     /// `lower_bound <= evaluate(analysis).est_s` holds exactly, which is
-    /// what lets the search engine skip full dataflow analysis for
-    /// candidates that cannot beat the current top-K worst without ever
-    /// changing the search result (see `SearchEngine`).
+    /// what lets the search engine skip scoring for candidates that
+    /// cannot beat the current top-K worst without ever changing the
+    /// search result (see `SearchEngine`).
     ///
     /// Returns `None` when the geometry itself is infeasible or Rule 3's
     /// temporal face fails — cases the analyzer would reject anyway.
@@ -190,12 +301,17 @@ impl CostModel {
     ///
     /// With `grid_k = grid_l = 1` — which `PlanGeometry::derive`
     /// enforces — the result does not depend on `tile.k` or `tile.l`
-    /// (the trip and tile factors of the mandatory traffic cancel); the
-    /// search engine prices it once per `(blk_m, blk_n)` plane on the
-    /// strength of that, and `tests/search_parallel.rs` pins it.
-    // Probed once per candidate from other crates' loops: without the
-    // hint, whether it inlines there is up to how the codegen units
-    // happen to be cut.
+    /// (the trip and tile factors of the mandatory traffic cancel), and
+    /// `tests/search_parallel.rs` pins that. The search engine relies on
+    /// it: it computes the two halves of this function —
+    /// [`CostModel::plane_pricing`] and the mandatory traffic — once per
+    /// `(blk_m, blk_n)` plane, takes the plane's bound from them
+    /// ([`PlanePricing::lower_bound`]) and reuses both for every
+    /// candidate it then scores.
+    // Still probed once per candidate by loops in other crates (the
+    // differential tests, the benchmark's trace bin): without the hint,
+    // whether it inlines there is up to how the codegen units happen to
+    // be cut.
     #[inline]
     pub fn lower_bound_for(
         &self,
@@ -204,23 +320,12 @@ impl CostModel {
         cluster: ClusterShape,
         tile: BlockTile,
     ) -> f64 {
-        // Occupancy terms — identical to `evaluate`.
-        let blocks = geometry.clusters_total() * cluster.blocks() as u64;
-        let sms = self.params.num_sms() as u64;
-        let waves = blocks.div_ceil(sms).max(1);
-        let wave_eff = blocks as f64 / (waves * sms) as f64;
-        let bw_util = (blocks as f64 / sms as f64).clamp(0.05, 1.0);
-        let compute_s = chain.total_flops() as f64 / self.params.peak_flops() / wave_eff;
-
+        let blocks = geometry.blocks_total(cluster);
         // The analyzer's mandatory A/B/D/E traffic — the same helper the
         // analyzer itself charges, so the two cannot drift apart.
-        let global_min = geometry
-            .mandatory_traffic(chain, cluster, tile, self.params.l2_bytes())
-            .hbm_bytes;
-        let hbm_s = global_min as f64
-            / (self.params.bandwidth(MemLevel::Global, cluster.blocks()) * bw_util);
-
-        compute_s.max(hbm_s)
+        let traffic = geometry.mandatory_traffic(chain, cluster, tile, self.params.l2_bytes());
+        self.plane_pricing(chain.total_flops(), blocks, cluster.blocks())
+            .lower_bound(traffic.hbm_bytes)
     }
 }
 

@@ -10,7 +10,9 @@
 //! 3. [`analyzer`] runs Algorithm 1 on each surviving candidate: it maps
 //!    the reused intermediate across the register/SMEM/DSM hierarchy
 //!    (greedy spill) and charges data-movement volume to every tier,
-//!    including the `dsm_comm` traffic from `flashfuser-comm`.
+//!    including the `dsm_comm` traffic from `flashfuser-comm` — as plain
+//!    integers ([`CostTerms`], `score`); a [`FusedPlan`] is built only
+//!    for finalists (`materialise`).
 //! 4. [`cost`] turns volumes into the minimax bottleneck objective
 //!    (Eq. 1–3) and [`search`] keeps the top-K candidates, which are then
 //!    "profiled on hardware" through the [`PlanProfiler`] abstraction
@@ -50,14 +52,14 @@ pub mod segment;
 pub mod space;
 pub mod tiling;
 
-pub use analyzer::{AnalysisError, DataflowAnalysis, DataflowAnalyzer};
+pub use analyzer::{AnalysisError, CostTerms, DataflowAnalysis, DataflowAnalyzer};
 pub use codec::{
     decode_machine, decode_machine_value, decode_record, encode_machine, encode_record, CodecError,
     PlanRecord,
 };
-pub use cost::{CostBreakdown, CostModel};
+pub use cost::{CostBreakdown, CostModel, PlanePricing};
 pub use machine::{ComputeParams, MachineDescriptor, MachineError, MemLevel, MemTier};
-pub use mapping::{ResourceMapping, TensorMapping, TensorRole};
+pub use mapping::{Placement, ResourceMapping, TensorMapping, TensorRole};
 pub use plan::{FusedPlan, PlanError, PlanGeometry};
 pub use profiler::{PlanProfiler, ProfileOutcome};
 pub use prune::{Candidate, CandidateIter, CandidateStream, PruneConfig, PruneStats};

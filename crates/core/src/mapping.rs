@@ -52,6 +52,52 @@ impl fmt::Display for TensorRole {
     }
 }
 
+/// A greedy placement before it becomes a [`TensorMapping`]: at most
+/// one `(level, bytes)` pair per spill tier, fastest first, held inline
+/// so the search can score a candidate without touching the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    allocations: [(MemLevel, u64); MemLevel::SPILL_ORDER.len()],
+    len: usize,
+}
+
+impl Placement {
+    /// Greedily places `footprint` bytes across `SPILL_ORDER`, drawing
+    /// from `budget` — the free bytes of each spill tier, in that order.
+    /// Tiers past `lowest` are not used.
+    ///
+    /// Returns `None` if the footprint cannot be fully placed at or above
+    /// `lowest` — the condition pruning Rule 5 rejects.
+    pub fn greedy(
+        footprint: u64,
+        budget: [u64; MemLevel::SPILL_ORDER.len()],
+        lowest: MemLevel,
+    ) -> Option<Placement> {
+        let mut left = footprint;
+        let mut placement = Placement {
+            allocations: [(MemLevel::Reg, 0); MemLevel::SPILL_ORDER.len()],
+            len: 0,
+        };
+        for (level, cap) in MemLevel::SPILL_ORDER.into_iter().zip(budget) {
+            if left == 0 || level > lowest {
+                break;
+            }
+            let take = left.min(cap);
+            if take > 0 {
+                left -= take;
+                placement.allocations[placement.len] = (level, take);
+                placement.len += 1;
+            }
+        }
+        (left == 0).then_some(placement)
+    }
+
+    /// `(level, bytes)` pairs, fastest first.
+    pub fn allocations(&self) -> &[(MemLevel, u64)] {
+        &self.allocations[..self.len]
+    }
+}
+
 /// Placement of one tensor across the hierarchy: bytes allocated per
 /// spill tier, fastest first.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -59,43 +105,30 @@ pub struct TensorMapping {
     allocations: Vec<(MemLevel, u64)>,
 }
 
+impl From<Placement> for TensorMapping {
+    fn from(placement: Placement) -> Self {
+        TensorMapping {
+            allocations: placement.allocations().to_vec(),
+        }
+    }
+}
+
 impl TensorMapping {
-    /// Greedily places `footprint` bytes across `SPILL_ORDER`, drawing
-    /// from `remaining` capacities (which are debited in place so several
-    /// tensors can share the budget). Tiers past `lowest` are not used.
-    ///
-    /// Returns `None` if the footprint cannot be fully placed at or above
-    /// `lowest` — the condition pruning Rule 5 rejects.
+    /// [`Placement::greedy`] against a shared budget: capacities are
+    /// read from `remaining` and, when the footprint fits, debited in
+    /// place so several tensors can share it. A footprint that does not
+    /// fit leaves the budget untouched.
     pub fn greedy(
         footprint: u64,
         remaining: &mut BTreeMap<MemLevel, u64>,
         lowest: MemLevel,
     ) -> Option<TensorMapping> {
-        let mut left = footprint;
-        let mut allocations = vec![];
-        for level in MemLevel::SPILL_ORDER {
-            if left == 0 {
-                break;
-            }
-            if level > lowest {
-                break;
-            }
-            let cap = remaining.entry(level).or_insert(0);
-            let take = left.min(*cap);
-            if take > 0 {
-                *cap -= take;
-                left -= take;
-                allocations.push((level, take));
-            }
+        let budget = MemLevel::SPILL_ORDER.map(|l| remaining.get(&l).copied().unwrap_or(0));
+        let placement = Placement::greedy(footprint, budget, lowest)?;
+        for (level, bytes) in placement.allocations() {
+            *remaining.get_mut(level).expect("placed bytes came from it") -= bytes;
         }
-        if left > 0 {
-            // Roll back the debits so the caller's budget is unchanged.
-            for (level, bytes) in &allocations {
-                *remaining.entry(*level).or_insert(0) += bytes;
-            }
-            return None;
-        }
-        Some(TensorMapping { allocations })
+        Some(placement.into())
     }
 
     /// A mapping that places everything in a single tier (used for the

@@ -92,28 +92,39 @@ impl PlanGeometry {
         cluster: ClusterShape,
         tile: BlockTile,
     ) -> Result<Self, PlanError> {
-        let mut grid = [1usize; 4];
-        let mut trips = [1usize; 4];
+        let mut geometry = Self::UNIT;
         for dim in Dim::ALL {
             let size = dims.size(dim);
             let unit = tile.by_index(dim.index()) * cluster.size(dim);
             if unit == 0 || !size.is_multiple_of(unit) {
                 return Err(PlanError::Indivisible { dim, size, unit });
             }
-            let count = size / unit;
-            if schedule.is_spatial(dim) {
-                grid[dim.index()] = count;
-            } else {
-                trips[dim.index()] = count;
-            }
+            geometry.set_count(dim, schedule.is_spatial(dim), size / unit);
         }
-        if grid[Dim::K.index()] > 1 {
+        if geometry.grid(Dim::K) > 1 {
             return Err(PlanError::SpatialKAcrossClusters);
         }
-        if grid[Dim::L.index()] > 1 {
+        if geometry.grid(Dim::L) > 1 {
             return Err(PlanError::SpatialLAcrossClusters);
         }
-        Ok(Self { grid, trips })
+        Ok(geometry)
+    }
+
+    /// One cluster, one trip along every dim — what
+    /// [`PlanGeometry::set_count`] starts from.
+    pub(crate) const UNIT: PlanGeometry = PlanGeometry {
+        grid: [1; 4],
+        trips: [1; 4],
+    };
+
+    /// Records `count = S_d / (blk_d·cls_d)` for `dim`: clusters when
+    /// the dim is spatial, trips when it is temporal.
+    pub(crate) fn set_count(&mut self, dim: Dim, spatial: bool, count: usize) {
+        if spatial {
+            self.grid[dim.index()] = count;
+        } else {
+            self.trips[dim.index()] = count;
+        }
     }
 
     /// Clusters along `dim`.
@@ -129,6 +140,11 @@ impl PlanGeometry {
     /// Total clusters launched.
     pub fn clusters_total(&self) -> u64 {
         self.grid.iter().map(|&g| g as u64).product()
+    }
+
+    /// Total thread blocks launched with clusters of `cluster`.
+    pub fn blocks_total(&self, cluster: ClusterShape) -> u64 {
+        self.clusters_total() * cluster.blocks() as u64
     }
 
     /// Temporal iterations per block (product of all trip counts).
@@ -228,7 +244,7 @@ pub struct FusedPlan {
 impl FusedPlan {
     /// Total thread blocks launched.
     pub fn blocks_total(&self) -> u64 {
-        self.geometry.clusters_total() * self.cluster.blocks() as u64
+        self.geometry.blocks_total(self.cluster)
     }
 
     /// Re-derives the geometry from the plan's own fields and checks it

@@ -17,11 +17,12 @@
 //!   its tile *axes* instead of its candidates.
 //! * **Rule 5 — memory capacity**: accumulators fit registers, the
 //!   streaming working set fits SMEM, and the reused strip fits at or
-//!   above the configured lowest spill tier. Enforced by running the
-//!   [`DataflowAnalyzer`] itself, so the count is exact.
+//!   above the configured lowest spill tier. Enforced by the
+//!   [`DataflowAnalyzer`]'s own `score`, so the count is exact.
 
 use crate::analyzer::DataflowAnalyzer;
 use crate::machine::{MachineDescriptor, MemLevel};
+use crate::plan::PlanGeometry;
 use crate::schedule::LoopSchedule;
 use crate::space;
 use crate::tiling::{hardware_aware_tiles, BlockTile};
@@ -139,7 +140,7 @@ pub struct Candidate<'a> {
 
 /// `true` when one cluster must cover `dim` whole: K and L may be
 /// schedule-spatial only with `grid_d = 1` (see
-/// [`PlanGeometry::derive`](crate::plan::PlanGeometry::derive)).
+/// [`PlanGeometry::derive`]).
 fn must_cover(schedule: &LoopSchedule, dim: Dim) -> bool {
     matches!(dim, Dim::K | Dim::L) && schedule.is_spatial(dim)
 }
@@ -151,6 +152,18 @@ fn axis_slot(dim: Dim, cls: usize, cover: bool) -> usize {
         .position(|&c| c == cls)
         .expect("cluster extents come from CLUSTER_DIM_CHOICES");
     (dim.index() * 2 + usize::from(cover)) * CLUSTER_DIM_CHOICES.len() + cls_idx
+}
+
+/// One entry of a filtered tile axis: the tile extent and how many
+/// `blk_d·cls_d` units tile the dim. The filter already divided, so the
+/// geometry of every candidate is a lookup (see [`Plane::geometry`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileChoice {
+    /// Tile extent `blk_d`.
+    pub blk: usize,
+    /// `S_d / (blk_d·cls_d)`: clusters along a spatial dim, trips along
+    /// a temporal one.
+    pub count: usize,
 }
 
 /// One `(schedule, cluster)` pair whose four tile axes are all non-empty:
@@ -167,7 +180,7 @@ struct Group<'a> {
 
 /// The candidate stream: every (schedule, cluster, tile) triple that
 /// survives Rules 1–4 *and* derives a
-/// [`PlanGeometry`](crate::plan::PlanGeometry) — the population the cost
+/// [`PlanGeometry`] — the population the cost
 /// bound and Rule 5 (the analyzer) then work on.
 ///
 /// `PlanGeometry::derive` is separable per dimension: it fails iff, for
@@ -190,7 +203,7 @@ struct Group<'a> {
 pub struct CandidateStream<'a> {
     /// Filtered tile axes, indexed by [`axis_slot`] (the must-cover slots
     /// of M and N are filled but never referenced).
-    axes: Vec<Vec<usize>>,
+    axes: Vec<Vec<TileChoice>>,
     groups: Vec<Group<'a>>,
     len: u64,
 }
@@ -205,11 +218,20 @@ impl<'a> CandidateStream<'a> {
             let tiles = hardware_aware_tiles(size);
             for cover in [false, true] {
                 for cls in CLUSTER_DIM_CHOICES {
-                    let fits = |t: usize| {
-                        let unit = t * cls;
-                        size.is_multiple_of(unit) && (!cover || size == unit)
+                    let choice = |&blk: &usize| {
+                        let unit = blk * cls;
+                        (size.is_multiple_of(unit) && (!cover || size == unit)).then(|| {
+                            TileChoice {
+                                blk,
+                                count: size / unit,
+                            }
+                        })
                     };
-                    axes.push(tiles.iter().copied().filter(|&t| fits(t)).collect());
+                    // Sized up front: one allocation per axis, whatever
+                    // the filter keeps.
+                    let mut axis = Vec::with_capacity(tiles.len());
+                    axis.extend(tiles.iter().filter_map(choice));
+                    axes.push(axis);
                 }
             }
         }
@@ -252,7 +274,7 @@ impl<'a> CandidateStream<'a> {
     }
 
     /// The M, N, K, L tile axes of a group.
-    fn axes_of(&self, group: &Group<'a>) -> [&[usize]; 4] {
+    fn axes_of(&self, group: &Group<'a>) -> [&[TileChoice]; 4] {
         group.axes.map(|slot| self.axes[slot].as_slice())
     }
 
@@ -353,8 +375,9 @@ impl<'a, 's> IntoIterator for &'s CandidateStream<'a> {
 
 /// One `(schedule, cluster, blk_m, blk_n)` plane of the stream: a
 /// contiguous run of `|tiles_k| x |tiles_l|` candidates that differ only
-/// in `blk_k` and `blk_l`. `CostModel::lower_bound_for` is the same for
-/// all of them, which is what lets the search price a plane once.
+/// in `blk_k` and `blk_l`. The cost lower bound and the mandatory tile
+/// traffic are the same for all of them, which is what lets the search
+/// price a plane once.
 #[derive(Debug, Clone, Copy)]
 pub struct Plane<'a, 's> {
     /// Stream position of the plane's first candidate.
@@ -368,9 +391,11 @@ pub struct Plane<'a, 's> {
     /// Tile extent along N.
     pub blk_n: usize,
     /// The plane's `blk_k` choices (outer), never empty.
-    pub tiles_k: &'s [usize],
+    pub tiles_k: &'s [TileChoice],
     /// The plane's `blk_l` choices (inner), never empty.
-    pub tiles_l: &'s [usize],
+    pub tiles_l: &'s [TileChoice],
+    /// The M/N half of every candidate's geometry (K and L at one).
+    geometry_mn: PlanGeometry,
 }
 
 impl<'a, 's> Plane<'a, 's> {
@@ -390,6 +415,27 @@ impl<'a, 's> Plane<'a, 's> {
             k: blk_k,
             l: blk_l,
         }
+    }
+
+    /// The geometry of the plane's candidate at `(k, l)` — what
+    /// [`PlanGeometry::derive`] would return for it, read off the axis
+    /// entries instead of divided out again.
+    #[inline]
+    pub fn geometry(&self, k: TileChoice, l: TileChoice) -> PlanGeometry {
+        let mut geometry = self.geometry_mn;
+        geometry.set_count(Dim::K, self.schedule.is_spatial(Dim::K), k.count);
+        geometry.set_count(Dim::L, self.schedule.is_spatial(Dim::L), l.count);
+        geometry
+    }
+
+    /// Tile and geometry of the plane's first candidate — what
+    /// plane-level quantities (the cost bound, the mandatory traffic,
+    /// [`DataflowAnalyzer::plane`]) are computed on: none of them reads
+    /// `blk_k` or `blk_l`.
+    #[inline]
+    pub fn first(&self) -> (BlockTile, PlanGeometry) {
+        let (k, l) = (self.tiles_k[0], self.tiles_l[0]);
+        (self.tile(k.blk, l.blk), self.geometry(k, l))
     }
 
     /// The plane's candidates in stream order.
@@ -423,22 +469,28 @@ impl<'a, 's> Iterator for PlaneIter<'a, 's> {
             return None;
         }
         let group = &self.stream.groups[self.group];
-        let [m, n, tiles_k, tiles_l] = self.stream.axes_of(group);
+        let [axis_m, axis_n, tiles_k, tiles_l] = self.stream.axes_of(group);
+        let (m, n) = (axis_m[self.pos[0]], axis_n[self.pos[1]]);
+        let schedule = group.schedule;
+        let mut geometry_mn = PlanGeometry::UNIT;
+        geometry_mn.set_count(Dim::M, schedule.is_spatial(Dim::M), m.count);
+        geometry_mn.set_count(Dim::N, schedule.is_spatial(Dim::N), n.count);
         let plane = Plane {
             seq: self.seq,
-            schedule: group.schedule,
+            schedule,
             cluster: group.cluster,
-            blk_m: m[self.pos[0]],
-            blk_n: n[self.pos[1]],
+            blk_m: m.blk,
+            blk_n: n.blk,
             tiles_k,
             tiles_l,
+            geometry_mn,
         };
         self.seq += plane.len();
         self.pos[1] += 1;
-        if self.pos[1] == n.len() {
+        if self.pos[1] == axis_n.len() {
             self.pos[1] = 0;
             self.pos[0] += 1;
-            if self.pos[0] == m.len() {
+            if self.pos[0] == axis_m.len() {
                 self.pos[0] = 0;
                 self.group += 1;
             }
@@ -455,29 +507,55 @@ pub struct PlaneCandidates<'a, 's> {
     seq: u64,
 }
 
-impl<'a> Iterator for PlaneCandidates<'a, '_> {
-    type Item = Candidate<'a>;
-
+impl<'a, 's> PlaneCandidates<'a, 's> {
+    /// Advances the odometer: the next candidate's `seq` and its
+    /// `(blk_k, blk_l)` axis entries.
     // A dozen instructions per candidate, called from other crates'
     // loops: left to the inliner's mood (it declines inside a large
     // caller) the call costs four times the step itself.
     #[inline(always)]
-    fn next(&mut self) -> Option<Candidate<'a>> {
+    fn step(&mut self) -> Option<(u64, TileChoice, TileChoice)> {
         let plane = &self.plane;
-        let &blk_k = plane.tiles_k.get(self.ik)?;
-        let candidate = Candidate {
-            seq: self.seq,
-            schedule: plane.schedule,
-            cluster: plane.cluster,
-            tile: plane.tile(blk_k, plane.tiles_l[self.il]),
-        };
+        let &k = plane.tiles_k.get(self.ik)?;
+        let step = (self.seq, k, plane.tiles_l[self.il]);
         self.seq += 1;
         self.il += 1;
         if self.il == plane.tiles_l.len() {
             self.il = 0;
             self.ik += 1;
         }
-        Some(candidate)
+        Some(step)
+    }
+
+    fn candidate(&self, seq: u64, k: TileChoice, l: TileChoice) -> Candidate<'a> {
+        Candidate {
+            seq,
+            schedule: self.plane.schedule,
+            cluster: self.plane.cluster,
+            tile: self.plane.tile(k.blk, l.blk),
+        }
+    }
+
+    /// The remaining candidates, each with its [`Plane::geometry`].
+    #[inline]
+    pub fn with_geometry(
+        mut self,
+    ) -> impl Iterator<Item = (Candidate<'a>, PlanGeometry)> + use<'a, 's> {
+        std::iter::from_fn(move || {
+            let (seq, k, l) = self.step()?;
+            Some((self.candidate(seq, k, l), self.plane.geometry(k, l)))
+        })
+    }
+}
+
+impl<'a> Iterator for PlaneCandidates<'a, '_> {
+    type Item = Candidate<'a>;
+
+    // See `PlaneCandidates::step`.
+    #[inline(always)]
+    fn next(&mut self) -> Option<Candidate<'a>> {
+        let (seq, k, l) = self.step()?;
+        Some(self.candidate(seq, k, l))
     }
 }
 
@@ -492,7 +570,7 @@ pub struct CandidateIter<'a, 's> {
 impl<'a> Iterator for CandidateIter<'a, '_> {
     type Item = Candidate<'a>;
 
-    // See `PlaneCandidates::next`.
+    // See `PlaneCandidates::step`.
     #[inline(always)]
     fn next(&mut self) -> Option<Candidate<'a>> {
         if self.left == 0 {
@@ -516,32 +594,34 @@ impl<'a> Iterator for CandidateIter<'a, '_> {
 impl ExactSizeIterator for CandidateIter<'_, '_> {}
 
 /// Computes the full Table III cascade for one chain. Every row but the
-/// last is a closed form; Rule 5 runs the analyzer on every streamed
-/// candidate, so this is `O(|after_geometry|)` cheap arithmetic per
-/// candidate.
+/// last is a closed form; Rule 5 scores every streamed candidate —
+/// geometry off the axes, no plan built — so this is
+/// `O(|after_geometry|)` cheap arithmetic per candidate.
 pub fn count_cascade(
     chain: &ChainSpec,
     params: &MachineDescriptor,
     config: &PruneConfig,
 ) -> PruneStats {
     let dims = chain.dims();
-    let all = LoopSchedule::enumerate_all();
+    let all = LoopSchedule::all();
     let tiles = space::tile_combinations(dims);
     let clusters = ClusterShape::enumerate(config.max_cluster).len() as u64;
-    let r3 = schedules_after_rule3(&all).len() as u64;
-    let r4 = schedules_after_rule4(&all).len() as u64;
+    let r3 = schedules_after_rule3(all).len() as u64;
+    let r4 = schedules_after_rule4(all).len() as u64;
 
-    let stream = CandidateStream::build(chain, config, &all);
+    let stream = CandidateStream::build(chain, config, all);
     let analyzer = DataflowAnalyzer::new(params.clone())
         .with_lowest_spill(config.lowest_spill)
         .with_inter_cluster_reduce(config.allow_inter_cluster_reduce);
-    let mut feasible = 0u64;
-    stream.for_each(|schedule, cluster, tile| {
-        if analyzer.analyze(chain, schedule, cluster, tile).is_ok() {
-            feasible += 1
-        }
-        true
-    });
+    let feasible = stream
+        .planes(0, stream.len())
+        .flat_map(|plane| plane.candidates().with_geometry())
+        .filter(|&(c, geometry)| {
+            analyzer
+                .score(chain, c.schedule, c.cluster, c.tile, geometry)
+                .is_ok()
+        })
+        .count() as u64;
 
     PruneStats {
         initial: space::initial_space_size(dims),

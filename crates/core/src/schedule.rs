@@ -8,6 +8,7 @@
 
 use flashfuser_graph::Dim;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// One spatial/temporal loop partition.
 ///
@@ -27,6 +28,10 @@ pub struct LoopSchedule {
     spatial: Vec<Dim>,
     /// Outermost -> innermost.
     temporal: Vec<Dim>,
+    /// Bit `d.index()` set = `d` is spatial. Derived from `spatial` in
+    /// [`LoopSchedule::new`]: the search asks `is_spatial` several times
+    /// per plane.
+    spatial_mask: u8,
 }
 
 impl LoopSchedule {
@@ -47,7 +52,12 @@ impl LoopSchedule {
             seen[d.index()] = true;
         }
         assert!(seen.iter().all(|&b| b), "all four dimensions required");
-        Self { spatial, temporal }
+        let spatial_mask = spatial.iter().fold(0, |mask, d| mask | 1 << d.index());
+        Self {
+            spatial,
+            temporal,
+            spatial_mask,
+        }
     }
 
     /// The spatial dimensions (unordered set semantics).
@@ -62,7 +72,7 @@ impl LoopSchedule {
 
     /// `true` if `dim` is spatial.
     pub fn is_spatial(&self, dim: Dim) -> bool {
-        self.spatial.contains(&dim)
+        self.spatial_mask & 1 << dim.index() != 0
     }
 
     /// Nest depth of a temporal dim (0 = outermost), or `None` if spatial.
@@ -95,6 +105,13 @@ impl LoopSchedule {
         s.push('|');
         s.extend(self.temporal.iter().map(|d| d.letter()));
         s
+    }
+
+    /// The 41 schedules of Table IV, enumerated once per process: the
+    /// list is a function of nothing, and every search walks it.
+    pub fn all() -> &'static [LoopSchedule] {
+        static ALL: OnceLock<Vec<LoopSchedule>> = OnceLock::new();
+        ALL.get_or_init(Self::enumerate_all)
     }
 
     /// Enumerates all 41 schedules of Table IV: every non-empty spatial

@@ -9,22 +9,53 @@
 //! `K = 11` from Fig. 12b), and then asks a [`PlanProfiler`] — the
 //! simulator — to measure those finalists and pick the winner.
 //!
-//! # One scan, one bound per plane
+//! # Score, don't build
+//!
+//! The model is analytical: a candidate is a handful of integers priced
+//! in closed form, and only the `K` finalists are ever needed as plans.
+//! The scan therefore computes, at each of its three nesting levels,
+//! only what varies there, and allocates nothing until the top-K is
+//! final:
+//!
+//! * per `(schedule, cluster)` **group** — the schedule's facts (which
+//!   dims are spatial, the strip order) are O(1) reads off the
+//!   [`LoopSchedule`], and the group's filtered tile axes hand every
+//!   plane its geometry by lookup;
+//! * per `(blk_m, blk_n)` [`Plane`] — the mandatory tile traffic and the
+//!   pricing terms ([`CostModel::plane_pricing`]), the cost bound from
+//!   the two, then the plane-level half of the analysis
+//!   ([`DataflowAnalyzer::plane`]);
+//! * per **candidate** — [`PlaneTerms::score`] (Rule 5 and the per-tier
+//!   volumes, as [`CostTerms`]), [`CostModel::estimate`], and a push of
+//!   one `Copy` entry into the worker's top-K buffer.
+//!
+//! After the deterministic merge the ≤ `K` survivors are turned into
+//! plans ([`DataflowAnalyzer::materialise`]) and priced in full
+//! ([`CostModel::evaluate`], bit-equal to `estimate` — one pricing
+//! core).
+//!
+//! [`PlaneTerms::score`]: crate::analyzer::PlaneTerms::score
+//!
+//! # One bound per plane
 //!
 //! [`CostModel::lower_bound`] does not depend on `blk_k` or `blk_l`:
 //! with `grid_k = grid_l = 1` (true of every streamed candidate) the
-//! trip and tile factors of the mandatory traffic cancel, so the bound
-//! is bit-equal across a whole `(schedule, cluster, blk_m, blk_n)`
-//! [`Plane`] (`tests/search_parallel.rs` pins that). The scan therefore
-//! prices the bound once per plane and — when it already loses to the
-//! worst of a full top-K buffer — skips the plane's entire `blk_k x
-//! blk_l` sub-lattice; inside a surviving plane it re-tests the same
-//! bound against the (possibly tightened) worst before each dataflow
-//! analysis. The bound is admissible (it never exceeds the true cost),
-//! so a skipped candidate could not have displaced a finalist: the top-K
+//! trip and tile factors of the mandatory traffic cancel, so the bound —
+//! and the traffic itself — is bit-equal across a whole `(schedule,
+//! cluster, blk_m, blk_n)` plane (`tests/search_parallel.rs` pins that).
+//! The scan therefore prices the bound once per plane and — when it
+//! already loses to the worst of a full top-K buffer — skips the plane's
+//! entire `blk_k x blk_l` sub-lattice; a plane that survives the bound
+//! but fails a plane-level capacity check ([`PlaneTerms::infeasible`])
+//! is skipped whole too; inside a surviving plane the scan re-tests the
+//! same bound against the (possibly tightened) worst before each score.
+//! The bound is admissible (it never exceeds the true cost), so a
+//! skipped candidate could not have displaced a finalist: the top-K
 //! equals that of an exhaustive analyze-everything scan, which
 //! `tests/search_parallel.rs` checks against an in-test oracle and
 //! [`SearchEngine::brute_force`] checks on the simulator.
+//!
+//! [`PlaneTerms::infeasible`]: crate::analyzer::PlaneTerms::infeasible
 //!
 //! # Parallel ranking
 //!
@@ -36,14 +67,15 @@
 //! position in the stream's total order (`Candidate::seq`), so the merged
 //! result is **bit-identical** to a single-threaded scan regardless of
 //! thread count — see [`SearchConfig::threads`]. What does depend on the
-//! interleaving is how many candidates the bound skipped; those counts
-//! are diagnostics ([`SearchStats`]) and are never persisted.
+//! interleaving is how many candidates and planes the bound skipped;
+//! those counts are diagnostics ([`SearchStats`]) and are never
+//! persisted.
 
-use crate::analyzer::{DataflowAnalysis, DataflowAnalyzer};
+use crate::analyzer::{CostTerms, DataflowAnalysis, DataflowAnalyzer};
 use crate::cost::{CostBreakdown, CostModel};
 use crate::machine::{MachineDescriptor, MemLevel};
 use crate::profiler::{PlanProfiler, ProfileOutcome};
-use crate::prune::{CandidateStream, Plane, PlaneIter, PruneConfig};
+use crate::prune::{Candidate, CandidateStream, Plane, PlaneIter, PruneConfig};
 use crate::schedule::LoopSchedule;
 use flashfuser_graph::ChainSpec;
 use std::error::Error;
@@ -159,14 +191,23 @@ pub struct SearchStats {
     /// closed-form length, so it is identical for every thread count;
     /// this is the count plan records persist.
     pub eligible: u64,
-    /// Diagnostic: candidates that analyzed successfully (survived Rule
-    /// 5). Candidates skipped by the bound are not analyzed and not
+    /// Diagnostic: candidates that scored successfully (survived Rule
+    /// 5). Candidates skipped by the bound are not scored and not
     /// counted, so this varies with scan interleaving.
     pub feasible: u64,
     /// Diagnostic: candidates skipped — one at a time or a whole plane
     /// at once — because their lower bound could not beat the worker's
     /// top-K worst. Varies with scan interleaving.
     pub prefiltered: u64,
+    /// Diagnostic: `(schedule, cluster, blk_m, blk_n)` planes the scan
+    /// visited — every plane of the stream, each priced once.
+    pub planes: u64,
+    /// Diagnostic: planes dropped whole, before any candidate was
+    /// scored — on the bound (their candidates are in `prefiltered`) or
+    /// on a plane-level capacity check (their candidates are in no other
+    /// count: none of them could have been feasible). Varies with scan
+    /// interleaving.
+    pub planes_skipped: u64,
     /// Diagnostic: worker threads used for ranking.
     pub threads: usize,
     /// Diagnostic: wall-clock seconds spent in enumeration + analysis +
@@ -236,12 +277,14 @@ impl SearchResult {
 }
 
 /// A scored candidate inside a worker's bounded top-K buffer: analytical
-/// estimate plus the stream position that breaks ties deterministically.
-struct Scored {
+/// estimate, the candidate (its `seq` breaks ties deterministically) and
+/// its terms — what [`DataflowAnalyzer::materialise`] needs should it
+/// survive the merge. `Copy`: entering the buffer allocates nothing.
+#[derive(Clone, Copy)]
+struct Scored<'a> {
     est: f64,
-    seq: u64,
-    cost: CostBreakdown,
-    analysis: DataflowAnalysis,
+    candidate: Candidate<'a>,
+    terms: CostTerms,
 }
 
 /// `true` when `(a_est, a_seq)` orders strictly before `(b_est, b_seq)`
@@ -252,25 +295,28 @@ fn orders_before(a_est: f64, a_seq: u64, b_est: f64, b_seq: u64) -> bool {
 }
 
 /// Inserts `s` into the sorted bounded buffer `top` (capacity `k`).
-fn push_top_k(top: &mut Vec<Scored>, k: usize, s: Scored) {
+fn push_top_k<'a>(top: &mut Vec<Scored<'a>>, k: usize, s: Scored<'a>) {
     if top.len() == k {
         let w = top.last().expect("k >= 1");
-        if !orders_before(s.est, s.seq, w.est, w.seq) {
+        if !orders_before(s.est, s.candidate.seq, w.est, w.candidate.seq) {
             return;
         }
+        top.pop();
     }
-    let pos = top.partition_point(|p| orders_before(p.est, p.seq, s.est, s.seq));
+    let pos =
+        top.partition_point(|p| orders_before(p.est, p.candidate.seq, s.est, s.candidate.seq));
     top.insert(pos, s);
-    top.truncate(k);
 }
 
 /// One ranking worker's output: its bounded top-K and its share of the
 /// counts.
 #[derive(Default)]
-struct RankShard {
-    top: Vec<Scored>,
+struct RankShard<'a> {
+    top: Vec<Scored<'a>>,
     feasible: u64,
     prefiltered: u64,
+    planes: u64,
+    planes_skipped: u64,
 }
 
 /// One brute-force worker's output: its best `(seconds, seq, plan)` (if
@@ -305,8 +351,9 @@ impl SearchEngine {
         &self.params
     }
 
-    /// Analytical search: enumerate, prune, analyze, rank. The winner is
-    /// the cost-model rank-1 plan (no profiling).
+    /// Analytical search: enumerate, prune, score, rank; the top-K are
+    /// materialised. The winner is the cost-model rank-1 plan (no
+    /// profiling).
     ///
     /// # Errors
     ///
@@ -381,8 +428,7 @@ impl SearchEngine {
         config: &SearchConfig,
         profiler: &mut dyn PlanProfiler,
     ) -> Result<(RankedPlan, u64), SearchError> {
-        let all = LoopSchedule::enumerate_all();
-        let stream = CandidateStream::build(chain, &config.prune, &all);
+        let stream = CandidateStream::build(chain, &config.prune, LoopSchedule::all());
         let threads = worker_count(config, stream.len());
         let scan = self.scan(chain, &config.prune);
 
@@ -428,13 +474,17 @@ impl SearchEngine {
         config: &SearchConfig,
     ) -> (Vec<RankedPlan>, SearchStats) {
         let t0 = Instant::now();
-        let all = LoopSchedule::enumerate_all();
-        let stream = CandidateStream::build(chain, &config.prune, &all);
+        let stream = CandidateStream::build(chain, &config.prune, LoopSchedule::all());
         let k = config.top_k.max(1);
         let threads = worker_count(config, stream.len());
         let scan = self.scan(chain, &config.prune);
 
-        let workers = (0..threads).map(|_| RankShard::default()).collect();
+        let workers = (0..threads)
+            .map(|_| RankShard {
+                top: Vec::with_capacity(k),
+                ..RankShard::default()
+            })
+            .collect();
         let shards = scan_blocks(&stream, workers, |shard, planes| {
             scan.rank_shard(k, shard, planes);
         });
@@ -449,19 +499,43 @@ impl SearchEngine {
         for shard in shards {
             stats.feasible += shard.feasible;
             stats.prefiltered += shard.prefiltered;
+            stats.planes += shard.planes;
+            stats.planes_skipped += shard.planes_skipped;
             merged.extend(shard.top);
         }
         // The deterministic merge: global order is (est, seq); each shard
         // already holds the best k of its slice under that order.
-        merged.sort_by(|a, b| a.est.total_cmp(&b.est).then_with(|| a.seq.cmp(&b.seq)));
+        merged.sort_by(|a, b| {
+            a.est
+                .total_cmp(&b.est)
+                .then_with(|| a.candidate.seq.cmp(&b.candidate.seq))
+        });
         merged.truncate(k);
+        // Only now does anything become a plan.
         let top_k = merged
             .into_iter()
-            .map(|s| RankedPlan {
-                est_seconds: s.est,
-                cost: s.cost,
-                analysis: s.analysis,
-                measured: None,
+            .map(|s| {
+                let Candidate {
+                    schedule,
+                    cluster,
+                    tile,
+                    ..
+                } = s.candidate;
+                let analysis = scan
+                    .analyzer
+                    .materialise(chain, schedule, cluster, tile, &s.terms);
+                let cost = scan.cost_model.evaluate(&analysis);
+                debug_assert_eq!(
+                    cost.est_s.to_bits(),
+                    s.est.to_bits(),
+                    "estimate and evaluate share one pricing core"
+                );
+                RankedPlan {
+                    est_seconds: s.est,
+                    cost,
+                    analysis,
+                    measured: None,
+                }
             })
             .collect();
         stats.analysis_seconds = t0.elapsed().as_secs_f64();
@@ -482,49 +556,64 @@ impl SearchEngine {
 }
 
 impl Scan<'_> {
-    /// Ranks one claimed run of planes into a worker's shard: one bound
-    /// per plane, then analysis and cost for whatever the bound lets
-    /// through.
-    fn rank_shard(&self, k: usize, shard: &mut RankShard, planes: PlaneIter<'_, '_>) {
+    /// Ranks one claimed run of planes into a worker's shard. Per plane:
+    /// the mandatory traffic and the pricing terms, then the bound from
+    /// the two, then the plane-level half of the analysis. Per candidate
+    /// the bound lets through: score, estimate, push. Nothing here
+    /// allocates.
+    fn rank_shard<'a>(&self, k: usize, shard: &mut RankShard<'a>, planes: PlaneIter<'a, '_>) {
         let chain = self.chain;
+        let flops = chain.total_flops();
+        let l2_bytes = self.analyzer.params().l2_bytes();
         for plane in planes {
-            // Priced on the plane's first candidate: the bound does not
-            // read `blk_k` or `blk_l`.
-            let first = plane.tile(plane.tiles_k[0], plane.tiles_l[0]);
-            let lb = self
+            shard.planes += 1;
+            // Priced on the plane's first candidate: neither the traffic
+            // nor the block count reads `blk_k` or `blk_l`.
+            let (first, geometry) = plane.first();
+            let traffic = geometry.mandatory_traffic(chain, plane.cluster, first, l2_bytes);
+            let blocks = geometry.blocks_total(plane.cluster);
+            let pricing = self
                 .cost_model
-                .lower_bound(chain, plane.schedule, plane.cluster, first)
-                .expect("streamed candidates derive a geometry and pass Rule 3");
+                .plane_pricing(flops, blocks, plane.cluster.blocks());
+            let lb = pricing.lower_bound(traffic.hbm_bytes);
             // Admissible: est >= lb, so lb >= worst means no candidate
             // of the plane can enter this shard's top-K (nor, a
             // fortiori, the merged global top-K).
             let loses = |top: &[Scored]| top.len() == k && lb >= top.last().expect("k >= 1").est;
             if loses(&shard.top) {
                 shard.prefiltered += plane.len();
+                shard.planes_skipped += 1;
                 continue;
             }
-            for cand in plane.candidates() {
+            let terms = self.analyzer.plane(
+                chain,
+                plane.schedule,
+                plane.cluster,
+                first,
+                &geometry,
+                traffic,
+            );
+            if terms.infeasible() {
+                shard.planes_skipped += 1;
+                continue;
+            }
+            for (candidate, geometry) in plane.candidates().with_geometry() {
                 // The worst may have tightened since the plane began.
                 if loses(&shard.top) {
                     shard.prefiltered += 1;
                     continue;
                 }
-                let Ok(analysis) =
-                    self.analyzer
-                        .analyze(chain, cand.schedule, cand.cluster, cand.tile)
-                else {
+                let Ok(terms) = terms.score(candidate.tile, geometry) else {
                     continue;
                 };
                 shard.feasible += 1;
-                let cost = self.cost_model.evaluate(&analysis);
                 push_top_k(
                     &mut shard.top,
                     k,
                     Scored {
-                        est: cost.est_s,
-                        seq: cand.seq,
-                        cost,
-                        analysis,
+                        est: self.cost_model.estimate(&pricing, &terms),
+                        candidate,
+                        terms,
                     },
                 );
             }

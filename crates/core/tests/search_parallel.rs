@@ -15,12 +15,17 @@
 //!    `(schedule, cluster, blk_m, blk_n)` plane and skips the plane on
 //!    it, which is sound only while the bound ignores `blk_k` and
 //!    `blk_l`: it must be bit-equal across every plane.
+//! 4. **Score, don't build** — what the scan computes per plane and per
+//!    candidate (geometry off the axes, shared mandatory traffic,
+//!    `score`, `estimate`) is `analyze` + `evaluate` one candidate at a
+//!    time, to the bit, and a plane it drops whole holds nothing
+//!    `analyze` accepts.
 
 use flashfuser_core::profiler::FakeProfiler;
 use flashfuser_core::prune::{Candidate, CandidateStream, PruneConfig};
 use flashfuser_core::{
-    decode_machine, CostModel, DataflowAnalyzer, LoopSchedule, MachineDescriptor, PlanGeometry,
-    SearchConfig, SearchEngine,
+    decode_machine, CostModel, DataflowAnalyzer, LoopSchedule, MachineDescriptor, MemLevel,
+    PlanGeometry, SearchConfig, SearchEngine,
 };
 use flashfuser_graph::ChainSpec;
 use flashfuser_tensor::Activation;
@@ -247,6 +252,115 @@ fn lower_bound_is_bit_equal_across_every_plane() {
                 compared > 1000,
                 "{}: only {compared} in-plane comparisons",
                 chain.dims()
+            );
+        }
+    }
+}
+
+#[test]
+fn plane_then_score_then_estimate_is_analyze_then_evaluate_for_every_candidate() {
+    let all = LoopSchedule::enumerate_all();
+    let tensix = decode_machine(include_str!("../../../machines/tensix_like.json"))
+        .expect("machines/tensix_like.json decodes");
+    // The attention chain exercises the one plane-level rejection the FFN
+    // chains cannot reach.
+    let chains: Vec<ChainSpec> = small_chains()
+        .into_iter()
+        .chain([ChainSpec::attention(128, 256, 64, 64, true)])
+        .collect();
+    for machine in [MachineDescriptor::h100_sxm(), tensix] {
+        let cost_model = CostModel::new(machine.clone());
+        let prune = PruneConfig {
+            max_cluster: machine.max_cluster(),
+            ..PruneConfig::default()
+        };
+        // FlashFuser's configuration and the SMEM-only baselines' (no
+        // inter-cluster reduce: a rejection that precedes every other).
+        for (lowest, reduce) in [(MemLevel::Dsm, true), (MemLevel::Smem, false)] {
+            let analyzer = DataflowAnalyzer::new(machine.clone())
+                .with_lowest_spill(lowest)
+                .with_inter_cluster_reduce(reduce);
+            let (mut feasible, mut dropped_planes) = (0u64, 0u64);
+            for chain in &chains {
+                let at = format!("{} on {}, spill to {lowest}", chain.dims(), machine.name);
+                let stream = CandidateStream::build(chain, &prune, &all);
+                for plane in stream.planes(0, stream.len()) {
+                    let (first, geometry) = plane.first();
+                    let traffic =
+                        geometry.mandatory_traffic(chain, plane.cluster, first, machine.l2_bytes());
+                    let blocks = geometry.blocks_total(plane.cluster);
+                    let pricing = cost_model.plane_pricing(
+                        chain.total_flops(),
+                        blocks,
+                        plane.cluster.blocks(),
+                    );
+                    let terms = analyzer.plane(
+                        chain,
+                        plane.schedule,
+                        plane.cluster,
+                        first,
+                        &geometry,
+                        traffic,
+                    );
+                    let mut accepted = 0u64;
+                    for (c, geometry) in plane.candidates().with_geometry() {
+                        assert_eq!(
+                            Ok(geometry),
+                            PlanGeometry::derive(chain.dims(), c.schedule, c.cluster, c.tile),
+                            "{at}: geometry off the axes, {} {} {}",
+                            c.schedule,
+                            c.cluster,
+                            c.tile
+                        );
+                        assert_eq!(
+                            geometry.mandatory_traffic(
+                                chain,
+                                c.cluster,
+                                c.tile,
+                                machine.l2_bytes()
+                            ),
+                            traffic,
+                            "{at}: the mandatory traffic moved inside the plane of {} {} {}",
+                            c.schedule,
+                            c.cluster,
+                            c.tile
+                        );
+                        let whole = analyzer.analyze(chain, c.schedule, c.cluster, c.tile);
+                        let scored = terms.score(c.tile, geometry);
+                        assert_eq!(
+                            whole.as_deref(),
+                            scored.as_ref(),
+                            "{at}: {} {} {}",
+                            c.schedule,
+                            c.cluster,
+                            c.tile
+                        );
+                        if let (Ok(analysis), Ok(scored)) = (whole, scored) {
+                            assert_eq!(
+                                cost_model.estimate(&pricing, &scored).to_bits(),
+                                cost_model.evaluate(&analysis).est_s.to_bits(),
+                                "{at}: estimate vs evaluate for {}",
+                                analysis.plan().summary()
+                            );
+                            accepted += 1;
+                        }
+                    }
+                    if terms.infeasible() {
+                        assert_eq!(
+                            accepted, 0,
+                            "{at}: a plane of {} {} the scan would drop holds feasible candidates",
+                            plane.schedule, plane.cluster
+                        );
+                        dropped_planes += 1;
+                    }
+                    feasible += accepted;
+                }
+            }
+            assert!(
+                feasible > 1000 && dropped_planes > 100,
+                "{} spill to {lowest}: {feasible} feasible candidates, {dropped_planes} planes \
+                 dropped whole — too few to mean anything",
+                machine.name
             );
         }
     }

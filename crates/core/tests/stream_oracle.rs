@@ -9,13 +9,15 @@
 //! `iter`, `get`, adjacent `range` pieces, adjacent `planes` pieces.
 
 use flashfuser_comm::ClusterShape;
+use flashfuser_core::analyzer::StripKind;
 use flashfuser_core::profiler::FakeProfiler;
 use flashfuser_core::prune::{schedules_after_rule4, Candidate, CandidateStream, PruneConfig};
 use flashfuser_core::{
-    decode_machine, hardware_aware_tiles, BlockTile, LoopSchedule, MachineDescriptor, PlanGeometry,
-    SearchConfig, SearchEngine, SearchError,
+    decode_machine, hardware_aware_tiles, AnalysisError, BlockTile, CostModel, DataflowAnalysis,
+    DataflowAnalyzer, LoopSchedule, MachineDescriptor, MemLevel, PlanGeometry, SearchConfig,
+    SearchEngine, SearchError,
 };
-use flashfuser_graph::{ChainSpec, Dim};
+use flashfuser_graph::{ChainSpec, Dim, StableHasher};
 use flashfuser_tensor::rng::SplitMix64;
 use flashfuser_tensor::Activation;
 
@@ -237,4 +239,116 @@ fn unfittable_dim_gives_an_empty_stream_and_no_feasible_plan() {
             assert_eq!(profiler.calls, 0);
         }
     }
+}
+
+/// Folds one analysis outcome — everything the analyzer decides plus the
+/// cost model's estimate, or the rejection and its payload — into `h`.
+fn fold_outcome(
+    h: &mut StableHasher,
+    outcome: &Result<DataflowAnalysis, AnalysisError>,
+    cost_model: &CostModel,
+) {
+    match outcome {
+        Ok(a) => {
+            h.write_u8(0);
+            for level in MemLevel::ALL {
+                h.write_u64(a.volume(level));
+            }
+            h.write_u8(match a.strip_kind() {
+                StripKind::EStrip => 0,
+                StripKind::CStrip => 1,
+            });
+            for v in [
+                a.strip_footprint(),
+                a.smem_working(),
+                a.dsm_steps(),
+                a.barriers(),
+            ] {
+                h.write_u64(v);
+            }
+            for (role, mapping) in a.plan().mapping.iter() {
+                h.write_u8(*role as u8);
+                h.write_usize(mapping.allocations().len());
+                for &(level, bytes) in mapping.allocations() {
+                    h.write_usize(level.index());
+                    h.write_u64(bytes);
+                }
+            }
+            h.write_f64_bits(cost_model.evaluate(a).est_s);
+        }
+        Err(AnalysisError::Plan(e)) => {
+            h.write_u8(1);
+            h.write_str(&e.to_string());
+        }
+        Err(AnalysisError::KNotInnermost) => h.write_u8(2),
+        Err(AnalysisError::AccumulatorTooLarge {
+            required,
+            available,
+        }) => {
+            h.write_u8(3);
+            h.write_u64(*required);
+            h.write_u64(*available);
+        }
+        Err(AnalysisError::WorkingSetTooLarge {
+            required,
+            available,
+        }) => {
+            h.write_u8(4);
+            h.write_u64(*required);
+            h.write_u64(*available);
+        }
+        Err(AnalysisError::StripDoesNotFit { footprint, lowest }) => {
+            h.write_u8(5);
+            h.write_u64(*footprint);
+            h.write_usize(lowest.index());
+        }
+        Err(AnalysisError::InterClusterReduceUnavailable) => h.write_u8(6),
+        Err(AnalysisError::AttentionNeedsCStrip) => h.write_u8(7),
+    }
+}
+
+/// `analyze` as it stood before it was split into `score` and
+/// `materialise`, pinned: the digests below were computed at the parent
+/// commit over every 97th streamed candidate of the population, the
+/// sample rotating through three analyzer configurations so every
+/// rejection the stream can meet is in it.
+#[test]
+fn analysis_outcomes_match_the_digests_pinned_before_the_score_materialise_split() {
+    const PINNED: [(u64, u64, u64); 3] = [
+        (5509667156356330075, 4413, 4030),
+        (4348610715872942859, 509, 658),
+        (14071557056295779720, 3347, 3834),
+    ];
+    let all = LoopSchedule::enumerate_all();
+    let mut got = Vec::new();
+    for machine in machines() {
+        let config = prune_for(&machine);
+        let cost_model = CostModel::new(machine.clone());
+        let analyzers = [
+            (MemLevel::Dsm, true),
+            (MemLevel::Smem, false),
+            (MemLevel::Global, true),
+        ]
+        .map(|(lowest, reduce)| {
+            DataflowAnalyzer::new(machine.clone())
+                .with_lowest_spill(lowest)
+                .with_inter_cluster_reduce(reduce)
+        });
+        let mut h = StableHasher::new();
+        let (mut accepted, mut rejected) = (0u64, 0u64);
+        for chain in population() {
+            let stream = CandidateStream::build(&chain, &config, &all);
+            for (i, seq) in (0..stream.len()).step_by(97).enumerate() {
+                let c = stream.get(seq).expect("seq < len");
+                let outcome = analyzers[i % 3].analyze(&chain, c.schedule, c.cluster, c.tile);
+                match outcome {
+                    Ok(_) => accepted += 1,
+                    Err(_) => rejected += 1,
+                }
+                fold_outcome(&mut h, &outcome, &cost_model);
+            }
+        }
+        got.push((h.finish(), accepted, rejected));
+    }
+    assert_eq!(got, PINNED, "(digest, accepted, rejected) per machine");
 }

@@ -28,9 +28,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "\nsearch stats: {} geometry-eligible candidates scanned, {} skipped on the bound, {:.2} s analysis",
+        "\nsearch stats: {} geometry-eligible candidates scanned, {} skipped on the bound \
+         ({} planes, {} dropped whole), {:.2} s analysis",
         result.stats().considered,
         result.stats().prefiltered,
+        result.stats().planes,
+        result.stats().planes_skipped,
         result.stats().analysis_seconds
     );
     Ok(())
