@@ -28,7 +28,6 @@
 //! * every whole-graph speedup is ≥ 1 (the per-segment fallback bar).
 
 use flashfuser::prelude::*;
-use flashfuser_bench::quick_mode;
 use flashfuser_core::{decode_machine, MachineDescriptor, MemLevel};
 use flashfuser_graph::OpKind;
 use flashfuser_tensor::KernelKind;
@@ -67,6 +66,12 @@ fn tensix_like() -> MachineDescriptor {
         }
     }
     panic!("machines/tensix_like.json not found from {candidates:?}");
+}
+
+/// `true` when `FLASHFUSER_QUICK=1`: a reduced sweep written to
+/// `BENCH_machine.quick.json` (the verify-gate mode).
+fn quick_mode() -> bool {
+    std::env::var("FLASHFUSER_QUICK").is_ok_and(|v| v == "1")
 }
 
 fn sweep_points(quick: bool) -> Vec<Point> {

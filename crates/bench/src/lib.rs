@@ -1,84 +1,152 @@
-//! Shared helpers for the table/figure report binaries.
+//! The paper reproduction: every table and figure of the evaluation as
+//! rows of one ledger, `REPRO.json` at the repository root.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper and prints the same rows/series the paper reports, in plain
-//! text. Absolute numbers come from the machine model, so only the
-//! *shape* (who wins, by what rough factor, where fusion fails) is
-//! comparable with the paper. The one exception is `bench_machine`,
-//! the machine-descriptor sensitivity sweep. Nothing here times the
-//! program: that is `benchmark/`'s job (see `BENCHMARK.json`).
+//! An artefact (`tab3`, `fig10`, `headline`, ...) is a function that
+//! appends rows `(artefact, metric, paper, here, note)`, every value a
+//! string at the precision its table prints; [`ARTEFACTS`] maps the
+//! names to the functions. `repro` prints every table and rewrites the
+//! ledger, `repro fig10 tab3` prints only those two, and
+//! `tests/ledger.rs` recomputes the ledger and compares it with the
+//! committed file row by row — a model change that moves a number fails
+//! a test naming the row.
+//!
+//! Absolute numbers come from the machine model, so only the *shape*
+//! (who wins, by what rough factor, where fusion fails) is comparable
+//! with the paper. A row with a `paper` value carries a note; the gaps
+//! are explained in DESIGN.md "Where the reproduction differs from the
+//! paper". Nothing here times the program (`benchmark/` does): the
+//! wall-clock rows of Tab. VIII are printed, never recorded. The crate's
+//! other binary, `bench_machine`, is the machine-descriptor sweep.
 
-use flashfuser_baselines::{Baseline, BaselineResult};
-use flashfuser_core::MachineDescriptor;
-use flashfuser_workloads::Workload;
+mod artefacts;
+pub mod baselines;
+pub mod e2e;
+pub mod ffn_share;
+mod microbench;
+mod roofline;
+mod tile_graph;
+mod topology;
 
-/// Runs every system of `suite` on every workload, returning
-/// `results[workload][system]`.
-pub fn run_matrix(workloads: &[Workload], suite: &[Box<dyn Baseline>]) -> Vec<Vec<BaselineResult>> {
-    workloads
+use artefacts::Inputs;
+pub use artefacts::ARTEFACTS;
+
+use flashfuser_core::json::escape;
+
+/// One ledger row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Row {
+    /// Registry name of the artefact (`"fig10"`).
+    pub artefact: &'static str,
+    /// What the value measures, unique within the artefact.
+    pub metric: String,
+    /// The paper's value; empty when the paper reports none.
+    pub paper: String,
+    /// This reproduction's value.
+    pub here: String,
+    /// Why `here` agrees with or differs from `paper`.
+    pub note: String,
+    /// `false` for wall-clock and scan-interleaving diagnostics, which
+    /// are printed but never written to the ledger.
+    pub recorded: bool,
+}
+
+/// The rows the artefacts append.
+#[derive(Default)]
+struct Rows {
+    artefact: &'static str,
+    rows: Vec<Row>,
+}
+
+impl Rows {
+    /// A value the paper does not report.
+    fn here(&mut self, metric: impl Into<String>, here: impl Into<String>) {
+        self.row(metric, "", here, "");
+    }
+
+    /// A value, the paper's counterpart (or `""`) and a note.
+    fn row(&mut self, metric: impl Into<String>, paper: &str, here: impl Into<String>, note: &str) {
+        self.rows.push(Row {
+            artefact: self.artefact,
+            metric: metric.into(),
+            paper: paper.to_string(),
+            here: here.into(),
+            note: note.to_string(),
+            recorded: true,
+        });
+    }
+
+    /// A wall-clock or interleaving-dependent value: printed only.
+    fn timed(&mut self, metric: String, paper: &str, here: String, note: &str) {
+        self.row(metric, paper, here, note);
+        self.rows.last_mut().expect("a row was just added").recorded = false;
+    }
+}
+
+/// A named table or figure and the function computing its rows.
+pub struct Artefact {
+    /// Registry name, as `repro` takes it on the command line.
+    pub name: &'static str,
+    /// The table's heading.
+    pub title: &'static str,
+    rows: fn(&Inputs, &mut Rows),
+}
+
+impl Artefact {
+    const fn new(name: &'static str, title: &'static str, rows: fn(&Inputs, &mut Rows)) -> Self {
+        Artefact { name, title, rows }
+    }
+}
+
+/// Computes the rows of `artefacts` in order; what several of them read
+/// (the baseline suite, the end-to-end reports) is computed once.
+pub fn compute<'a>(artefacts: impl IntoIterator<Item = &'a Artefact>) -> Vec<Row> {
+    let (inputs, mut out) = (Inputs::default(), Rows::default());
+    for artefact in artefacts {
+        out.artefact = artefact.name;
+        (artefact.rows)(&inputs, &mut out);
+    }
+    out.rows
+}
+
+/// The rows of `artefact` as a text table under its title.
+pub fn table(artefact: &Artefact, rows: &[Row]) -> String {
+    let mut out = format!("== {}: {} ==\n", artefact.name, artefact.title);
+    out += &format!("{:<40} {:>12} {:>10}  note\n", "metric", "paper", "here");
+    for r in rows.iter().filter(|r| r.artefact == artefact.name) {
+        let mark = if r.recorded { "" } else { "(not recorded) " };
+        let line = format!(
+            "{:<40} {:>12} {:>10}  {mark}{}",
+            r.metric, r.paper, r.here, r.note
+        );
+        out += line.trim_end();
+        out.push('\n');
+    }
+    out
+}
+
+/// The ledger document: every recorded row, one per line.
+pub fn ledger_json(rows: &[Row]) -> String {
+    let lines: Vec<String> = rows
         .iter()
-        .map(|w| suite.iter().map(|s| s.run(&w.chain)).collect())
-        .collect()
+        .filter(|r| r.recorded)
+        .map(|r| {
+            format!(
+                "    {{\"artefact\": \"{}\", \"metric\": \"{}\", \"paper\": \"{}\", \"here\": \"{}\", \"note\": \"{}\"}}",
+                r.artefact,
+                escape(&r.metric),
+                escape(&r.paper),
+                escape(&r.here),
+                escape(&r.note)
+            )
+        })
+        .collect();
+    format!("{{\n  \"rows\": [\n{}\n  ]\n}}\n", lines.join(",\n"))
 }
 
-/// Prints a speedup table normalised to the `norm_idx`-th system
-/// (PyTorch in the paper's Fig. 10), one row per workload plus a
-/// geometric-mean row.
-pub fn print_speedup_table(
-    title: &str,
-    workloads: &[Workload],
-    systems: &[&str],
-    results: &[Vec<BaselineResult>],
-    norm_idx: usize,
-) {
-    println!("== {title} (speedup vs {}) ==", systems[norm_idx]);
-    print!("{:<6}", "id");
-    for s in systems {
-        print!("{s:>14}");
-    }
-    println!();
-    let mut geo = vec![0.0f64; systems.len()];
-    for (w, row) in workloads.iter().zip(results) {
-        print!("{:<6}", w.id);
-        let norm = row[norm_idx].seconds;
-        for (i, r) in row.iter().enumerate() {
-            let s = norm / r.seconds;
-            geo[i] += s.ln();
-            print!("{s:>14.2}");
-        }
-        println!();
-    }
-    print!("{:<6}", "geo");
-    for g in &geo {
-        print!("{:>14.2}", (g / results.len() as f64).exp());
-    }
-    println!();
-}
-
-/// Geometric mean of an iterator of ratios.
-pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for v in values {
-        sum += v.ln();
-        n += 1;
-    }
-    if n == 0 {
-        return f64::NAN;
-    }
-    (sum / n as f64).exp()
-}
-
-/// The default evaluation machine.
-pub fn h100() -> MachineDescriptor {
-    MachineDescriptor::h100_sxm()
-}
-
-/// `true` when `FLASHFUSER_QUICK=1`: `tab8_search_time` restricts itself
-/// to the smallest chain and `bench_machine` to a reduced sweep written
-/// to `BENCH_machine.quick.json` (the verify-gate mode).
-pub fn quick_mode() -> bool {
-    std::env::var("FLASHFUSER_QUICK").is_ok_and(|v| v == "1")
+/// Geometric mean of an iterator of ratios (NaN when empty).
+fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
+    let logs: Vec<f64> = values.into_iter().map(f64::ln).collect();
+    (logs.iter().sum::<f64>() / logs.len() as f64).exp()
 }
 
 #[cfg(test)]

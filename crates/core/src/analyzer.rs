@@ -11,8 +11,7 @@
 //!    15–23), debiting what the streaming working set already consumes,
 //! 4. charges data-movement volume to every tier: global tile traffic
 //!    (with intra-cluster TMA multicast dedup), strip spill traffic per
-//!    reuse pass, and the `dsm_comm` volumes of
-//!    `flashfuser-comm::volume`.
+//!    reuse pass, and the `dsm_comm` volumes of [`crate::comm::volume`].
 //!
 //! Steps 2–4 are [`DataflowAnalyzer::score`]: closed-form arithmetic over
 //! a handful of integers, returning [`CostTerms`] and touching no heap —
@@ -39,15 +38,13 @@
 //! reuse pass (`trips_l` passes for a C strip, `2*trips_n - 1` for an
 //! accumulated E strip).
 
+use crate::comm::volume::{all_exchange_volume, reduce_scatter_volume, shuffle_volume};
+use crate::comm::{ClusterShape, CommVolume};
 use crate::machine::{MachineDescriptor, MemLevel};
 use crate::mapping::{Placement, ResourceMapping, TensorMapping, TensorRole};
 use crate::plan::{FusedPlan, MandatoryTraffic, PlanError, PlanGeometry};
 use crate::schedule::LoopSchedule;
 use crate::tiling::BlockTile;
-use flashfuser_comm::volume::{
-    all_exchange_volume, reduce_scatter_volume, shuffle_volume, CommVolume,
-};
-use flashfuser_comm::ClusterShape;
 use flashfuser_graph::{ChainSpec, Dim};
 use std::error::Error;
 use std::fmt;
@@ -673,7 +670,6 @@ impl PlaneTerms<'_> {
             barriers += trips_m * trips_l;
         }
         volumes[MemLevel::Dsm.index()] += dsm.dsm_bytes;
-        global += dsm.global_bytes;
 
         // --- SMEM / register volume. ---------------------------------------
         // Everything loaded from global lands in SMEM; DSM transfers read

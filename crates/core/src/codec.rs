@@ -12,13 +12,13 @@
 //! and checked on decode; a mismatch is treated as a cache miss by
 //! callers, never as an error surfaced to users.
 
+use crate::comm::ClusterShape;
 use crate::json::{self, JsonValue};
 use crate::machine::{ComputeParams, MachineDescriptor, MachineError, MemLevel, MemTier};
 use crate::mapping::{ResourceMapping, TensorMapping, TensorRole};
 use crate::plan::{FusedPlan, PlanGeometry};
 use crate::schedule::LoopSchedule;
 use crate::tiling::{BlockTile, MMA_GRANULE};
-use flashfuser_comm::ClusterShape;
 use flashfuser_graph::{ChainSpec, Dim};
 use flashfuser_tensor::Activation;
 use std::fmt;

@@ -13,12 +13,12 @@
 //! hardware instead of trusting rank 1 (Fig. 12).
 
 use crate::analyzer::{CostTerms, DataflowAnalysis};
+use crate::comm::geometry::H100_MAX_CLUSTER;
+use crate::comm::ClusterShape;
 use crate::machine::{MachineDescriptor, MemLevel};
 use crate::plan::PlanGeometry;
 use crate::schedule::LoopSchedule;
 use crate::tiling::BlockTile;
-use flashfuser_comm::geometry::H100_MAX_CLUSTER;
-use flashfuser_comm::ClusterShape;
 use flashfuser_graph::{ChainSpec, Dim};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -333,9 +333,9 @@ impl CostModel {
 mod tests {
     use super::*;
     use crate::analyzer::DataflowAnalyzer;
+    use crate::comm::ClusterShape;
     use crate::schedule::LoopSchedule;
     use crate::tiling::BlockTile;
-    use flashfuser_comm::ClusterShape;
     use flashfuser_graph::{ChainSpec, Dim};
     use flashfuser_tensor::Activation;
 

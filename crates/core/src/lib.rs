@@ -10,7 +10,7 @@
 //! 3. [`analyzer`] runs Algorithm 1 on each surviving candidate: it maps
 //!    the reused intermediate across the register/SMEM/DSM hierarchy
 //!    (greedy spill) and charges data-movement volume to every tier,
-//!    including the `dsm_comm` traffic from `flashfuser-comm` — as plain
+//!    including the `dsm_comm` traffic of [`comm`] — as plain
 //!    integers ([`CostTerms`], `score`); a [`FusedPlan`] is built only
 //!    for finalists (`materialise`).
 //! 4. [`cost`] turns volumes into the minimax bottleneck objective
@@ -39,6 +39,7 @@
 
 pub mod analyzer;
 pub mod codec;
+pub mod comm;
 pub mod cost;
 pub mod json;
 pub mod machine;

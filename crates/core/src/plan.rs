@@ -10,11 +10,11 @@
 //! (temporal iterations) x blk_d (tile)`.
 //! Spatial dims have `trips_d = 1`; temporal dims have `grid_d = 1`.
 
+use crate::comm::ClusterShape;
 use crate::machine::MemLevel;
 use crate::mapping::ResourceMapping;
 use crate::schedule::LoopSchedule;
 use crate::tiling::BlockTile;
-use flashfuser_comm::ClusterShape;
 use flashfuser_graph::{ChainDims, ChainSpec, Dim};
 use std::error::Error;
 use std::fmt;

@@ -21,13 +21,13 @@
 //!   [`DataflowAnalyzer`]'s own `score`, so the count is exact.
 
 use crate::analyzer::DataflowAnalyzer;
+use crate::comm::geometry::CLUSTER_DIM_CHOICES;
+use crate::comm::ClusterShape;
 use crate::machine::{MachineDescriptor, MemLevel};
 use crate::plan::PlanGeometry;
 use crate::schedule::LoopSchedule;
 use crate::space;
 use crate::tiling::{hardware_aware_tiles, BlockTile};
-use flashfuser_comm::geometry::CLUSTER_DIM_CHOICES;
-use flashfuser_comm::ClusterShape;
 use flashfuser_graph::{ChainSpec, Dim};
 use std::fmt;
 

@@ -5,8 +5,8 @@
 //! choices`. For GPT-6.7B (`M=256, N=16384, K=L=4096`) this is
 //! `41 x 625 x 16 x 1024 x 256 x 256 ≈ 2.75 x 10^13`.
 
+use crate::comm::geometry::CLUSTER_DIM_CHOICES;
 use crate::tiling::{count_hardware_aware_tiles, raw_tile_choices};
-use flashfuser_comm::geometry::CLUSTER_DIM_CHOICES;
 use flashfuser_graph::ChainDims;
 
 /// Number of loop schedules (Table IV).

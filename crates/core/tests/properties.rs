@@ -4,7 +4,7 @@
 //! [`SplitMix64`] stream instead of an external property-testing crate,
 //! so the suite builds offline; every case is reproducible bit-for-bit.
 
-use flashfuser_comm::ClusterShape;
+use flashfuser_core::comm::ClusterShape;
 use flashfuser_core::{BlockTile, DataflowAnalyzer, LoopSchedule, MachineDescriptor, MemLevel};
 use flashfuser_graph::{ChainSpec, Dim};
 use flashfuser_tensor::rng::SplitMix64;

@@ -8,8 +8,8 @@
 //! same members, same order, dense `seq` — however it is addressed:
 //! `iter`, `get`, adjacent `range` pieces, adjacent `planes` pieces.
 
-use flashfuser_comm::ClusterShape;
 use flashfuser_core::analyzer::StripKind;
+use flashfuser_core::comm::ClusterShape;
 use flashfuser_core::profiler::FakeProfiler;
 use flashfuser_core::prune::{schedules_after_rule4, Candidate, CandidateStream, PruneConfig};
 use flashfuser_core::{

@@ -8,13 +8,10 @@
 //! * [`ChainSpec`] / [`ChainKind`] — a standard FFN, gated FFN (SwiGLU),
 //!   or convolution block lowered to a GEMM chain via im2col.
 //! * [`OpGraph`] — a small operator DAG used to express and validate the
-//!   chain structure (and to host TASO-style graph substitutions in the
-//!   baselines crate).
+//!   chain structure, and the input of whole-graph compilation.
 //! * [`segment`] — shape inference, unfused per-op pricing, and the
 //!   pattern matcher that recovers typed chains from an arbitrary DAG
 //!   (the front half of whole-graph compilation).
-//! * [`tile_graph`] — expansion of a chain + cluster geometry into the
-//!   per-tile dataflow graph of the paper's Figure 8.
 //! * [`mod@rand_graph`] — seeded random-DAG generation: diverse,
 //!   always-valid graphs for differential fuzzing of the compiler.
 //!
@@ -36,7 +33,6 @@ pub mod fingerprint;
 pub mod op;
 pub mod rand_graph;
 pub mod segment;
-pub mod tile_graph;
 
 pub use chain::{ChainKind, ChainSpec};
 pub use conv::{ConvChainError, ConvChainSpec};
@@ -45,4 +41,3 @@ pub use fingerprint::StableHasher;
 pub use op::{OpGraph, OpKind, OpNode};
 pub use rand_graph::{rand_graph, RandGraphConfig};
 pub use segment::{match_chains, recover_chain_io, ChainIo, ChainMatch, GraphShapeError, OpCost};
-pub use tile_graph::TileGraph;

@@ -1,10 +1,10 @@
 //! A small operator DAG.
 //!
 //! The fusion engine itself consumes the typed [`crate::ChainSpec`], but
-//! the DAG form is what frameworks exchange: it lets the baselines crate
-//! implement TASO-style graph substitution (merging the two parallel
-//! branches of a gated FFN) and lets tests assert structural properties
-//! of the three chain families in Fig. 1.
+//! the DAG form is what frameworks exchange: whole-graph compilation
+//! partitions it into fusible chains ([`crate::segment`]), and tests
+//! assert structural properties of the three chain families in Fig. 1
+//! on it.
 
 use flashfuser_tensor::{Activation, BinaryOp};
 use std::collections::HashMap;

@@ -546,7 +546,7 @@ struct RowCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashfuser_comm::ClusterShape;
+    use flashfuser_core::comm::ClusterShape;
     use flashfuser_core::{BlockTile, DataflowAnalyzer, LoopSchedule, MachineDescriptor};
     use flashfuser_graph::ChainSpec;
     use flashfuser_tensor::Activation;

@@ -324,7 +324,7 @@ fn run_unfused(
 mod tests {
     use super::*;
     use crate::interp::{interpret_graph, seeded_graph_inputs};
-    use flashfuser_comm::ClusterShape;
+    use flashfuser_core::comm::ClusterShape;
     use flashfuser_core::{BlockTile, DataflowAnalyzer, LoopSchedule, MachineDescriptor};
     use flashfuser_graph::{match_chains, ChainSpec, Dim};
     use flashfuser_tensor::Activation;

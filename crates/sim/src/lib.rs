@@ -19,9 +19,8 @@
 //!   variance). The gap between this and the cost model is what makes
 //!   top-K profiling (Fig. 12) meaningful.
 //!
-//! [`microbench`] reproduces the device microbenchmarks of Figs. 4
-//! and 13, and [`unfused`] executes the no-fusion baselines (one kernel
-//! per operator with global-memory round trips).
+//! [`unfused`] executes the no-fusion baselines (one kernel per
+//! operator with global-memory round trips).
 //!
 //! On top of the single-chain machinery, [`interp`] evaluates *any*
 //! shape-inferred operator DAG op by op (the differential-fuzzing
@@ -34,7 +33,6 @@ pub mod counters;
 pub mod exec;
 pub mod graph_exec;
 pub mod interp;
-pub mod microbench;
 pub mod timing;
 pub mod unfused;
 

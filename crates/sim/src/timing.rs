@@ -254,7 +254,7 @@ pub fn cost_model_estimate(params: &MachineDescriptor, analysis: &DataflowAnalys
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashfuser_comm::ClusterShape;
+    use flashfuser_core::comm::ClusterShape;
     use flashfuser_core::{BlockTile, LoopSchedule, SearchConfig, SearchEngine};
     use flashfuser_graph::{ChainSpec, Dim};
     use flashfuser_tensor::Activation;

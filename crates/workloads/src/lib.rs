@@ -1,24 +1,18 @@
-//! The paper's workloads and end-to-end models.
+//! The paper's workloads.
 //!
 //! * [`tables`] — the exact subgraph configurations of Tables V
 //!   (conv chains C1–C8), VI (gated FFNs S1–S8) and VII (GEMM chains
 //!   G1–G10).
 //! * [`models`] — the transformer model zoo (GPT, LLaMA, OPT, BERT,
-//!   Qwen) with layer shapes, used for Table I and the end-to-end
-//!   evaluation; [`ModelSpec::graph`] lowers whole decoder layers into
-//!   operator DAGs for whole-graph compilation.
-//! * [`ffn_share`] — the Table I estimator: fraction of inference time
-//!   spent in FFN layers.
-//! * [`e2e`] — the end-to-end inference timing model behind Figs. 16/17.
-//! * [`roofline`] — arithmetic-intensity analysis for Fig. 16(a).
+//!   Qwen) with layer shapes; [`ModelSpec::graph`] lowers whole decoder
+//!   layers into operator DAGs for whole-graph compilation.
+//!
+//! The timing models the paper's end-to-end figures need (FFN time
+//! share, end-to-end speedup, rooflines) live with the reproduction in
+//! `crates/bench`.
 
-pub mod e2e;
-pub mod ffn_share;
 pub mod models;
-pub mod roofline;
 pub mod tables;
 
-pub use e2e::{e2e_speedup, E2eReport};
-pub use ffn_share::ffn_time_share;
 pub use models::{find_model, large_model_zoo, model_zoo, ModelSpec};
 pub use tables::{all_workloads, conv_chains, gated_ffn_chains, gemm_chains, Workload};

@@ -90,8 +90,8 @@ impl ModelSpec {
     /// * residual adds after both halves.
     ///
     /// Sequence length equals `m` (every resident token attends over
-    /// the whole batch window), matching the closed-form accounting in
-    /// [`crate::e2e`].
+    /// the whole batch window), matching the closed-form accounting the
+    /// end-to-end figures use (`flashfuser_bench::e2e`).
     fn lower_layer(&self, g: &mut OpGraph, x: NodeId, layer: usize, m: usize) -> NodeId {
         let d = self.hidden;
         let l = |part: &str| format!("l{layer}.{part}");

@@ -82,12 +82,11 @@
 //! # }
 //! ```
 //!
-//! The repository layout, modelling decisions and per-experiment index
-//! live in `DESIGN.md`; measured-vs-paper numbers in `EXPERIMENTS.md`.
+//! The repository layout and modelling decisions live in `DESIGN.md`;
+//! the measured-vs-paper numbers of every table and figure in
+//! `REPRO.json`, which `crates/bench`'s `repro` binary regenerates.
 
-pub use flashfuser_baselines as baselines;
 pub use flashfuser_cache as cache;
-pub use flashfuser_comm as comm;
 pub use flashfuser_core as core;
 pub use flashfuser_graph as graph;
 pub use flashfuser_serve as serve;
@@ -125,7 +124,7 @@ pub mod prelude {
         FusedSegment, GraphPlan, GraphValidation, UnfusedSegment,
     };
     pub use flashfuser_cache::{CacheStats, PlanCache, PlanKey};
-    pub use flashfuser_comm::ClusterShape;
+    pub use flashfuser_core::comm::ClusterShape;
     pub use flashfuser_core::{
         BlockTile, DataflowAnalyzer, LoopSchedule, MachineDescriptor, SearchConfig, SearchEngine,
     };
@@ -727,7 +726,7 @@ fn project_record(record: &PlanRecord, chain: &ChainSpec) -> PlanRecord {
 
 /// Kernel efficiency assumed for unfused remainder kernels and the
 /// per-segment fallback bar: tuned-but-unfused, SGLang-class — the same
-/// derate the end-to-end baseline in `flashfuser_workloads::e2e` uses.
+/// derate the end-to-end baseline in `flashfuser_bench::e2e` uses.
 pub const UNFUSED_EFFICIENCY: f64 = 0.92;
 
 /// A fused segment of a [`GraphPlan`].

@@ -5,7 +5,7 @@
 //! instead of an external property-testing crate, so the suite builds
 //! offline; every case is reproducible bit-for-bit.
 
-use flashfuser::comm::ClusterShape;
+use flashfuser::core::comm::ClusterShape;
 use flashfuser::core::{BlockTile, DataflowAnalyzer, LoopSchedule, MachineDescriptor};
 use flashfuser::graph::{ChainSpec, Dim};
 use flashfuser::sim::{execute_fused, TrafficCounters};
