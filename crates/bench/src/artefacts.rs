@@ -11,9 +11,10 @@ use crate::roofline::roofline_point;
 use crate::tile_graph::{TileClass, TileEdgeKind, TileGraph};
 use crate::topology::{DsmPrimitive, Topology};
 use crate::{geomean, Artefact, Rows};
+use flashfuser::Compiler;
 use flashfuser_core::prune::{count_cascade, PruneConfig};
-use flashfuser_core::{LoopSchedule, MachineDescriptor, MemLevel, RankedPlan};
-use flashfuser_core::{SearchConfig, SearchEngine};
+use flashfuser_core::{decode_machine, LoopSchedule, MachineDescriptor, MemLevel, MemTier};
+use flashfuser_core::{RankedPlan, SearchConfig, SearchEngine};
 use flashfuser_graph::{ChainKind, ChainSpec};
 use flashfuser_sim::SimProfiler;
 use flashfuser_tensor::{Activation, BinaryOp};
@@ -50,6 +51,7 @@ pub const ARTEFACTS: &[Artefact] = &[
     Artefact::new("ext_a100", "Extension: H100 vs A100", ext_a100),
     Artefact::new("ext_cluster", "Extension: cluster-size limit", ext_cluster),
     Artefact::new("ext_mesh", "Extension: mesh vs crossbar", ext_mesh),
+    Artefact::new("ext_machine", "Extension: machine descriptors", ext_machine),
 ];
 
 /// What several artefacts read, computed at most once per run and only
@@ -506,5 +508,59 @@ fn ext_mesh(_: &Inputs, out: &mut Rows) {
             let metric = format!("{} group {g} penalty (x)", prim.mnemonic());
             out.row(metric, "", penalty, note);
         }
+    }
+}
+
+/// The committed SRAM-rich non-NVIDIA descriptor.
+const TENSIX_LIKE: &str = include_str!("../../../machines/tensix_like.json");
+
+/// The machines of `ext_machine`, each named after its point: the H100
+/// with its cluster limit, its DSM bandwidth or its SMEM capacity
+/// changed, then three whole targets (the H100, the committed
+/// `machines/tensix_like.json`, the A100).
+pub fn machine_sweep() -> Vec<MachineDescriptor> {
+    let h100 = h100();
+    let mut sweep = vec![];
+    for c in [1usize, 2, 4, 8, 16] {
+        let limited = h100.clone().with_compute(|p| p.max_cluster = c);
+        let limited = limited.expect("cluster limit within num_sms");
+        sweep.push(limited.with_name(format!("h100/cluster<={c}")));
+    }
+    for f in [0.25, 0.5, 1.0, 2.0, 4.0] {
+        let scaled = h100.clone().with_tier(MemLevel::Dsm, |t| t.bandwidth *= f);
+        let scaled = scaled.expect("scaled DSM bandwidth stays valid");
+        sweep.push(scaled.with_name(format!("h100/dsm_bw x{f}")));
+    }
+    for kib in [96u64, 160, 227] {
+        // The H100's DSM window mirrors SMEM; shrink both together.
+        let cap = |t: &mut MemTier| t.capacity_bytes = kib * 1024;
+        let shrunk = h100.clone().with_tier(MemLevel::Smem, cap);
+        let shrunk = shrunk.and_then(|m| m.with_tier(MemLevel::Dsm, cap));
+        let shrunk = shrunk.expect("shrunk SMEM stays valid");
+        sweep.push(shrunk.with_name(format!("h100/smem {kib}KiB")));
+    }
+    let tensix = decode_machine(TENSIX_LIKE).expect("machines/tensix_like.json decodes");
+    sweep.extend([h100, tensix, MachineDescriptor::a100_sxm()]);
+    sweep
+}
+
+fn ext_machine(_: &Inputs, out: &mut Rows) {
+    let chain = ChainSpec::standard_ffn(128, 2048, 512, 512, Activation::Relu);
+    let graph = chain.to_op_graph();
+    out.here("probe", chain.to_string());
+    for machine in machine_sweep() {
+        let name = machine.name.clone();
+        let compiler = Compiler::new(machine);
+        let feasible = if compiler.compile(&chain).is_ok() {
+            "yes"
+        } else {
+            "no"
+        };
+        let plan = compiler
+            .compile_graph(&graph)
+            .expect("the probe graph compiles");
+        out.here(format!("{name} fused us"), fixed(plan.seconds * 1e6, 3));
+        out.here(format!("{name} speedup"), fixed(plan.speedup(), 3));
+        out.here(format!("{name} feasible"), feasible);
     }
 }

@@ -15,8 +15,10 @@
 //! with the paper. A row with a `paper` value carries a note; the gaps
 //! are explained in DESIGN.md "Where the reproduction differs from the
 //! paper". Nothing here times the program (`benchmark/` does): the
-//! wall-clock rows of Tab. VIII are printed, never recorded. The crate's
-//! other binary, `bench_machine`, is the machine-descriptor sweep.
+//! wall-clock rows of Tab. VIII are printed, never recorded.
+//! `ext_machine` records one probe FFN compiled on every machine of
+//! [`machine_sweep`]; `tests/machine_sweep.rs` runs the numeric oracle
+//! on the same machines.
 
 mod artefacts;
 pub mod baselines;
@@ -28,7 +30,7 @@ mod tile_graph;
 mod topology;
 
 use artefacts::Inputs;
-pub use artefacts::ARTEFACTS;
+pub use artefacts::{machine_sweep, ARTEFACTS};
 
 use flashfuser_core::json::escape;
 

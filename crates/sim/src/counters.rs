@@ -39,7 +39,7 @@ impl TrafficCounters {
     }
 
     /// Total bytes recorded at `level`.
-    pub fn bytes(&self, level: MemLevel) -> u64 {
+    fn bytes(&self, level: MemLevel) -> u64 {
         self.bytes.get(&level).copied().unwrap_or(0)
     }
 

@@ -3,9 +3,8 @@
 //! [`execute_fused`](crate::execute_fused) runs one *fused chain*; this
 //! module is the other half of the differential oracle: it evaluates
 //! **any** shape-inferred operator DAG node by node with real `f32`
-//! arithmetic — GEMMs through a selectable
-//! [`MicroKernel`] backend (the naive
-//! reference loop by default), element-wise operators and activations
+//! arithmetic — GEMMs through the naive reference loop
+//! ([`NaiveKernel`]), element-wise operators and activations
 //! through their scalar definitions, transposes as data movement, and
 //! rowwise softmax through the shared
 //! [`rowwise_softmax`](flashfuser_tensor::rowwise_softmax) helper (the
@@ -19,7 +18,7 @@
 
 use flashfuser_graph::op::{NodeId, OpGraph, OpKind};
 use flashfuser_tensor::rng::{derive_seed, seeded_matrix};
-use flashfuser_tensor::{Matrix, MicroKernel, NumericConfig, ShapeError};
+use flashfuser_tensor::{Matrix, MicroKernel, NaiveKernel, ShapeError};
 use std::error::Error;
 use std::fmt;
 
@@ -90,7 +89,7 @@ pub fn seeded_graph_inputs(g: &OpGraph, seed: u64) -> Vec<(NodeId, Matrix)> {
 
 /// Evaluates every node of `g` on the bound `inputs`, returning one
 /// matrix per node in id order (`Output` markers forward their
-/// operand's value).
+/// operand's value). Every GEMM runs the naive oracle kernel.
 ///
 /// # Errors
 ///
@@ -101,26 +100,6 @@ pub fn interpret_graph(
     g: &OpGraph,
     inputs: &[(NodeId, Matrix)],
 ) -> Result<Vec<Matrix>, InterpError> {
-    interpret_graph_with(g, inputs, NumericConfig::naive())
-}
-
-/// [`interpret_graph`] with an explicit numeric backend: every GEMM in
-/// the graph runs through the selected
-/// [`MicroKernel`]. The default
-/// interpreter is the naive-kernel instantiation and stays the oracle;
-/// this variant lets the fuzzer and benchmarks run the same per-op
-/// semantics on the packed blocked kernel.
-///
-/// # Errors
-///
-/// Returns [`InterpError`] under exactly the same conditions as
-/// [`interpret_graph`].
-pub fn interpret_graph_with(
-    g: &OpGraph,
-    inputs: &[(NodeId, Matrix)],
-    numeric: NumericConfig,
-) -> Result<Vec<Matrix>, InterpError> {
-    let kernel = numeric.micro_kernel();
     let mut values: Vec<Option<Matrix>> = Vec::with_capacity(g.len());
     for (id, node) in g.nodes().iter().enumerate() {
         let value = match node.kind {
@@ -139,7 +118,7 @@ pub fn interpret_graph_with(
                 }
                 bound.clone()
             }
-            _ => eval_compute(g, &values, id, kernel)
+            _ => eval_compute(g, &values, id, &NaiveKernel)
                 .map_err(|source| InterpError::Shape { node: id, source })?,
         };
         values.push(Some(value));
@@ -263,22 +242,6 @@ mod tests {
             seeded_graph_inputs(&g, 10)[0].1
         );
         let _ = (a, b);
-    }
-
-    #[test]
-    fn blocked_backend_matches_the_naive_oracle() {
-        let mut g = OpGraph::new();
-        let a = g.add_input("A", 48, 80);
-        let b = g.add_input("B", 80, 64);
-        let mm = g.add_node(OpKind::Matmul, vec![a, b], "mm");
-        let act = g.add_node(OpKind::Activation(Activation::Gelu), vec![mm], "act");
-        g.add_node(OpKind::Output, vec![act], "out");
-        let inputs = seeded_graph_inputs(&g, 21);
-        let naive = interpret_graph(&g, &inputs).unwrap();
-        let blocked = interpret_graph_with(&g, &inputs, NumericConfig::blocked()).unwrap();
-        for (n, bl) in naive.iter().zip(&blocked) {
-            assert!(n.approx_eq(bl, 1e-4).unwrap());
-        }
     }
 
     #[test]

@@ -42,9 +42,8 @@ pub use flashfuser_tensor::{KernelKind, NumericConfig};
 pub use graph_exec::{
     execute_graph, execute_graph_with, ExecSegment, GraphExecError, GraphExecution, SegmentTrace,
 };
-pub use interp::{interpret_graph, interpret_graph_with, seeded_graph_inputs, InterpError};
+pub use interp::{interpret_graph, seeded_graph_inputs, InterpError};
 pub use timing::{KernelMeasurement, SimProfiler, TimingModel};
 pub use unfused::{
-    execute_unfused, execute_unfused_with, unfused_op_time, unfused_time, UnfusedKernelPricer,
-    UnfusedReport,
+    execute_unfused, execute_unfused_with, unfused_time, UnfusedKernelPricer, UnfusedReport,
 };

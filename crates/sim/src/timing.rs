@@ -21,8 +21,8 @@
 //! top-K on-device profiling worthwhile (Fig. 12b).
 
 use flashfuser_core::{
-    CostModel, DataflowAnalysis, DataflowAnalyzer, FusedPlan, MachineDescriptor, MemLevel,
-    PlanProfiler, ProfileOutcome,
+    DataflowAnalysis, DataflowAnalyzer, FusedPlan, MachineDescriptor, MemLevel, PlanProfiler,
+    ProfileOutcome,
 };
 use std::fmt;
 
@@ -43,13 +43,6 @@ pub struct KernelMeasurement {
     pub global_bytes: u64,
     /// DSM bytes moved.
     pub dsm_bytes: u64,
-}
-
-impl KernelMeasurement {
-    /// Achieved TFLOP/s for `flops`.
-    pub fn tflops(&self, flops: u64) -> f64 {
-        flops as f64 / self.seconds / 1e12
-    }
 }
 
 impl fmt::Display for KernelMeasurement {
@@ -91,11 +84,6 @@ impl TimingModel {
     pub fn with_noise(mut self, amplitude: f64) -> Self {
         self.noise_amplitude = amplitude;
         self
-    }
-
-    /// The machine parameters in use.
-    pub fn params(&self) -> &MachineDescriptor {
-        &self.params
     }
 
     /// Times an analyzed fused plan.
@@ -201,11 +189,6 @@ impl SimProfiler {
         }
     }
 
-    /// The inner timing model.
-    pub fn timer(&self) -> &TimingModel {
-        &self.timer
-    }
-
     /// Times `plan`, returning the full measurement.
     pub fn measure(&mut self, plan: &FusedPlan) -> KernelMeasurement {
         self.profiled += 1;
@@ -245,12 +228,6 @@ impl PlanProfiler for SimProfiler {
     }
 }
 
-/// Convenience: the cost model's *analytical* estimate for the same
-/// analysis, for cost-model-validation reports (Fig. 12a).
-pub fn cost_model_estimate(params: &MachineDescriptor, analysis: &DataflowAnalysis) -> f64 {
-    CostModel::new(params.clone()).evaluate(analysis).est_s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,7 +257,7 @@ mod tests {
         let measured = TimingModel::new(params.clone())
             .with_noise(0.0)
             .time_analysis(&a);
-        let est = cost_model_estimate(&params, &a);
+        let est = flashfuser_core::CostModel::new(params).evaluate(&a).est_s;
         assert!(
             measured.seconds >= est,
             "measured {} < est {}",
@@ -358,6 +335,5 @@ mod tests {
         );
         let m = TimingModel::new(MachineDescriptor::h100_sxm()).time_analysis(&a);
         assert!(m.to_string().contains("us"));
-        assert!(m.tflops(chain.total_flops()) > 0.0);
     }
 }

@@ -121,11 +121,11 @@ pub fn execute_unfused_with(
 /// Seconds for one stand-alone kernel with the given FLOP/byte
 /// footprint: bound by `max(compute, traffic / HBM-bandwidth)` at the
 /// derated `efficiency`, plus one launch overhead. This is the
-/// per-kernel model [`unfused_time`] sums over a chain, exposed on its
-/// own so remainder operators of a partitioned graph (element-wise
-/// glue, transposes, attention GEMMs) are priced by exactly the same
-/// rule.
-pub fn unfused_op_time(flops: u64, bytes: u64, params: &MachineDescriptor, efficiency: f64) -> f64 {
+/// per-kernel model [`unfused_time`] sums over a chain, and
+/// [`UnfusedKernelPricer`] prices remainder operators of a partitioned
+/// graph (element-wise glue, transposes, attention GEMMs) with it, so
+/// both follow exactly the same rule.
+fn unfused_op_time(flops: u64, bytes: u64, params: &MachineDescriptor, efficiency: f64) -> f64 {
     assert!(efficiency > 0.0 && efficiency <= 1.0, "efficiency in (0,1]");
     let compute = flops as f64 / (params.peak_flops() * efficiency);
     let memory = bytes as f64 / (params.hbm_bw() * efficiency);
@@ -134,10 +134,10 @@ pub fn unfused_op_time(flops: u64, bytes: u64, params: &MachineDescriptor, effic
 
 /// [`flashfuser_core::UnfusedPricer`] backed by the unfused kernel
 /// model: the hook the graph partitioner uses to price everything the
-/// fusion engine does not cover. Stand-alone operators go through
-/// [`unfused_op_time`]; whole chains through [`unfused_time`] (so the
-/// fallback bar includes the split-K round trips a library GEMM would
-/// really pay).
+/// fusion engine does not cover. Stand-alone operators are priced as
+/// one roofline-bound kernel each; whole chains through
+/// [`unfused_time`] (so the fallback bar includes the split-K round
+/// trips a library GEMM would really pay).
 #[derive(Debug, Clone)]
 pub struct UnfusedKernelPricer {
     params: MachineDescriptor,
@@ -169,7 +169,7 @@ impl flashfuser_core::UnfusedPricer for UnfusedKernelPricer {
 /// reducing them in a second pass. This is precisely the global-memory
 /// round trip that FlashFuser's in-cluster `dsm_all_exchange` replaces,
 /// and the main source of the paper's Fig. 11 traffic gap.
-pub fn split_k_factor(m: usize, r: usize) -> u64 {
+fn split_k_factor(m: usize, r: usize) -> u64 {
     if m <= 256 && r >= 1024 {
         ((r / 512) as u64).clamp(2, 8)
     } else {
@@ -180,7 +180,8 @@ pub fn split_k_factor(m: usize, r: usize) -> u64 {
 /// Times the unfused execution on `params`: each kernel is bound by
 /// `max(compute, traffic / HBM-bandwidth)` plus a launch overhead, and
 /// kernels serialise on the intermediate dependency. Narrow GEMMs pay
-/// split-K partial-sum round trips (see [`split_k_factor`]).
+/// the split-K partial-sum round trips a library GEMM makes to fill
+/// the GPU.
 ///
 /// `efficiency` derates the per-kernel achieved throughput — baseline
 /// policies use it to model the difference between, say, cuBLAS (0.9+)

@@ -106,16 +106,6 @@ impl BinaryOp {
         }
     }
 
-    /// The identity element of the combiner, used to initialise
-    /// accumulation buffers (`0` for Add, `1` for Mul, `-inf` for Max).
-    pub fn identity_value(self) -> f32 {
-        match self {
-            BinaryOp::Add => 0.0,
-            BinaryOp::Mul => 1.0,
-            BinaryOp::Max => f32::NEG_INFINITY,
-        }
-    }
-
     /// Combines two matrices element-wise.
     ///
     /// # Errors
@@ -190,14 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn binary_ops_and_identities() {
+    fn binary_ops_apply_to_scalars() {
         assert_eq!(BinaryOp::Add.apply(2.0, 3.0), 5.0);
         assert_eq!(BinaryOp::Mul.apply(2.0, 3.0), 6.0);
         assert_eq!(BinaryOp::Max.apply(2.0, 3.0), 3.0);
-        for op in [BinaryOp::Add, BinaryOp::Mul, BinaryOp::Max] {
-            let x = 1.2345f32;
-            assert_eq!(op.apply(op.identity_value(), x), x, "{op} identity");
-        }
     }
 
     #[test]

@@ -27,21 +27,6 @@ impl ShapeError {
     pub fn new(op: &'static str, lhs: (usize, usize), rhs: (usize, usize)) -> Self {
         Self { op, lhs, rhs }
     }
-
-    /// The operation that failed (e.g. `"matmul"`).
-    pub fn op(&self) -> &'static str {
-        self.op
-    }
-
-    /// Shape of the left-hand operand.
-    pub fn lhs(&self) -> (usize, usize) {
-        self.lhs
-    }
-
-    /// Shape of the right-hand operand.
-    pub fn rhs(&self) -> (usize, usize) {
-        self.rhs
-    }
 }
 
 impl fmt::Display for ShapeError {
@@ -67,14 +52,6 @@ mod tests {
         assert!(s.contains("matmul"));
         assert!(s.contains("2x3"));
         assert!(s.contains("4x5"));
-    }
-
-    #[test]
-    fn accessors_round_trip() {
-        let e = ShapeError::new("add", (1, 2), (3, 4));
-        assert_eq!(e.op(), "add");
-        assert_eq!(e.lhs(), (1, 2));
-        assert_eq!(e.rhs(), (3, 4));
     }
 
     #[test]

@@ -168,44 +168,23 @@ pub fn conv2d_direct(
     Ok(out)
 }
 
-/// Lowers a convolution to GEMM: `im2col(input) × weightsᵀ`, returning the
-/// `(H*W, OC)` result in the GEMM orientation (M = spatial positions).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] on layout mismatch.
-pub fn conv2d_as_gemm(
-    input: &Matrix,
-    weights: &Matrix,
-    spec: &Conv2dSpec,
-) -> Result<Matrix, ShapeError> {
-    let patches = im2col(input, spec)?;
-    crate::gemm::matmul(&patches, &weights.transpose())
-}
-
-/// [`conv2d_as_gemm`] with an explicit
-/// [`MicroKernel`](crate::kernel::MicroKernel) backend — the
-/// lowered `patches × weightsᵀ` GEMM is exactly the shape the packed
-/// blocked kernel is built for (`H*W` rows, `IC*K*K` deep), so conv
-/// chains reuse the fast path with no conv-specific kernel code.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] on layout mismatch.
-pub fn conv2d_as_gemm_with(
-    kernel: &dyn crate::kernel::MicroKernel,
-    input: &Matrix,
-    weights: &Matrix,
-    spec: &Conv2dSpec,
-) -> Result<Matrix, ShapeError> {
-    let patches = im2col(input, spec)?;
-    crate::gemm::matmul_with(kernel, &patches, &weights.transpose())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::matmul_with;
+    use crate::kernel::KernelKind;
     use crate::rng::seeded_matrix;
+
+    /// The lowered convolution: `im2col(input) × weightsᵀ`, `(H*W, OC)`.
+    fn conv2d_as_gemm(
+        kind: KernelKind,
+        input: &Matrix,
+        weights: &Matrix,
+        s: &Conv2dSpec,
+    ) -> Matrix {
+        let patches = im2col(input, s).unwrap();
+        matmul_with(kind.kernel(), &patches, &weights.transpose()).unwrap()
+    }
 
     fn spec_1x1() -> Conv2dSpec {
         Conv2dSpec::new(3, 4, 5, 2, 1)
@@ -259,7 +238,7 @@ mod tests {
         let input = seeded_matrix(s.in_channels, s.height * s.width, 5);
         let weights = seeded_matrix(s.out_channels, s.gemm_k(), 6);
         let direct = conv2d_direct(&input, &weights, &s).unwrap();
-        let lowered = conv2d_as_gemm(&input, &weights, &s).unwrap();
+        let lowered = conv2d_as_gemm(KernelKind::Naive, &input, &weights, &s);
         // `lowered` is (H*W, OC); direct is (OC, H*W).
         assert!(direct.transpose().approx_eq(&lowered, 1e-5).unwrap());
     }
@@ -270,7 +249,7 @@ mod tests {
         let input = seeded_matrix(s.in_channels, s.height * s.width, 7);
         let weights = seeded_matrix(s.out_channels, s.gemm_k(), 8);
         let direct = conv2d_direct(&input, &weights, &s).unwrap();
-        let lowered = conv2d_as_gemm(&input, &weights, &s).unwrap();
+        let lowered = conv2d_as_gemm(KernelKind::Naive, &input, &weights, &s);
         assert!(direct.transpose().approx_eq(&lowered, 1e-4).unwrap());
     }
 
@@ -281,8 +260,7 @@ mod tests {
         let input = seeded_matrix(s.in_channels, s.height * s.width, 9);
         let weights = seeded_matrix(s.out_channels, s.gemm_k(), 10);
         let direct = conv2d_direct(&input, &weights, &s).unwrap();
-        let kernel = crate::kernel::KernelKind::Blocked.kernel();
-        let lowered = conv2d_as_gemm_with(kernel, &input, &weights, &s).unwrap();
+        let lowered = conv2d_as_gemm(KernelKind::Blocked, &input, &weights, &s);
         assert!(direct.transpose().approx_eq(&lowered, 1e-4).unwrap());
     }
 

@@ -12,7 +12,7 @@
 //!   differential check.
 //! * [`BlockedKernel`] — a cache-blocked, packed GEMM in the BLIS
 //!   style: A and B are repacked into contiguous micro-panels sized
-//!   for L1/L2, and an unrolled [`MR`]×[`NR`] register-blocked
+//!   for L1/L2, and an unrolled `MR`×`NR` (8×32) register-blocked
 //!   micro-tile does the arithmetic. The inner loops are plain safe
 //!   Rust over fixed-size arrays, written so rustc/LLVM autovectorizes
 //!   them — no `unsafe`, no intrinsics.
@@ -28,9 +28,9 @@ use crate::gemm;
 use crate::matrix::Matrix;
 
 /// Rows of the register-blocked micro-tile.
-pub const MR: usize = 8;
+const MR: usize = 8;
 /// Columns of the register-blocked micro-tile.
-pub const NR: usize = 32;
+const NR: usize = 32;
 
 /// Default M-panel height (A block resident in L2).
 const DEFAULT_MC: usize = 256;
@@ -52,7 +52,7 @@ const NAIVE_CUTOFF_FLOPS: u64 = 2 * 32 * 32 * 32;
 /// independent of input values and of the host CPU — so that seeded
 /// experiments reproduce bit-for-bit.
 pub trait MicroKernel: std::fmt::Debug + Send + Sync {
-    /// Stable identifier used in benches, fuzz reports and CLI flags.
+    /// Stable identifier used in fuzz output and CLI flags.
     fn name(&self) -> &'static str;
 
     /// Computes `C += A × B`.
@@ -104,10 +104,11 @@ impl MicroKernel for NaiveKernel {
 ///
 /// The loop nest follows the classic BLIS decomposition: N is split
 /// into `nc`-wide column strips, K into `kc`-deep slabs, M into
-/// `mc`-tall row blocks. Within a block, B is packed into [`NR`]-wide
-/// row panels and A into [`MR`]-tall column panels (both zero-padded
-/// at ragged edges), and an [`MR`]×[`NR`] register-blocked micro-tile
-/// accumulates over the K slab before being added back into `C`.
+/// `mc`-tall row blocks. Within a block, B is packed into `NR`-wide
+/// row panels and A into `MR`-tall column panels (both zero-padded
+/// at ragged edges), and an `MR`×`NR` (8×32) register-blocked
+/// micro-tile accumulates over the K slab before being added back into
+/// `C`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockedKernel {
     mc: usize,
@@ -129,16 +130,6 @@ impl BlockedKernel {
             kc: DEFAULT_KC,
             nc: DEFAULT_NC,
         }
-    }
-
-    /// Custom blocking, for tests that sweep degenerate block shapes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any block extent is zero.
-    pub fn with_blocks(mc: usize, kc: usize, nc: usize) -> Self {
-        assert!(mc > 0 && kc > 0 && nc > 0, "block extents must be positive");
-        Self { mc, kc, nc }
     }
 
     /// The packed loop nest. Shapes must already be validated.
@@ -388,7 +379,7 @@ impl KernelKind {
         }
     }
 
-    /// Parses the CLI/report spelling (`"naive"` / `"blocked"`).
+    /// Parses the CLI spelling (`"naive"` / `"blocked"`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "naive" => Some(KernelKind::Naive),
@@ -410,11 +401,11 @@ impl std::fmt::Display for KernelKind {
 }
 
 /// Deterministic, explicit numeric-backend selection for the
-/// interpreter, the executors and `validate_graph`.
+/// executors and `validate_graph`.
 ///
 /// Selection is a plain enum rather than CPU detection so that fuzz
-/// seeds and committed reports stay reproducible: the same
-/// (seed, config) pair yields the same bits on every run.
+/// seeds stay reproducible: the same (seed, config) pair yields the
+/// same bits on every run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct NumericConfig {
     /// The GEMM backend every matmul on the path uses.
@@ -509,7 +500,7 @@ mod tests {
         let uniform = [1, 2, 3, 4, 5, 8, 16, 64].map(|block| (block, block, block));
         for (mc, kc, nc) in uniform.into_iter().chain([(2, 3, 5), (8, 16, 8)]) {
             let mut c = Matrix::zeros(13, 11);
-            BlockedKernel::with_blocks(mc, kc, nc).gemm_packed(&mut c, &a, &b, None);
+            BlockedKernel { mc, kc, nc }.gemm_packed(&mut c, &a, &b, None);
             assert!(
                 reference.approx_eq(&c, 1e-5).unwrap(),
                 "blocks ({mc},{kc},{nc}) diverged"

@@ -37,7 +37,6 @@ pub mod kernel;
 pub mod matrix;
 pub mod rng;
 pub mod softmax;
-pub mod tile;
 
 pub use activation::{Activation, BinaryOp};
 pub use error::ShapeError;
@@ -45,4 +44,3 @@ pub use im2col::Conv2dSpec;
 pub use kernel::{BlockedKernel, KernelKind, MicroKernel, NaiveKernel, NumericConfig};
 pub use matrix::Matrix;
 pub use softmax::{rowwise_softmax, rowwise_softmax_inplace, softmax_scale};
-pub use tile::TileGrid;

@@ -95,14 +95,6 @@ impl Matrix {
         self.data.is_empty()
     }
 
-    /// Size of the matrix in bytes, assuming the element width used by the
-    /// paper's workloads (`f16`, 2 bytes). The simulator accounts traffic in
-    /// these units so that capacities line up with the paper's 227 KB SMEM
-    /// threshold.
-    pub fn storage_bytes_f16(&self) -> u64 {
-        (self.len() as u64) * 2
-    }
-
     /// Borrows the underlying row-major storage.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
@@ -111,11 +103,6 @@ impl Matrix {
     /// Mutably borrows the underlying row-major storage.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns its row-major storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Borrows row `r` as a slice.
@@ -136,15 +123,6 @@ impl Matrix {
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         assert!(r < self.rows, "row {} out of bounds ({})", r, self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Returns the value at `(r, c)`, or `None` when out of bounds.
-    pub fn get(&self, r: usize, c: usize) -> Option<f32> {
-        if r < self.rows && c < self.cols {
-            Some(self.data[r * self.cols + c])
-        } else {
-            None
-        }
     }
 
     /// Sets the value at `(r, c)`.
@@ -184,28 +162,6 @@ impl Matrix {
                 .copy_from_slice(&self.data[src..src + tile_cols]);
         }
         Ok(t)
-    }
-
-    /// Writes `tile` into this matrix with its top-left corner at
-    /// `(row0, col0)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the tile does not fit.
-    pub fn set_tile(&mut self, row0: usize, col0: usize, tile: &Matrix) -> Result<(), ShapeError> {
-        if row0 + tile.rows > self.rows || col0 + tile.cols > self.cols {
-            return Err(ShapeError::new(
-                "set_tile",
-                (self.rows, self.cols),
-                (row0 + tile.rows, col0 + tile.cols),
-            ));
-        }
-        for r in 0..tile.rows {
-            let dst = (row0 + r) * self.cols + col0;
-            self.data[dst..dst + tile.cols]
-                .copy_from_slice(&tile.data[r * tile.cols..(r + 1) * tile.cols]);
-        }
-        Ok(())
     }
 
     /// Adds `tile` element-wise into the region with top-left `(row0, col0)`.
@@ -303,11 +259,6 @@ impl Matrix {
             let scale = 1.0f32.max(a.abs()).max(b.abs());
             (a - b).abs() <= tol * scale
         }))
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
     fn zip_with(
@@ -417,7 +368,7 @@ mod tests {
         assert_eq!(t[(2, 3)], m[(4, 7)]);
 
         let mut out = Matrix::zeros(6, 8);
-        out.set_tile(2, 4, &t).unwrap();
+        out.add_tile(2, 4, &t).unwrap();
         assert_eq!(out[(3, 5)], m[(3, 5)]);
         assert_eq!(out[(0, 0)], 0.0);
     }
@@ -462,11 +413,6 @@ mod tests {
         let b = a.map(|x| x + 1e-4);
         assert!(a.approx_eq(&b, 1e-5).unwrap());
         assert!(!a.approx_eq(&b, 1e-8).unwrap());
-    }
-
-    #[test]
-    fn storage_bytes_f16_counts_two_bytes_per_element() {
-        assert_eq!(Matrix::zeros(128, 128).storage_bytes_f16(), 32768);
     }
 
     #[test]

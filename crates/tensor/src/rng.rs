@@ -47,12 +47,12 @@ impl SplitMix64 {
     }
 
     /// Uniform `f64` in `[0, 1)` (53 mantissa bits).
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Uniform `f32` in `[lo, hi)`.
-    pub fn next_f32_range(&mut self, lo: f32, hi: f32) -> f32 {
+    fn next_f32_range(&mut self, lo: f32, hi: f32) -> f32 {
         let x = lo + (self.next_f64() as f32) * (hi - lo);
         // f32 rounding can land exactly on the open upper bound.
         if x >= hi {
@@ -100,19 +100,9 @@ impl SplitMix64 {
 /// assert_eq!(a, b); // fully deterministic
 /// ```
 pub fn seeded_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
-    seeded_matrix_range(rows, cols, seed, -1.0, 1.0)
-}
-
-/// Creates a matrix of uniform `[lo, hi)` entries from `seed`.
-///
-/// # Panics
-///
-/// Panics if `lo >= hi`.
-pub fn seeded_matrix_range(rows: usize, cols: usize, seed: u64, lo: f32, hi: f32) -> Matrix {
-    assert!(lo < hi, "empty value range");
     let mut rng = SplitMix64::new(seed);
     let data = (0..rows * cols)
-        .map(|_| rng.next_f32_range(lo, hi))
+        .map(|_| rng.next_f32_range(-1.0, 1.0))
         .collect();
     Matrix::from_vec(rows, cols, data).expect("generated data length matches shape")
 }
@@ -148,8 +138,6 @@ mod tests {
     fn values_in_range() {
         let m = seeded_matrix(32, 32, 9);
         assert!(m.as_slice().iter().all(|&x| (-1.0..1.0).contains(&x)));
-        let m2 = seeded_matrix_range(8, 8, 9, 5.0, 6.0);
-        assert!(m2.as_slice().iter().all(|&x| (5.0..6.0).contains(&x)));
     }
 
     #[test]
@@ -191,11 +179,5 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, a2);
         assert_eq!(a, derive_seed(42, "A"));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty value range")]
-    fn bad_range_panics() {
-        seeded_matrix_range(1, 1, 0, 2.0, 2.0);
     }
 }

@@ -14,5 +14,5 @@
 pub mod models;
 pub mod tables;
 
-pub use models::{find_model, large_model_zoo, model_zoo, ModelSpec};
+pub use models::{find_model, large_model_zoo, model_zoo, unknown_model, ModelSpec};
 pub use tables::{all_workloads, conv_chains, gated_ffn_chains, gemm_chains, Workload};

@@ -179,6 +179,15 @@ pub fn find_model(name: &str) -> Option<ModelSpec> {
         .find(|m| m.name.eq_ignore_ascii_case(name))
 }
 
+/// The error for a `name` [`find_model`] does not know, listing every
+/// model it does — the text of the CLI's usage error and of the
+/// server's 400.
+pub fn unknown_model(name: &str) -> String {
+    let zoo = model_zoo().into_iter().chain(large_model_zoo());
+    let names: Vec<&str> = zoo.map(|m| m.name).collect();
+    format!("unknown model '{name}'; available: {}", names.join(", "))
+}
+
 /// The models of Table I plus the large models of Fig. 16.
 pub fn model_zoo() -> Vec<ModelSpec> {
     vec![

@@ -5,8 +5,8 @@
 //! flashfuser-cli compile --conv <IC> <H> <W> <OC1> <OC2> <K1> <K2>
 //! flashfuser-cli batch [--gated] [--workers N] [--repeat R] <SPEC>...
 //! flashfuser-cli graph <MODEL> <M> [--layers N]
-//! flashfuser-cli fuzz --seeds <N> [--ops K] [--dims D] [--kernel NAME] [--start S] [--tol T]
-//!                     [--attention P] [--report PATH]
+//! flashfuser-cli fuzz --seeds <N> [--ops K] [--dims D] [--kernel NAME] [--start S]
+//!                     [--attention P]
 //! flashfuser-cli serve [--port P] [--workers N] [--queue-depth D] [--preload DIR]
 //! ```
 //!
@@ -26,7 +26,8 @@
 //! shape hit the plan cache after the first search. `fuzz` drives the
 //! differential oracle: seeded random DAGs are compiled, the stitched
 //! plan is executed against a per-op reference interpreter, and any
-//! divergence is reported with the seed that reproduces it. `serve`
+//! divergence is reported with the seed that reproduces it (one line
+//! per seed, counting its fused and fused-attention segments). `serve`
 //! turns the compiler into a long-lived HTTP service: a fixed worker
 //! pool behind a bounded admission queue, one shared plan cache +
 //! single-flight coalescer across all concurrent requests, graceful
@@ -36,6 +37,8 @@
 //! only appear after `graph`).
 
 use flashfuser::prelude::*;
+use flashfuser::workloads::{find_model, unknown_model};
+use flashfuser::DEFAULT_TOLERANCE;
 use std::process::ExitCode;
 
 const HELP: &str = "\
@@ -112,12 +115,10 @@ OPTIONS:
                        'naive' or 'blocked' (default blocked — the
                        reference side always runs the naive oracle, so
                        the default also falsifies the packed kernel)
-    --tol T            Fuzz: comparison tolerance (default 1e-3)
     --attention P      Fuzz: probability in [0, 1] that a generator step
                        emits a Q.K^T -> softmax -> A.V attention motif
-                       (default 0; the report then carries the
-                       'attention_fused' gate for CI)
-    --report PATH      Fuzz: also write the per-seed report as JSON
+                       (default 0; each seed's line counts the attention
+                       windows that fused)
     --port P           Serve: TCP port on 127.0.0.1 (default 8080; 0
                        picks an ephemeral port and prints it)
     --queue-depth D    Serve: admission queue depth before requests are
@@ -139,10 +140,10 @@ EXAMPLES:
     flashfuser-cli graph GPT-2 128 --machine a100_sxm
     flashfuser-cli fuzz --seeds 16
     flashfuser-cli fuzz --seeds 8 --machine machines/tensix_like.json
-    flashfuser-cli fuzz --seeds 64 --ops 16 --report FUZZ_report.json
-    flashfuser-cli fuzz --seeds 8 --dims 512 --kernel blocked --report FUZZ_report.dims512.json
+    flashfuser-cli fuzz --seeds 64 --ops 16
+    flashfuser-cli fuzz --seeds 8 --dims 512 --kernel blocked
     flashfuser-cli fuzz --seeds 16 --kernel naive
-    flashfuser-cli fuzz --seeds 24 --attention 0.5 --report FUZZ_report.quick.json
+    flashfuser-cli fuzz --seeds 24 --attention 0.5
     flashfuser-cli serve --port 8080 --workers 4 --queue-depth 64
     flashfuser-cli serve --port 8080 --cache-dir /tmp/ff-plans --machine a100_sxm
     flashfuser-cli serve --port 8081 --preload /tmp/ff-snapshot
@@ -163,9 +164,7 @@ struct CommonOpts {
     ops: usize,
     dims: usize,
     kernel: KernelKind,
-    tol: f32,
     attention: f64,
-    report: Option<String>,
     port: u16,
     queue_depth: usize,
 }
@@ -191,9 +190,7 @@ fn own_flags(subcommand: &str) -> &'static [&'static str] {
             "--ops",
             "--dims",
             "--kernel",
-            "--tol",
             "--attention",
-            "--report",
         ],
         "serve" => &["--port", "--workers", "--queue-depth", "--preload"],
         _ => &[],
@@ -219,9 +216,7 @@ fn parse_opts(subcommand: &str, args: &[String]) -> Result<(CommonOpts, Vec<Stri
         ops: 12,
         dims: 64,
         kernel: KernelKind::Blocked,
-        tol: flashfuser::DEFAULT_TOLERANCE,
         attention: 0.0,
-        report: None,
         port: 8080,
         queue_depth: 64,
     };
@@ -240,8 +235,8 @@ fn parse_opts(subcommand: &str, args: &[String]) -> Result<(CommonOpts, Vec<Stri
             "--conv" => opts.conv = true,
             "--dry-run" => opts.dry_run = true,
             "--machine" | "--cache-dir" | "--preload" | "--workers" | "--repeat" | "--layers"
-            | "--seeds" | "--start" | "--ops" | "--dims" | "--kernel" | "--tol" | "--attention"
-            | "--report" | "--port" | "--queue-depth" => {
+            | "--seeds" | "--start" | "--ops" | "--dims" | "--kernel" | "--attention"
+            | "--port" | "--queue-depth" => {
                 let flag = args[i].clone();
                 i += 1;
                 let value = args
@@ -251,7 +246,6 @@ fn parse_opts(subcommand: &str, args: &[String]) -> Result<(CommonOpts, Vec<Stri
                     "--machine" => opts.machine = Some(value.clone()),
                     "--cache-dir" => opts.cache_dir = Some(value.clone()),
                     "--preload" => opts.preload = Some(value.clone()),
-                    "--report" => opts.report = Some(value.clone()),
                     "--workers" => {
                         opts.workers = value
                             .parse()
@@ -307,14 +301,6 @@ fn parse_opts(subcommand: &str, args: &[String]) -> Result<(CommonOpts, Vec<Stri
                         opts.kernel = KernelKind::parse(value).ok_or_else(|| {
                             format!("--kernel: '{value}' is not 'naive' or 'blocked'")
                         })?;
-                    }
-                    "--tol" => {
-                        opts.tol = value
-                            .parse()
-                            .map_err(|_| format!("--tol: '{value}' is not a number"))?;
-                        if !opts.tol.is_finite() || opts.tol <= 0.0 {
-                            return Err("--tol must be positive".to_string());
-                        }
                     }
                     "--attention" => {
                         opts.attention = value
@@ -569,11 +555,6 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     }
 }
 
-/// Looks a model up in the zoo (Table I + large models), ignoring case.
-fn find_model(name: &str) -> Option<flashfuser::workloads::ModelSpec> {
-    flashfuser::workloads::find_model(name)
-}
-
 fn cmd_graph(args: &[String]) -> ExitCode {
     let (opts, positional) = match parse_opts("graph", args) {
         Ok(v) => v,
@@ -583,15 +564,7 @@ fn cmd_graph(args: &[String]) -> ExitCode {
         return usage_error("graph needs exactly <MODEL> <M> (a zoo model name and a token count)");
     };
     let Some(model) = find_model(model_name) else {
-        let names: Vec<&str> = flashfuser::workloads::model_zoo()
-            .iter()
-            .chain(&flashfuser::workloads::large_model_zoo())
-            .map(|m| m.name)
-            .collect();
-        return usage_error(&format!(
-            "unknown model '{model_name}'; available: {}",
-            names.join(", ")
-        ));
+        return usage_error(&unknown_model(model_name));
     };
     let m: usize = match m_arg.parse() {
         Ok(m) if m > 0 => m,
@@ -765,18 +738,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One seed's outcome, kept for the optional JSON report.
-struct FuzzOutcome {
-    seed: u64,
-    ops: usize,
-    segments: usize,
-    fused: usize,
-    attention_fused: usize,
-    max_err: f32,
-    passed: bool,
-    error: Option<String>,
-}
-
 fn cmd_fuzz(args: &[String]) -> ExitCode {
     let (opts, positional) = match parse_opts("fuzz", args) {
         Ok(v) => v,
@@ -800,7 +761,7 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     if opts.dry_run {
         println!(
             "dry-run: would fuzz seeds {}..{end} ({} graph(s) of ~{} ops, dims <= {}, {} kernel, tol {:.1e}, attention {:.2}) on {}",
-            opts.start, seeds, opts.ops, opts.dims, opts.kernel, opts.tol, opts.attention, params.name
+            opts.start, seeds, opts.ops, opts.dims, opts.kernel, DEFAULT_TOLERANCE, opts.attention, params.name
         );
         return ExitCode::SUCCESS;
     }
@@ -817,10 +778,10 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     };
     println!(
         "device: {}  seeds: {}..{end}  ops/graph: ~{}  dims: <= {}  kernel: {}  tol: {:.1e}  attention: {:.2}",
-        params.name, opts.start, opts.ops, opts.dims, opts.kernel, opts.tol, opts.attention
+        params.name, opts.start, opts.ops, opts.dims, opts.kernel, DEFAULT_TOLERANCE, opts.attention
     );
     let t0 = std::time::Instant::now();
-    let mut outcomes = Vec::with_capacity(seeds as usize);
+    let mut failures = 0u64;
     for seed in opts.start..end {
         let graph = rand_graph(seed, &config);
         let repro = format!(
@@ -833,9 +794,8 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 .map(|m| format!(" --machine {m}"))
                 .unwrap_or_default()
         );
-        let outcome = match validate_graph_with(&compiler, &graph, seed, opts.tol, numeric) {
+        match validate_graph_with(&compiler, &graph, seed, DEFAULT_TOLERANCE, numeric) {
             Ok(v) => {
-                let passed = v.passed();
                 let attention_fused = v
                     .plan
                     .fused_segments()
@@ -849,9 +809,10 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                     attention_fused,
                     v.max_err
                 );
-                if passed {
+                if v.passed() {
                     println!("{line} .. ok");
                 } else {
+                    failures += 1;
                     println!("{line} .. DIVERGED");
                     for f in v.failures() {
                         println!(
@@ -867,99 +828,24 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                     }
                     println!("    repro: {repro}");
                 }
-                FuzzOutcome {
-                    seed,
-                    ops: graph.len(),
-                    segments: v.segments.len(),
-                    fused: v.fused_count(),
-                    attention_fused,
-                    max_err: v.max_err,
-                    passed,
-                    error: None,
-                }
             }
             Err(e) => {
+                failures += 1;
                 println!("seed {seed:>6}: ERROR {e}");
                 println!("    repro: {repro}");
-                FuzzOutcome {
-                    seed,
-                    ops: graph.len(),
-                    segments: 0,
-                    fused: 0,
-                    attention_fused: 0,
-                    max_err: f32::INFINITY,
-                    passed: false,
-                    error: Some(e.to_string()),
-                }
             }
-        };
-        outcomes.push(outcome);
-    }
-    let failures = outcomes.iter().filter(|o| !o.passed).count();
-    println!(
-        "fuzzed {} graph(s) in {:.2} s: {} passed, {} diverged",
-        outcomes.len(),
-        t0.elapsed().as_secs_f64(),
-        outcomes.len() - failures,
-        failures
-    );
-    if let Some(path) = &opts.report {
-        if let Err(e) = std::fs::write(path, fuzz_report_json(&opts, &outcomes, failures)) {
-            eprintln!("cannot write report '{path}': {e}");
-            return ExitCode::FAILURE;
         }
-        println!("report:  {path}");
     }
+    println!(
+        "fuzzed {seeds} graph(s) in {:.2} s: {} passed, {failures} diverged",
+        t0.elapsed().as_secs_f64(),
+        seeds - failures,
+    );
     if failures > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Renders the per-seed fuzz report as JSON (hand-rolled, like every
-/// other JSON producer in this repository — no external crates).
-fn fuzz_report_json(opts: &CommonOpts, outcomes: &[FuzzOutcome], failures: usize) -> String {
-    // `attention_fused` is the CI gate: true iff at least one seed in
-    // the sweep compiled an attention window down the fused path.
-    let attention_fused = outcomes.iter().any(|o| o.attention_fused > 0);
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"seeds\": {},\n  \"start\": {},\n  \"ops\": {},\n  \"dims\": {},\n  \"kernel\": \"{}\",\n  \"tolerance\": {:e},\n  \"attention_prob\": {:e},\n  \"attention_fused\": {},\n  \"failures\": {},\n  \"results\": [\n",
-        outcomes.len(),
-        opts.start,
-        opts.ops,
-        opts.dims,
-        opts.kernel,
-        opts.tol,
-        opts.attention,
-        attention_fused,
-        failures
-    ));
-    for (i, o) in outcomes.iter().enumerate() {
-        let err = if o.max_err.is_finite() {
-            format!("{:e}", o.max_err)
-        } else {
-            "null".to_string()
-        };
-        out.push_str(&format!(
-            "    {{\"seed\": {}, \"nodes\": {}, \"segments\": {}, \"fused\": {}, \"attention_fused\": {}, \"max_err\": {}, \"passed\": {}{}}}{}\n",
-            o.seed,
-            o.ops,
-            o.segments,
-            o.fused,
-            o.attention_fused,
-            err,
-            o.passed,
-            o.error
-                .as_ref()
-                .map(|e| format!(", \"error\": \"{}\"", flashfuser::core::json::escape(e)))
-                .unwrap_or_default(),
-            if i + 1 < outcomes.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 fn main() -> ExitCode {

@@ -41,7 +41,7 @@
 use crate::serve::http::Request;
 use crate::serve::stats::ServeStats;
 use crate::serve::{Handler, Response, ServeOptions, Server};
-use crate::workloads::{find_model, large_model_zoo, model_zoo, ModelSpec};
+use crate::workloads::{find_model, unknown_model, ModelSpec};
 use crate::{Compiler, GraphPlan};
 use flashfuser_core::codec::{self, CodecError};
 use flashfuser_core::json::{self, JsonErrorKind, JsonValue, ParseLimits};
@@ -548,17 +548,7 @@ fn parse_spec_value(doc: &JsonValue) -> Result<CompileSpec, ApiError> {
                 .get("model")
                 .and_then(JsonValue::as_str)
                 .ok_or_else(|| ApiError::new(400, "graph spec needs a \"model\" name"))?;
-            let model = find_model(name).ok_or_else(|| {
-                let names: Vec<&str> = model_zoo()
-                    .iter()
-                    .chain(&large_model_zoo())
-                    .map(|m| m.name)
-                    .collect();
-                ApiError::new(
-                    400,
-                    format!("unknown model '{name}'; available: {}", names.join(", ")),
-                )
-            })?;
+            let model = find_model(name).ok_or_else(|| ApiError::new(400, unknown_model(name)))?;
             let m = require_usize(graph_v, "m")?;
             if m == 0 || m > MAX_DIM {
                 return Err(ApiError::new(

@@ -323,28 +323,41 @@ fn attention_population_keeps_the_invariants_for_32_seeds() {
     // The coverage and fallback invariants hold with the attention knob
     // on, and the population genuinely exercises the fused-attention
     // path (a knob that generated windows nothing fused would gate
-    // nothing).
+    // nothing). Two populations: 32 ten-op graphs with the naive
+    // kernel, and `fuzz --seeds 16 --attention 0.5`'s default-size
+    // graphs with the packed kernel on the stitched side.
     let compiler = Compiler::new(MachineDescriptor::h100_sxm());
-    let config = RandGraphConfig::new().with_ops(10).with_attention_prob(0.5);
-    let mut attention_fused = 0usize;
-    for seed in 0..32 {
-        let g = rand_graph(seed, &config);
-        let v = flashfuser::validate_graph(&compiler, &g, seed, flashfuser::DEFAULT_TOLERANCE)
-            .unwrap_or_else(|e| panic!("seed {seed}: validation errored: {e}"));
+    let populations = [
+        (32, 10, KernelKind::Naive, 10),
+        (16, RandGraphConfig::new().ops, KernelKind::Blocked, 1),
+    ];
+    for (seeds, ops, kernel, min_attention) in populations {
+        let config = RandGraphConfig::new()
+            .with_ops(ops)
+            .with_attention_prob(0.5);
+        let numeric = NumericConfig { kernel };
+        let mut attention_fused = 0usize;
+        for seed in 0..seeds {
+            let g = rand_graph(seed, &config);
+            let tolerance = flashfuser::DEFAULT_TOLERANCE;
+            let v = flashfuser::validate_graph_with(&compiler, &g, seed, tolerance, numeric)
+                .unwrap_or_else(|e| panic!("{kernel} seed {seed}: validation errored: {e}"));
+            assert!(
+                v.passed(),
+                "{kernel} seed {seed}: diverged: {:?}",
+                v.failures().collect::<Vec<_>>()
+            );
+            assert!(v.plan.speedup() >= 1.0 - 1e-12, "{kernel} seed {seed}");
+            attention_fused += v
+                .plan
+                .fused_segments()
+                .filter(|s| s.chain.kind().is_attention() && !s.fell_back)
+                .count();
+        }
         assert!(
-            v.passed(),
-            "seed {seed}: diverged: {:?}",
-            v.failures().collect::<Vec<_>>()
+            attention_fused >= min_attention,
+            "{kernel}: the population must exercise fused attention \
+             ({attention_fused} windows in {seeds} graphs)"
         );
-        assert!(v.plan.speedup() >= 1.0 - 1e-12, "seed {seed}");
-        attention_fused += v
-            .plan
-            .fused_segments()
-            .filter(|s| s.chain.kind().is_attention() && !s.fell_back)
-            .count();
     }
-    assert!(
-        attention_fused >= 10,
-        "the population must exercise fused attention ({attention_fused} windows in 32 graphs)"
-    );
 }
