@@ -25,14 +25,19 @@
 //! Every tile movement increments [`TrafficCounters`], with TMA
 //! multicast deduplication inside a cluster, so the counters can be
 //! reconciled against the dataflow analyzer's predictions.
+//!
+//! Nothing is copied to be computed on: one arena per execution holds
+//! the intermediates, updated in place, and each tile GEMM streams from
+//! panels packed once — with the bits of the same tile GEMMs run one by
+//! one (DESIGN.md, "Pack once, stream tiles").
 
 use crate::counters::TrafficCounters;
-use flashfuser_core::{FusedPlan, MemLevel, PlanError};
+use flashfuser_core::{BlockTile, FusedPlan, LoopSchedule, MemLevel, PlanError};
 use flashfuser_graph::chain::ChainInputs;
 use flashfuser_graph::Dim;
-use flashfuser_tensor::gemm::matmul_accumulate_with;
 use flashfuser_tensor::{
-    rowwise_softmax_inplace, softmax_scale, Matrix, MicroKernel, NumericConfig, ShapeError,
+    rowwise_softmax_inplace, softmax_scale, BlockedKernel, KernelKind, MatMut, MatRef, Matrix,
+    NumericConfig, Order, ShapeError,
 };
 use std::error::Error;
 use std::fmt;
@@ -40,8 +45,18 @@ use std::fmt;
 /// Functional-execution failure.
 #[derive(Debug)]
 pub enum ExecError {
-    /// Inputs do not match the chain dimensions.
+    /// A per-op kernel's operand shapes do not compose.
     Shape(ShapeError),
+    /// A chain operand (`"A"`, `"B"`, `"B_gate"` or `"D"`) has shape
+    /// `got` where the plan's chain needs `want`.
+    Operand {
+        /// Which operand.
+        name: &'static str,
+        /// Its shape.
+        got: (usize, usize),
+        /// The shape the chain needs.
+        want: (usize, usize),
+    },
     /// A gated chain was executed without its gate weight.
     MissingGateWeight,
     /// An attention plan whose schedule is not the C-strip order with
@@ -59,6 +74,11 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::Shape(e) => write!(f, "{e}"),
+            ExecError::Operand { name, got, want } => write!(
+                f,
+                "operand {name} is {}x{}, the chain needs {}x{}",
+                got.0, got.1, want.0, want.1
+            ),
             ExecError::MissingGateWeight => write!(f, "gated chain executed without gate weight"),
             ExecError::AttentionSchedule => write!(
                 f,
@@ -99,8 +119,7 @@ pub fn execute_fused(
 }
 
 /// [`execute_fused`] with an explicit numeric backend: every per-tile
-/// GEMM accumulation runs through the selected
-/// [`MicroKernel`]. The traffic
+/// GEMM accumulation runs through the selected kernel. The traffic
 /// accounting is identical under every backend — the kernel changes how
 /// a tile's FLOPs are computed, never which tiles move.
 ///
@@ -114,433 +133,479 @@ pub fn execute_fused_with(
     counters: &mut TrafficCounters,
     numeric: NumericConfig,
 ) -> Result<Matrix, ExecError> {
-    plan.check_geometry()?;
-    let dims = plan.chain.dims();
-    if inputs.a.shape() != (dims.m, dims.k)
-        || inputs.b.shape() != (dims.k, dims.n)
-        || inputs.d.shape() != (dims.n, dims.l)
-    {
-        return Err(ExecError::Shape(ShapeError::new(
-            "execute_fused",
-            inputs.a.shape(),
-            (dims.m, dims.k),
-        )));
-    }
-    if plan.chain.kind().is_attention() {
-        let s = &plan.schedule;
-        let c_strip = !s.is_spatial(Dim::N) && !s.is_spatial(Dim::L) && s.is_outer(Dim::L, Dim::N);
-        if !c_strip || plan.geometry.grid(Dim::N) > 1 {
+    let (a, b, b_gate, d) = (&inputs.a, &inputs.b, inputs.b_gate.as_ref(), &inputs.d);
+    Operands { a, b, b_gate, d }.execute(plan, counters, numeric)
+}
+
+/// Fig. 9's dataflow selection, identical to the analyzer's: the C strip
+/// is materialised whole when L is outer of N and neither is spatial.
+fn c_strip_order(s: &LoopSchedule) -> bool {
+    !s.is_spatial(Dim::N) && !s.is_spatial(Dim::L) && s.is_outer(Dim::L, Dim::N)
+}
+
+/// The chain operands of one execution, borrowed from their owner.
+pub(crate) struct Operands<'a> {
+    pub(crate) a: &'a Matrix,
+    pub(crate) b: &'a Matrix,
+    pub(crate) b_gate: Option<&'a Matrix>,
+    pub(crate) d: &'a Matrix,
+}
+
+impl Operands<'_> {
+    /// Checks the plan and every operand against the plan's chain, then
+    /// executes it (see [`execute_fused_with`]).
+    pub(crate) fn execute(
+        mut self,
+        plan: &FusedPlan,
+        counters: &mut TrafficCounters,
+        numeric: NumericConfig,
+    ) -> Result<Matrix, ExecError> {
+        plan.check_geometry()?;
+        let gated = plan.chain.kind().is_gated();
+        if gated && self.b_gate.is_none() {
+            return Err(ExecError::MissingGateWeight);
+        }
+        self.b_gate = self.b_gate.filter(|_| gated);
+        let d = plan.chain.dims();
+        let check = |name, m: &Matrix, want| match m.shape() {
+            got if got == want => Ok(()),
+            got => Err(ExecError::Operand { name, got, want }),
+        };
+        check("A", self.a, (d.m, d.k))?;
+        check("B", self.b, (d.k, d.n))?;
+        self.b_gate
+            .map_or(Ok(()), |g| check("B_gate", g, (d.k, d.n)))?;
+        check("D", self.d, (d.n, d.l))?;
+        let one_strip = c_strip_order(&plan.schedule) && plan.geometry.grid(Dim::N) == 1;
+        if plan.chain.kind().is_attention() && !one_strip {
             return Err(ExecError::AttentionSchedule);
         }
+        counters.kernel_launches += 1;
+        Ok(Exec::new(plan, self, numeric.kernel).run(counters))
     }
-    let gated = plan.chain.kind().is_gated();
-    let b_gate = match (gated, &inputs.b_gate) {
-        (true, Some(g)) => Some(g),
-        (true, None) => return Err(ExecError::MissingGateWeight),
-        (false, _) => None,
-    };
-    counters.kernel_launches += 1;
-
-    let interp = Interp {
-        plan,
-        a: &inputs.a,
-        b: &inputs.b,
-        b_gate,
-        d: &inputs.d,
-        kernel: numeric.micro_kernel(),
-    };
-    interp.run(counters)
 }
 
-/// Internal interpreter state.
-struct Interp<'a> {
+/// One execution: the plan, its operands and extents.
+struct Exec<'a> {
     plan: &'a FusedPlan,
-    a: &'a Matrix,
-    b: &'a Matrix,
-    b_gate: Option<&'a Matrix>,
-    d: &'a Matrix,
-    kernel: &'a dyn MicroKernel,
+    ops: Operands<'a>,
+    t: BlockTile,
+    /// `cls_m, cls_n, cls_k, cls_l, cls_shuffle`.
+    cls: [usize; 5],
+    /// Temporal trips along M, N, K, L.
+    trips: [usize; 4],
+    c_strip: bool,
+    /// E accumulator slots per block (one per l-trip in E-strip order).
+    slots: usize,
+    /// The order each GEMM's tiles sum in.
+    orders: [Order; 2],
+    /// K extent of one GEMM0 call: `t.k`, or a block's whole K slab in
+    /// the naive order, where a sum runs on through C across calls.
+    k_step: usize,
 }
 
-impl Interp<'_> {
-    fn run(&self, counters: &mut TrafficCounters) -> Result<Matrix, ExecError> {
-        let dims = self.plan.chain.dims();
-        let g = &self.plan.geometry;
-        let mut e = Matrix::zeros(dims.m, dims.l);
-        let atomic_store = g.needs_inter_cluster_reduce();
-        for im in 0..g.grid(Dim::M) {
-            for jn in 0..g.grid(Dim::N) {
-                self.run_cluster(im, jn, &mut e, atomic_store, counters)?;
-            }
+/// Every buffer of one execution, allocated once. Packed: A per
+/// `(block row, k-tile)`; the current cluster column's B and gate per
+/// `(k-tile, n-tile)`, D per `(n-tile, l-tile)`; the row's C tiles.
+struct Arena {
+    a: Vec<f32>,
+    b: [Vec<f32>; 2],
+    d: Vec<f32>,
+    c_packed: Vec<f32>,
+    /// One n-trip's K partials, `t.m × t.n` per block, per branch.
+    parts: [Vec<f32>; 2],
+    /// The row's complete C tiles in column order (one n-trip's or, in
+    /// C-strip order, the whole strip's).
+    c: Matrix,
+    /// E accumulators, `t.m × t.l` per `(block, slot)`.
+    e: Vec<f32>,
+    /// One row of a gate or reduce sum.
+    sum: Vec<f32>,
+}
+
+/// Where one cluster block row sits.
+struct Row {
+    m0: usize,
+    /// Weights (B, D) are multicast across the `cls_m` block rows of a
+    /// cluster: only row 0 charges their loads.
+    charge_shared: bool,
+}
+
+/// Sets `dst` to the element-wise sum of `rows`, added in order onto
+/// zeros — the summation order of the exchange and the reduce.
+fn sum_rows<'r>(dst: &mut [f32], rows: impl Iterator<Item = &'r [f32]>) {
+    dst.fill(0.0);
+    for row in rows {
+        for (d, &v) in dst.iter_mut().zip(row) {
+            *d += v;
         }
-        Ok(e)
+    }
+}
+
+/// Packs the `tiles` grid of `h × w` tiles of `m` from tile `at` on,
+/// tile `(i, j)` into equal part `i * tiles.1 + j` of `buf`.
+fn pack_grid(
+    buf: &mut [f32],
+    m: MatRef<'_>,
+    at: (usize, usize),
+    tiles: (usize, usize),
+    (h, w): (usize, usize),
+    pack: fn(&mut [f32], MatRef<'_>),
+) {
+    let len = buf.len() / (tiles.0 * tiles.1);
+    for (i, part) in buf.chunks_exact_mut(len).enumerate() {
+        let (r, c) = (at.0 + i / tiles.1, at.1 + i % tiles.1);
+        pack(part, m.sub(r * h, c * w, h, w));
+    }
+}
+
+/// Tile `index` of a buffer of packed tiles `len` long.
+fn packed(buf: &[f32], index: usize, len: usize) -> &[f32] {
+    &buf[index * len..(index + 1) * len]
+}
+
+impl<'a> Exec<'a> {
+    fn new(plan: &'a FusedPlan, ops: Operands<'a>, kind: KernelKind) -> Self {
+        let (t, c) = (plan.tile, plan.cluster);
+        let (c_strip, tl) = (c_strip_order(&plan.schedule), plan.geometry.trips(Dim::L));
+        let orders = [kind.order(t.m, t.n, t.k), kind.order(t.m, t.l, t.n)];
+        let tk = plan.geometry.trips(Dim::K);
+        Exec {
+            plan,
+            ops,
+            t,
+            cls: [c.m(), c.n(), c.k(), c.l(), c.cls_shuffle()],
+            trips: Dim::ALL.map(|d| plan.geometry.trips(d)),
+            c_strip,
+            slots: if c_strip { 1 } else { tl },
+            orders,
+            k_step: t.k * if orders[0] == Order::Naive { tk } else { 1 },
+        }
     }
 
-    /// Executes one cluster over all its temporal trips.
-    fn run_cluster(
-        &self,
-        im: usize,
-        jn: usize,
-        e: &mut Matrix,
-        atomic_store: bool,
-        counters: &mut TrafficCounters,
-    ) -> Result<(), ExecError> {
-        let plan = self.plan;
-        let g = &plan.geometry;
-        let t = plan.tile;
-        let cls = plan.cluster;
-        let (cm, cn, ck, cl) = (cls.m(), cls.n(), cls.k(), cls.l());
-        let (tm, tn, tk, tl) = (
-            g.trips(Dim::M),
-            g.trips(Dim::N),
-            g.trips(Dim::K),
-            g.trips(Dim::L),
-        );
-        let schedule = &plan.schedule;
-        // Fig. 9 dataflow selection, identical to the analyzer's.
-        let c_strip_order = !schedule.is_spatial(Dim::N)
-            && !schedule.is_spatial(Dim::L)
-            && schedule.is_outer(Dim::L, Dim::N);
-
-        for t_m in 0..tm {
-            for bmi in 0..cm {
-                let m0 = ((im * tm + t_m) * cm + bmi) * t.m;
-                // Weights (B, D) are multicast across the cls_m block
-                // rows of the cluster: only row 0 charges their loads.
-                let charge_shared = bmi == 0;
-                let row = RowCtx {
-                    m0,
-                    jn,
-                    cn,
-                    ck,
-                    cl,
-                    charge_shared,
-                    atomic_store,
+    fn run(&self, counters: &mut TrafficCounters) -> Matrix {
+        let (t, g) = (self.t, &self.plan.geometry);
+        let [cm, cn, ck, cl, _] = self.cls;
+        let [tm, tn, _, tl] = self.trips;
+        let (m_tiles, n_tiles, kd) = (self.ops.a.rows() / t.m, tn * cn, self.k_step);
+        let k_tiles = self.ops.a.cols() / kd;
+        let strip = if self.c_strip { n_tiles } else { cn };
+        let gated = self.ops.b_gate.is_some();
+        let weight = vec![0.0; k_tiles * n_tiles * BlockedKernel::packed_b_len(kd, t.n)];
+        let part = vec![0.0; cn * ck * t.m * t.n];
+        let mut arena = Arena {
+            a: vec![0.0; m_tiles * k_tiles * BlockedKernel::packed_a_len(t.m, kd)],
+            b: [weight.clone(), if gated { weight } else { Vec::new() }],
+            d: vec![0.0; n_tiles * cl * tl * BlockedKernel::packed_b_len(t.n, t.l)],
+            parts: [part.clone(), if gated { part } else { Vec::new() }],
+            c: Matrix::zeros(t.m, strip * t.n),
+            c_packed: vec![0.0; strip * BlockedKernel::packed_a_len(t.m, t.n)],
+            e: vec![0.0; cn * ck * self.slots * t.m * t.l],
+            sum: vec![0.0; t.n.max(t.l)],
+        };
+        let (pack_a, pack_b) = (BlockedKernel::pack_a, BlockedKernel::pack_b);
+        let (a, a_tiles) = (self.ops.a.view(), (m_tiles, k_tiles));
+        pack_grid(&mut arena.a, a, (0, 0), a_tiles, (t.m, kd), pack_a);
+        let mut out = Matrix::zeros(self.ops.a.rows(), self.ops.d.cols());
+        for jn in 0..g.grid(Dim::N) {
+            let weights = [Some(self.ops.b), self.ops.b_gate].into_iter().flatten();
+            for (w, buf) in weights.zip(&mut arena.b) {
+                let at = (0, jn * n_tiles);
+                pack_grid(buf, w.view(), at, (k_tiles, n_tiles), (kd, t.n), pack_b);
+            }
+            let (d, at) = (self.ops.d.view(), (jn * n_tiles, 0));
+            pack_grid(&mut arena.d, d, at, (n_tiles, cl * tl), (t.n, t.l), pack_b);
+            for m_tile in 0..g.grid(Dim::M) * tm * cm {
+                let row = Row {
+                    m0: m_tile * t.m,
+                    charge_shared: m_tile % cm == 0,
                 };
-                if c_strip_order {
-                    self.run_c_strip_row(&row, (tn, tk, tl), e, counters)?;
-                } else {
-                    self.run_e_strip_row(&row, (tn, tk, tl), e, counters)?;
-                }
+                self.run_row(&row, &mut arena, &mut out, counters);
             }
         }
-        Ok(())
+        out
     }
 
-    /// E-strip dataflow (N outer / spatial): accumulate partial E tiles
-    /// across N trips, reduce and store at the end.
-    fn run_e_strip_row(
+    /// One cluster block row. E-strip order (N outer or spatial): each
+    /// n-trip's C tiles update every l-trip's E accumulators, which are
+    /// reduced and stored at the end. C-strip order (L outer): the whole
+    /// C strip is materialised first, then each l-trip re-shuffles it.
+    fn run_row(
         &self,
-        row: &RowCtx,
-        (tn, tk, tl): (usize, usize, usize),
-        e: &mut Matrix,
+        row: &Row,
+        arena: &mut Arena,
+        out: &mut Matrix,
         counters: &mut TrafficCounters,
-    ) -> Result<(), ExecError> {
-        let t = self.plan.tile;
-        // e_acc[block][t_l] — block linear index = bn * ck + bk.
-        let blocks = row.cn * row.ck;
-        let mut e_acc = vec![vec![Matrix::zeros(t.m, t.l); tl]; blocks];
-        for t_n in 0..tn {
-            let complete_c = self.gemm0_phase(row, t_n, tk, counters)?;
-            // GEMM1: each block walks its shuffle group's C tiles (ring),
-            // updating every L-trip accumulator with each received tile.
-            self.gemm1_accumulate(&complete_c, row, t_n, 0, tl, &mut e_acc, counters)?;
+    ) {
+        let [_, tn, _, tl] = self.trips;
+        if !self.c_strip {
+            arena.e.fill(0.0);
+            for t_n in 0..tn {
+                self.gemm0_phase(row, t_n, arena, counters);
+                self.pack_c(arena);
+                self.gemm1_accumulate(row, t_n, 0, tl, arena, counters);
+            }
+            for t_l in 0..tl {
+                self.reduce_and_store(row, t_l, t_l, arena, out, counters);
+            }
+            return;
         }
-        for t_l in 0..tl {
-            let single: Vec<Vec<Matrix>> = e_acc
-                .iter()
-                .map(|per_block| vec![per_block[t_l].clone()])
-                .collect();
-            self.reduce_and_store_single(row, t_l, &single, e, counters)?;
-        }
-        Ok(())
-    }
-
-    /// C-strip dataflow (L outer): materialise the whole C strip first,
-    /// then iterate L trips over it, re-shuffling per (t_l, t_n).
-    fn run_c_strip_row(
-        &self,
-        row: &RowCtx,
-        (tn, tk, tl): (usize, usize, usize),
-        e: &mut Matrix,
-        counters: &mut TrafficCounters,
-    ) -> Result<(), ExecError> {
-        let t = self.plan.tile;
-        let blocks = row.cn * row.ck;
-        // strip[t_n][block] = the block's complete C tile for that trip.
-        let mut strip = Vec::with_capacity(tn);
         for t_n in 0..tn {
-            strip.push(self.gemm0_phase(row, t_n, tk, counters)?);
+            self.gemm0_phase(row, t_n, arena, counters);
         }
         if self.plan.chain.kind().is_attention() {
-            self.softmax_strip(row, &mut strip, counters)?;
+            self.softmax_strip(arena, counters);
         }
+        self.pack_c(arena);
         for t_l in 0..tl {
-            let mut e_acc = vec![vec![Matrix::zeros(t.m, t.l)]; blocks];
-            for (t_n, c_tiles) in strip.iter().enumerate() {
-                self.gemm1_accumulate(c_tiles, row, t_n, t_l, 1, &mut e_acc, counters)?;
+            arena.e.fill(0.0);
+            for t_n in 0..tn {
+                self.gemm1_accumulate(row, t_n, t_l, 1, arena, counters);
             }
-            self.reduce_and_store_single(row, t_l, &e_acc, e, counters)?;
+            self.reduce_and_store(row, t_l, 0, arena, out, counters);
         }
-        Ok(())
     }
 
-    /// Rowwise softmax over the complete C strip of one block-row — the
+    /// Packs the row's complete C tiles for the second GEMM.
+    fn pack_c(&self, arena: &mut Arena) {
+        let (tiles, shape) = ((1, arena.c.cols() / self.t.n), (self.t.m, self.t.n));
+        let (c, pack_a) = (arena.c.view(), BlockedKernel::pack_a);
+        pack_grid(&mut arena.c_packed, c, (0, 0), tiles, shape, pack_a);
+    }
+
+    /// Rowwise softmax over the complete C strip of one block row — the
     /// attention epilogue between the two GEMMs. The strip holds every
-    /// score of each row (the C-strip gate guarantees it), assembled
-    /// here in global column order so the shared
-    /// [`rowwise_softmax_inplace`] helper defines the arithmetic
+    /// score of each row in global column order (`grid(N) == 1`), so the
+    /// shared [`rowwise_softmax_inplace`] helper defines the arithmetic
     /// bit-identically to the per-op oracle. When the strip is split
     /// across `cls_n` column-owner blocks, the row max and row sum are
     /// each combined in an all-exchange round among those blocks —
     /// `2 * cls_n * (cls_n - 1)` messages of `tile.m` f32 stats, priced
     /// in the DSM tier exactly as the analyzer predicts; nothing
     /// touches HBM.
-    fn softmax_strip(
-        &self,
-        row: &RowCtx,
-        strip: &mut [Vec<Matrix>],
-        counters: &mut TrafficCounters,
-    ) -> Result<(), ExecError> {
-        let t = self.plan.tile;
-        let (cn, ck) = (row.cn, row.ck);
-        let tn = strip.len();
+    fn softmax_strip(&self, arena: &mut Arena, counters: &mut TrafficCounters) {
+        let cn = self.cls[1] as u64;
         let scale = softmax_scale(self.plan.chain.softmax_scale_k());
-        // Assemble the block-row's scores in global column order
-        // (grid(N) == 1, so (t_n, bni) enumerates columns 0..N).
-        let mut rows = Matrix::zeros(t.m, tn * cn * t.n);
-        for (t_n, tiles) in strip.iter().enumerate() {
-            for bni in 0..cn {
-                let col0 = (t_n * cn + bni) * t.n;
-                rows.add_tile(0, col0, &tiles[bni * ck])?;
-            }
-        }
-        rowwise_softmax_inplace(&mut rows, scale);
-        for (t_n, tiles) in strip.iter_mut().enumerate() {
-            for bni in 0..cn {
-                let col0 = (t_n * cn + bni) * t.n;
-                let tile = rows.tile(0, col0, t.m, t.n)?;
-                for bki in 0..ck {
-                    tiles[bni * ck + bki] = tile.clone();
-                }
-            }
-        }
+        rowwise_softmax_inplace(&mut arena.c, scale);
         if cn > 1 {
             counters.record_primitive("softmax_stats");
-            counters.add(
-                MemLevel::Dsm,
-                2 * cn as u64 * (cn as u64 - 1) * t.m as u64 * 4,
-            );
+            counters.add(MemLevel::Dsm, 2 * cn * (cn - 1) * self.t.m as u64 * 4);
             counters.barriers += 2;
         }
-        Ok(())
     }
 
-    /// GEMM0 + all_exchange for one `(m-row, n-trip)`: returns the
-    /// complete (activated) C tile held by each block, indexed
-    /// `bn * ck + bk`.
+    /// GEMM0 + all_exchange for one `(block row, n-trip)`: leaves the
+    /// complete (activated) C tile of each block column in the strip.
     fn gemm0_phase(
         &self,
-        row: &RowCtx,
+        row: &Row,
         t_n: usize,
-        tk: usize,
+        arena: &mut Arena,
         counters: &mut TrafficCounters,
-    ) -> Result<Vec<Matrix>, ExecError> {
-        let (m0, jn, cn, ck) = (row.m0, row.jn, row.cn, row.ck);
-        let plan = self.plan;
-        let t = plan.tile;
-        let g = &plan.geometry;
-        let tn = g.trips(Dim::N);
-        let act = plan.chain.kind().activation();
-        let gated = plan.chain.kind().is_gated();
-        let branches: u64 = if gated { 2 } else { 1 };
-
-        // Partial accumulation per block over its contiguous K slab.
-        let mut partial_up = vec![Matrix::zeros(t.m, t.n); cn * ck];
-        let mut partial_gate = if gated {
-            vec![Matrix::zeros(t.m, t.n); cn * ck]
-        } else {
-            vec![]
-        };
-        for bni in 0..cn {
-            let n0 = ((jn * tn + t_n) * cn + bni) * t.n;
-            for bki in 0..ck {
-                let idx = bni * ck + bki;
-                for t_k in 0..tk {
-                    let k0 = (bki * tk + t_k) * t.k;
-                    let a_tile = self.a.tile(m0, k0, t.m, t.k)?;
-                    // TMA multicast: the A tile is shared by all cls_n
-                    // blocks of this (bmi, bki); charge it once (bni==0).
-                    if bni == 0 {
-                        counters.add(MemLevel::Global, t.a_tile_bytes());
-                        counters.add(MemLevel::Smem, t.a_tile_bytes());
-                    }
-                    let b_tile = self.b.tile(k0, n0, t.k, t.n)?;
-                    // B is multicast across the cls_m block rows.
-                    if row.charge_shared {
-                        counters.add(MemLevel::Global, branches * t.b_tile_bytes());
-                        counters.add(MemLevel::Smem, branches * t.b_tile_bytes());
-                    }
-                    matmul_accumulate_with(self.kernel, &mut partial_up[idx], &a_tile, &b_tile)?;
-                    if let Some(bg) = self.b_gate {
-                        let g_tile = bg.tile(k0, n0, t.k, t.n)?;
-                        matmul_accumulate_with(
-                            self.kernel,
-                            &mut partial_gate[idx],
-                            &a_tile,
-                            &g_tile,
-                        )?;
-                    }
-                }
-            }
+    ) {
+        let t = self.t;
+        let [_, cn, ck, _, _] = self.cls;
+        let [_, tn, tk, _] = self.trips;
+        let branches = 1 + usize::from(self.ops.b_gate.is_some());
+        // TMA multicast: an A tile is shared by the cls_n blocks of its
+        // (bm, bk) and a weight tile by the cls_m block rows, so each is
+        // charged once.
+        let a_bytes = (ck * tk) as u64 * t.a_tile_bytes();
+        let b_bytes = (cn * ck * tk * branches) as u64 * t.b_tile_bytes();
+        for bytes in [a_bytes, if row.charge_shared { b_bytes } else { 0 }] {
+            counters.add(MemLevel::Global, bytes);
+            counters.add(MemLevel::Smem, bytes);
         }
-
-        // dsm_all_exchange across the ck partials of each bn column.
-        let mut complete = vec![Matrix::zeros(t.m, t.n); cn * ck];
+        let len = t.m * t.n;
+        let (kd, calls) = (self.k_step, tk * t.k / self.k_step);
+        let a_len = BlockedKernel::packed_a_len(t.m, kd);
+        let b_len = BlockedKernel::packed_b_len(kd, t.n);
+        let a_row = row.m0 / t.m * ck * calls;
         for bni in 0..cn {
-            if ck > 1 {
-                counters.record_primitive(if gated {
-                    "all_exchange.mul"
-                } else {
-                    "all_exchange.add"
-                });
-                counters.barriers += 1;
-            }
-            let mut up_sum = Matrix::zeros(t.m, t.n);
-            let mut gate_sum = Matrix::zeros(t.m, t.n);
-            for bki in 0..ck {
-                let idx = bni * ck + bki;
-                up_sum = up_sum.add(&partial_up[idx])?;
-                if gated {
-                    gate_sum = gate_sum.add(&partial_gate[idx])?;
+            let nt = t_n * cn + bni;
+            for (parts, b) in arena.parts.iter_mut().zip(&arena.b).take(branches) {
+                // Each block's partial over its K slab: its GEMM calls in
+                // order, from zero.
+                let blocks = parts[bni * ck * len..].chunks_exact_mut(len).take(ck);
+                for (bki, part) in blocks.enumerate() {
+                    part.fill(0.0);
+                    for kt in bki * calls..(bki + 1) * calls {
+                        BlockedKernel::new().run_tiles(
+                            MatMut::new(&mut *part, t.m, t.n, t.n),
+                            packed(&arena.a, a_row + kt, a_len),
+                            packed(b, kt * tn * cn + nt, b_len),
+                            kd,
+                            self.orders[0],
+                        );
+                    }
                 }
             }
-            // Each of the ck blocks reads the other ck-1 partials (for
-            // both branches when gated).
-            let remote_reads = (ck as u64) * (ck as u64 - 1);
-            counters.add(MemLevel::Dsm, remote_reads * branches * t.c_tile_bytes());
-            let tile = if gated {
-                act.apply_matrix(&gate_sum).mul_elem(&up_sum)?
+            self.all_exchange(bni, if self.c_strip { t_n } else { 0 }, arena, counters);
+        }
+    }
+
+    /// `dsm_all_exchange` across the `cls_k` partials of block column
+    /// `bni`: sums them (per branch) in block order and writes the
+    /// activated — for gated chains, `act(gate) ⊙ up` — complete C tile
+    /// into strip slot `slot`.
+    fn all_exchange(
+        &self,
+        bni: usize,
+        slot: usize,
+        arena: &mut Arena,
+        counters: &mut TrafficCounters,
+    ) {
+        let t = self.t;
+        let [_, cn, ck, _, _] = self.cls;
+        let gated = self.ops.b_gate.is_some();
+        let act = self.plan.chain.kind().activation();
+        if ck > 1 {
+            counters.record_primitive(if gated {
+                "all_exchange.mul"
             } else {
-                act.apply_matrix(&up_sum)
-            };
-            for bki in 0..ck {
-                complete[bni * ck + bki] = tile.clone();
+                "all_exchange.add"
+            });
+            counters.barriers += 1;
+        }
+        // Each of the ck blocks reads the other ck-1 partials (for both
+        // branches when gated).
+        let remote_reads = (ck * (ck - 1)) as u64 * (1 + u64::from(gated));
+        counters.add(MemLevel::Dsm, remote_reads * t.c_tile_bytes());
+        let len = t.m * t.n;
+        let blocks = bni * ck * len..(bni + 1) * ck * len;
+        let mut strip = arena.c.view_mut();
+        let mut tile = strip.sub_mut(0, (slot * cn + bni) * t.n, t.m, t.n);
+        for i in 0..t.m {
+            let cols = i * t.n..(i + 1) * t.n;
+            let [up_parts, gate_parts] = &arena.parts;
+            let up = tile.row_mut(i);
+            let up_rows = up_parts[blocks.clone()].chunks_exact(len);
+            sum_rows(up, up_rows.map(|p| &p[cols.clone()]));
+            if gated {
+                let gate = &mut arena.sum[..t.n];
+                let gate_rows = gate_parts[blocks.clone()].chunks_exact(len);
+                sum_rows(gate, gate_rows.map(|p| &p[cols.clone()]));
+                for (u, &g) in up.iter_mut().zip(gate.iter()) {
+                    *u *= act.apply(g);
+                }
+            } else {
+                for u in up {
+                    *u = act.apply(*u);
+                }
             }
         }
-        Ok(complete)
     }
 
     /// GEMM1 for one n-trip: ring-shuffle complete C tiles within each
     /// shuffle group and update the accumulators of each block.
     ///
     /// `l_base` is the outer L-trip offset (0 in the E-strip order where
-    /// the inner loop walks all `tl_count` trips; the current `t_l` in
-    /// the C-strip order where `tl_count == 1`).
-    #[allow(clippy::too_many_arguments)]
+    /// the inner loop walks all `tl_count` trips, one accumulator slot
+    /// each; the current `t_l` in the C-strip order where
+    /// `tl_count == 1`).
     fn gemm1_accumulate(
         &self,
-        complete_c: &[Matrix],
-        row: &RowCtx,
+        row: &Row,
         t_n: usize,
         l_base: usize,
         tl_count: usize,
-        e_acc: &mut [Vec<Matrix>],
+        arena: &mut Arena,
         counters: &mut TrafficCounters,
-    ) -> Result<(), ExecError> {
-        let plan = self.plan;
-        let t = plan.tile;
-        let tn = plan.geometry.trips(Dim::N);
-        let (jn, cn, ck, cl) = (row.jn, row.cn, row.ck, row.cl);
-        let cls_shuffle = plan.cluster.cls_shuffle();
+    ) {
+        let t = self.t;
+        let [_, cn, ck, cl, cls_shuffle] = self.cls;
+        let tl = self.trips[3];
+        let slot = if self.c_strip { t_n } else { 0 };
+        let c_len = BlockedKernel::packed_a_len(t.m, t.n);
+        let d_len = BlockedKernel::packed_b_len(t.n, t.l);
+        let e_len = t.m * t.l;
+        // Ring: step 0 is each block's own tile; the rest are remote
+        // reads from peers in its group.
+        let blocks = (cn * ck) as u64;
+        if cls_shuffle > 1 {
+            for _ in 0..blocks {
+                counters.record_primitive("shuffle");
+            }
+            let remote = blocks * (cls_shuffle as u64 - 1);
+            counters.add(MemLevel::Dsm, remote * t.c_tile_bytes());
+            counters.barriers += remote;
+        }
+        // Each (n-slice, column) D tile is consumed by exactly one block
+        // of this row (the q/bki assignment is a bijection), so every
+        // read is a distinct load; dedup across block rows only.
+        if row.charge_shared {
+            let d_bytes = blocks * (cls_shuffle * tl_count) as u64 * t.d_tile_bytes();
+            counters.add(MemLevel::Global, d_bytes);
+            counters.add(MemLevel::Smem, d_bytes);
+        }
         for bni in 0..cn {
             for bki in 0..ck {
                 let idx = bni * ck + bki;
                 let q = bki * cls_shuffle + (bni % cls_shuffle);
                 let group_base = (bni / cls_shuffle) * cls_shuffle;
-                if cls_shuffle > 1 {
-                    counters.record_primitive("shuffle");
-                }
                 for step in 0..cls_shuffle {
-                    // Ring: step 0 is the block's own tile; the rest are
-                    // remote reads from peers in the group.
                     let peer_bn = group_base + (bni % cls_shuffle + step) % cls_shuffle;
-                    let c_tile = &complete_c[peer_bn * ck + bki];
-                    if step > 0 {
-                        counters.add(MemLevel::Dsm, t.c_tile_bytes());
-                        counters.barriers += 1;
-                    }
-                    let n0 = ((jn * tn + t_n) * cn + peer_bn) * t.n;
-                    for (i, acc) in e_acc[idx].iter_mut().enumerate().take(tl_count) {
-                        let l0 = ((l_base + i) * cl + q) * t.l;
-                        let d_tile = self.d.tile(n0, l0, t.n, t.l)?;
-                        // Each (n-slice, column) D tile is consumed by
-                        // exactly one block of this row (the q/bki
-                        // assignment is a bijection), so every read is a
-                        // distinct load; dedup across block rows only.
-                        if row.charge_shared {
-                            counters.add(MemLevel::Global, t.d_tile_bytes());
-                            counters.add(MemLevel::Smem, t.d_tile_bytes());
-                        }
-                        matmul_accumulate_with(self.kernel, acc, c_tile, &d_tile)?;
+                    let (nt, c_tile) = (t_n * cn + peer_bn, slot * cn + peer_bn);
+                    for i in 0..tl_count {
+                        let lt = (l_base + i) * cl + q;
+                        let e = (idx * self.slots + i) * e_len;
+                        BlockedKernel::new().run_tiles(
+                            MatMut::new(&mut arena.e[e..e + e_len], t.m, t.l, t.l),
+                            packed(&arena.c_packed, c_tile, c_len),
+                            packed(&arena.d, nt * cl * tl + lt, d_len),
+                            t.n,
+                            self.orders[1],
+                        );
                     }
                 }
             }
         }
-        Ok(())
     }
 
     /// Reduce-scatter + store for one l-trip: sums the `cls_reduce`
-    /// contributor accumulators of each column and writes the tile.
-    fn reduce_and_store_single(
+    /// contributor accumulators (slot `slot`) of each column in group
+    /// order and adds the sum into the output tile.
+    fn reduce_and_store(
         &self,
-        row: &RowCtx,
+        row: &Row,
         t_l: usize,
-        e_acc: &[Vec<Matrix>],
-        e: &mut Matrix,
+        slot: usize,
+        arena: &mut Arena,
+        out: &mut Matrix,
         counters: &mut TrafficCounters,
-    ) -> Result<(), ExecError> {
-        let t = self.plan.tile;
-        let (m0, cn, ck, cl) = (row.m0, row.cn, row.ck, row.cl);
-        let cls_shuffle = self.plan.cluster.cls_shuffle();
+    ) {
+        let t = self.t;
+        let [_, cn, ck, cl, cls_shuffle] = self.cls;
         let cls_reduce = self.plan.cluster.cls_reduce();
+        debug_assert_eq!(cn / cls_shuffle, cls_reduce, "reduce group size mismatch");
+        let e_len = t.m * t.l;
+        let mut out = out.view_mut();
         for q in 0..cl {
-            let bki = q / cls_shuffle;
-            let r = q % cls_shuffle;
-            let mut tile = Matrix::zeros(t.m, t.l);
-            let mut contributors = 0;
-            for group in 0..(cn / cls_shuffle) {
-                let bni = group * cls_shuffle + r;
-                let idx = bni * ck + bki;
-                tile = tile.add(&e_acc[idx][0])?;
-                contributors += 1;
-            }
-            debug_assert_eq!(contributors, cls_reduce, "reduce group size mismatch");
+            let (bki, r) = (q / cls_shuffle, q % cls_shuffle);
             if cls_reduce > 1 {
                 counters.record_primitive("reduce_scatter");
                 counters.barriers += 1;
                 counters.add(MemLevel::Dsm, (cls_reduce as u64 - 1) * t.e_tile_bytes());
             }
-            let l0 = (t_l * cl + q) * t.l;
             counters.add(MemLevel::Global, t.e_tile_bytes());
-            if row.atomic_store {
+            if self.plan.geometry.needs_inter_cluster_reduce() {
                 counters.record_primitive("inter_cluster_reduce");
             }
-            e.add_tile(m0, l0, &tile)?;
+            let mut dst = out.sub_mut(row.m0, (t_l * cl + q) * t.l, t.m, t.l);
+            for i in 0..t.m {
+                let sum = &mut arena.sum[..t.l];
+                let contributors = (0..cn / cls_shuffle).map(|group| {
+                    let idx = (group * cls_shuffle + r) * ck + bki;
+                    let at = (idx * self.slots + slot) * e_len + i * t.l;
+                    &arena.e[at..at + t.l]
+                });
+                sum_rows(sum, contributors);
+                for (v, &s) in dst.row_mut(i).iter_mut().zip(sum.iter()) {
+                    *v += s;
+                }
+            }
         }
-        Ok(())
     }
-}
-
-/// Loop-invariant context of one cluster block-row execution.
-struct RowCtx {
-    m0: usize,
-    jn: usize,
-    cn: usize,
-    ck: usize,
-    cl: usize,
-    charge_shared: bool,
-    atomic_store: bool,
 }
 
 #[cfg(test)]
@@ -850,6 +915,72 @@ mod tests {
             execute_fused(&plan, &inputs, &mut c),
             Err(ExecError::MissingGateWeight)
         ));
+    }
+
+    #[test]
+    fn every_operand_is_checked_and_named_with_both_shapes() {
+        // Gated 16x64x32x64: A is 16x32, B and B_gate 32x64, D 64x64.
+        let chain = ChainSpec::gated_ffn(16, 64, 32, 64, Activation::Silu);
+        let plan = make_plan(
+            &chain,
+            &[Dim::M],
+            &[Dim::N, Dim::L, Dim::K],
+            ClusterShape::new(1, 2, 2, 2).unwrap(),
+            BlockTile::new(16, 16, 16, 16),
+        );
+        let good = chain.make_inputs(1);
+        let wrong = |f: fn(&mut ChainInputs)| {
+            let mut inputs = good.clone();
+            f(&mut inputs);
+            inputs
+        };
+        let cases = [
+            (
+                wrong(|i| i.a = Matrix::zeros(32, 16)),
+                "A",
+                (32, 16),
+                (16, 32),
+            ),
+            (
+                wrong(|i| i.b = Matrix::zeros(32, 48)),
+                "B",
+                (32, 48),
+                (32, 64),
+            ),
+            // A gate weight larger than the chain's used to pass, its
+            // top-left block silently multiplied.
+            (
+                wrong(|i| i.b_gate = Some(Matrix::zeros(48, 80))),
+                "B_gate",
+                (48, 80),
+                (32, 64),
+            ),
+            (
+                wrong(|i| i.d = Matrix::zeros(64, 32)),
+                "D",
+                (64, 32),
+                (64, 64),
+            ),
+        ];
+        for (inputs, name, got, want) in cases {
+            let err = execute_fused(&plan, &inputs, &mut TrafficCounters::new()).unwrap_err();
+            match &err {
+                ExecError::Operand {
+                    name: n,
+                    got: g,
+                    want: w,
+                } => assert_eq!((*n, *g, *w), (name, got, want)),
+                other => panic!("{name}: expected an operand error, got {other}"),
+            }
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "operand {name} is {}x{}, the chain needs {}x{}",
+                    got.0, got.1, want.0, want.1
+                )
+            );
+        }
+        assert!(execute_fused(&plan, &good, &mut TrafficCounters::new()).is_ok());
     }
 
     #[test]

@@ -18,16 +18,20 @@
 //! structurally ([`recover_chain_io`]) — it trusts the partitioner's
 //! *node sets* but verifies their *shape*, surfacing a typed error
 //! instead of panicking on anything inconsistent.
+//!
+//! No value is copied to be passed on: bound inputs stay borrowed from
+//! the caller (bound by the interpreter's rule, [`crate::interp`]), and
+//! a fused segment reads its chain operands where they were stitched.
 
 use crate::counters::TrafficCounters;
-use crate::exec::{execute_fused_with, ExecError};
-use crate::interp::eval_compute;
+use crate::exec::{ExecError, Operands};
+use crate::interp::{bind_inputs, eval_compute, InterpError, Values};
 use flashfuser_core::{FusedPlan, MemLevel};
-use flashfuser_graph::chain::ChainInputs;
 use flashfuser_graph::op::{NodeId, OpGraph, OpKind};
 use flashfuser_graph::segment::recover_chain_io;
 use flashfuser_graph::GraphShapeError;
 use flashfuser_tensor::{Matrix, NumericConfig};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -63,21 +67,22 @@ pub struct SegmentTrace {
     pub counters: TrafficCounters,
 }
 
-/// The result of [`execute_graph`].
+/// The result of [`execute_graph`], borrowing the bound inputs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GraphExecution {
-    /// Per-node values, indexed by id. Interior nodes of fused segments
-    /// stay `None` — the fused kernel never materialises them, which is
-    /// the point of fusing.
-    pub values: Vec<Option<Matrix>>,
+pub struct GraphExecution<'a> {
+    /// Per-node values, indexed by id: bound inputs borrowed, computed
+    /// values owned. Interior nodes of fused segments stay `None` — the
+    /// fused kernel never materialises them, which is the point of
+    /// fusing.
+    pub values: Vec<Option<Cow<'a, Matrix>>>,
     /// Per-segment execution traces, in plan order.
     pub traces: Vec<SegmentTrace>,
 }
 
-impl GraphExecution {
+impl GraphExecution<'_> {
     /// The value stitched at `node`, if the plan materialised one.
     pub fn value(&self, node: NodeId) -> Option<&Matrix> {
-        self.values.get(node).and_then(|v| v.as_ref())
+        self.values.get(node).and_then(|v| v.as_deref())
     }
 
     /// All segment counters merged.
@@ -95,6 +100,9 @@ impl GraphExecution {
 pub enum GraphExecError {
     /// The graph itself is ill-shaped.
     Shape(GraphShapeError),
+    /// The input bindings break the binding rule the interpreter and
+    /// the executor share (see [`crate::interpret_graph`]).
+    Bind(InterpError),
     /// A segment references a node whose value was never materialised
     /// (the segment list does not cover the graph, or a fused segment
     /// hides a value something else needs).
@@ -129,6 +137,7 @@ impl fmt::Display for GraphExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GraphExecError::Shape(e) => write!(f, "{e}"),
+            GraphExecError::Bind(e) => write!(f, "{e}"),
             GraphExecError::MissingValue { node, segment } => {
                 write!(f, "segment {segment}: node %{node} has no stitched value")
             }
@@ -150,6 +159,7 @@ impl Error for GraphExecError {
         match self {
             GraphExecError::Exec { source, .. } => Some(source),
             GraphExecError::Shape(e) => Some(e),
+            GraphExecError::Bind(e) => Some(e),
             _ => None,
         }
     }
@@ -164,8 +174,9 @@ impl From<GraphShapeError> for GraphExecError {
 /// Executes a partitioned plan over `g`: fused segments tile-by-tile,
 /// unfused segments op-by-op, stitching intermediates across segment
 /// boundaries. `inputs` binds a tensor to every `Input` node (see
-/// [`crate::interp::seeded_graph_inputs`]); `Output` markers forward
-/// their operand's value after all segments ran.
+/// [`crate::interp::seeded_graph_inputs`]) and is borrowed, not copied;
+/// `Output` markers forward their operand's value after all segments
+/// ran.
 ///
 /// Unfused traffic is charged at the same per-op rate the partitioner
 /// prices ([`OpGraph::op_cost`] bytes to global memory, one kernel
@@ -177,11 +188,11 @@ impl From<GraphShapeError> for GraphExecError {
 ///
 /// Returns [`GraphExecError`] when the graph, the segment list, or a
 /// fused plan is inconsistent — never panics on malformed input.
-pub fn execute_graph(
+pub fn execute_graph<'a>(
     g: &OpGraph,
     segments: &[ExecSegment<'_>],
-    inputs: &[(NodeId, Matrix)],
-) -> Result<GraphExecution, GraphExecError> {
+    inputs: &'a [(NodeId, Matrix)],
+) -> Result<GraphExecution<'a>, GraphExecError> {
     execute_graph_with(g, segments, inputs, NumericConfig::naive())
 }
 
@@ -195,19 +206,14 @@ pub fn execute_graph(
 ///
 /// Returns [`GraphExecError`] under exactly the same conditions as
 /// [`execute_graph`].
-pub fn execute_graph_with(
+pub fn execute_graph_with<'a>(
     g: &OpGraph,
     segments: &[ExecSegment<'_>],
-    inputs: &[(NodeId, Matrix)],
+    inputs: &'a [(NodeId, Matrix)],
     numeric: NumericConfig,
-) -> Result<GraphExecution, GraphExecError> {
+) -> Result<GraphExecution<'a>, GraphExecError> {
     let shapes = g.infer_shapes()?;
-    let mut values: Vec<Option<Matrix>> = vec![None; g.len()];
-    for (id, m) in inputs {
-        if *id < values.len() && matches!(g.node(*id).kind, OpKind::Input(..)) {
-            values[*id] = Some(m.clone());
-        }
-    }
+    let mut values = bind_inputs(g, inputs).map_err(GraphExecError::Bind)?;
 
     let mut traces = Vec::with_capacity(segments.len());
     for (idx, segment) in segments.iter().enumerate() {
@@ -236,7 +242,7 @@ pub fn execute_graph_with(
     Ok(GraphExecution { values, traces })
 }
 
-/// Runs one fused segment: recovers the chain I/O roles, gathers the
+/// Runs one fused segment: recovers the chain I/O roles, borrows the
 /// stitched operand values, executes the plan and materialises the
 /// result at the output GEMM's node.
 fn run_fused(
@@ -244,33 +250,32 @@ fn run_fused(
     plan: &FusedPlan,
     nodes: &[NodeId],
     idx: usize,
-    values: &mut [Option<Matrix>],
+    values: &mut Values<'_>,
     numeric: NumericConfig,
 ) -> Result<SegmentTrace, GraphExecError> {
     let &output = nodes
         .last()
         .ok_or(GraphExecError::EmptySegment { segment: idx })?;
     let io = recover_chain_io(g, output).ok_or(GraphExecError::NotAChain { segment: idx })?;
-    let take = |node: NodeId| -> Result<Matrix, GraphExecError> {
+    let take = |node: NodeId| {
         values[node]
-            .clone()
+            .as_deref()
             .ok_or(GraphExecError::MissingValue { node, segment: idx })
     };
-    let chain_inputs = ChainInputs {
+    let operands = Operands {
         a: take(io.input)?,
         b: take(io.b_up)?,
         b_gate: io.b_gate.map(take).transpose()?,
         d: take(io.d)?,
     };
     let mut counters = TrafficCounters::new();
-    let result =
-        execute_fused_with(plan, &chain_inputs, &mut counters, numeric).map_err(|source| {
-            GraphExecError::Exec {
-                segment: idx,
-                source,
-            }
+    let result = operands
+        .execute(plan, &mut counters, numeric)
+        .map_err(|source| GraphExecError::Exec {
+            segment: idx,
+            source,
         })?;
-    values[output] = Some(result);
+    values[output] = Some(Cow::Owned(result));
     Ok(SegmentTrace {
         fused: true,
         nodes: nodes.to_vec(),
@@ -286,7 +291,7 @@ fn run_unfused(
     shapes: &[(usize, usize)],
     nodes: &[NodeId],
     idx: usize,
-    values: &mut [Option<Matrix>],
+    values: &mut Values<'_>,
     numeric: NumericConfig,
 ) -> Result<SegmentTrace, GraphExecError> {
     let &output = nodes
@@ -308,7 +313,7 @@ fn run_unfused(
                 source: ExecError::Shape(source),
             }
         })?;
-        values[id] = Some(value);
+        values[id] = Some(Cow::Owned(value));
         counters.kernel_launches += 1;
         counters.add(MemLevel::Global, g.op_cost(shapes, id).bytes);
     }
@@ -438,6 +443,55 @@ mod tests {
             .sum();
         assert_eq!(exec.traces[0].counters.global_bytes(), expected);
         assert_eq!(exec.traces[0].counters.kernel_launches, 2);
+    }
+
+    #[test]
+    fn oracle_and_executor_bind_inputs_by_one_rule() {
+        // The same binding list used to mean different graphs to the two
+        // paths (first vs last duplicate wins, stray ids and wrong shapes
+        // dropped or unchecked); now both refuse it with the same error.
+        let chain = ChainSpec::standard_ffn(16, 64, 32, 32, Activation::Relu);
+        let g = chain.to_op_graph();
+        let m = &match_chains(&g).unwrap()[0];
+        let plan = compile_chain(&chain);
+        let segments = [ExecSegment::Fused {
+            plan: &plan,
+            nodes: &m.nodes,
+        }];
+        let good = seeded_graph_inputs(&g, 3);
+        let with = |extra: (NodeId, Matrix)| {
+            let mut inputs = good.clone();
+            inputs.push(extra);
+            inputs
+        };
+        let duplicate = with((0, Matrix::zeros(16, 32)));
+        let not_an_input = with((m.nodes[0], Matrix::zeros(16, 64)));
+        let mut wrong_shape = good.clone();
+        wrong_shape[0].1 = Matrix::zeros(32, 16);
+        for (inputs, want) in [
+            (duplicate, "node %0: input bound twice"),
+            (not_an_input, "bound, but not an input"),
+            (
+                wrong_shape,
+                "node %0: bound tensor is 32x16, node declares 16x32",
+            ),
+        ] {
+            let oracle = interpret_graph(&g, &inputs).unwrap_err();
+            let executor = execute_graph(&g, &segments, &inputs).unwrap_err();
+            assert!(oracle.to_string().contains(want), "{oracle}");
+            assert!(
+                matches!(&executor, GraphExecError::Bind(e) if e.to_string() == oracle.to_string()),
+                "{executor}"
+            );
+        }
+        assert!(matches!(
+            interpret_graph(&g, &good[1..]),
+            Err(InterpError::MissingInput(0))
+        ));
+        assert!(matches!(
+            execute_graph(&g, &segments, &good[1..]),
+            Err(GraphExecError::Bind(InterpError::MissingInput(0)))
+        ));
     }
 
     #[test]

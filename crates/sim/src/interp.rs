@@ -19,14 +19,23 @@
 use flashfuser_graph::op::{NodeId, OpGraph, OpKind};
 use flashfuser_tensor::rng::{derive_seed, seeded_matrix};
 use flashfuser_tensor::{Matrix, MicroKernel, NaiveKernel, ShapeError};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
+
+/// Per-node values indexed by id: bound inputs borrowed from the
+/// caller, computed values owned.
+pub(crate) type Values<'a> = Vec<Option<Cow<'a, Matrix>>>;
 
 /// Why the interpreter rejected a graph.
 #[derive(Debug)]
 pub enum InterpError {
     /// An `Input` node has no bound tensor.
     MissingInput(NodeId),
+    /// Two tensors are bound to the same `Input` node.
+    DuplicateInput(NodeId),
+    /// A tensor is bound to an id that is not an `Input` node.
+    NotAnInput(NodeId),
     /// A bound input tensor disagrees with the node's declared shape.
     InputShape {
         /// The offending input node.
@@ -50,6 +59,8 @@ impl fmt::Display for InterpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             InterpError::MissingInput(node) => write!(f, "node %{node}: no input tensor bound"),
+            InterpError::DuplicateInput(node) => write!(f, "node %{node}: input bound twice"),
+            InterpError::NotAnInput(node) => write!(f, "node %{node}: bound, but not an input"),
             InterpError::InputShape { node, got, want } => write!(
                 f,
                 "node %{node}: bound tensor is {}x{}, node declares {}x{}",
@@ -87,45 +98,59 @@ pub fn seeded_graph_inputs(g: &OpGraph, seed: u64) -> Vec<(NodeId, Matrix)> {
         .collect()
 }
 
-/// Evaluates every node of `g` on the bound `inputs`, returning one
-/// matrix per node in id order (`Output` markers forward their
-/// operand's value). Every GEMM runs the naive oracle kernel.
+/// Borrows `inputs` as the values of `g`'s `Input` nodes by the binding
+/// rule [`interpret_graph`] documents — shared with
+/// [`crate::execute_graph`], so one binding list cannot mean two graphs.
+pub(crate) fn bind_inputs<'a>(
+    g: &OpGraph,
+    inputs: &'a [(NodeId, Matrix)],
+) -> Result<Values<'a>, InterpError> {
+    let mut values: Values<'a> = vec![None; g.len()];
+    for (node, m) in inputs {
+        let (node, got) = (*node, m.shape());
+        let Some(&OpKind::Input(rows, cols)) = g.nodes().get(node).map(|n| &n.kind) else {
+            return Err(InterpError::NotAnInput(node));
+        };
+        if values[node].replace(Cow::Borrowed(m)).is_some() {
+            return Err(InterpError::DuplicateInput(node));
+        }
+        let want = (rows, cols);
+        if got != want {
+            return Err(InterpError::InputShape { node, got, want });
+        }
+    }
+    let is_input = |id: NodeId| matches!(g.node(id).kind, OpKind::Input(..));
+    match (0..g.len()).find(|&id| is_input(id) && values[id].is_none()) {
+        Some(id) => Err(InterpError::MissingInput(id)),
+        None => Ok(values),
+    }
+}
+
+/// Evaluates every node of `g` on the bound `inputs` — exactly one
+/// tensor of the declared shape per `Input` node, none for any other
+/// node — returning one matrix per node in id order (`Output` markers
+/// forward their operand's value). Every GEMM runs the naive oracle
+/// kernel.
 ///
 /// # Errors
 ///
-/// Returns [`InterpError`] when an `Input` node has no bound tensor,
-/// a bound tensor has the wrong shape, or operand shapes do not
-/// compose.
+/// Returns [`InterpError`] when the bindings break that rule or operand
+/// shapes do not compose.
 pub fn interpret_graph(
     g: &OpGraph,
     inputs: &[(NodeId, Matrix)],
 ) -> Result<Vec<Matrix>, InterpError> {
-    let mut values: Vec<Option<Matrix>> = Vec::with_capacity(g.len());
-    for (id, node) in g.nodes().iter().enumerate() {
-        let value = match node.kind {
-            OpKind::Input(rows, cols) => {
-                let bound = inputs
-                    .iter()
-                    .find(|(i, _)| *i == id)
-                    .map(|(_, m)| m)
-                    .ok_or(InterpError::MissingInput(id))?;
-                if bound.shape() != (rows, cols) {
-                    return Err(InterpError::InputShape {
-                        node: id,
-                        got: bound.shape(),
-                        want: (rows, cols),
-                    });
-                }
-                bound.clone()
-            }
-            _ => eval_compute(g, &values, id, &NaiveKernel)
-                .map_err(|source| InterpError::Shape { node: id, source })?,
-        };
-        values.push(Some(value));
+    let mut values = bind_inputs(g, inputs)?;
+    for id in 0..g.len() {
+        if values[id].is_none() {
+            let value = eval_compute(g, &values, id, &NaiveKernel)
+                .map_err(|source| InterpError::Shape { node: id, source })?;
+            values[id] = Some(Cow::Owned(value));
+        }
     }
     Ok(values
         .into_iter()
-        .map(|v| v.expect("every node evaluated"))
+        .map(|v| v.expect("every node evaluated").into_owned())
         .collect())
 }
 
@@ -146,14 +171,14 @@ pub fn interpret_graph(
 /// before evaluating.
 pub(crate) fn eval_compute(
     g: &OpGraph,
-    values: &[Option<Matrix>],
+    values: &[Option<Cow<'_, Matrix>>],
     id: NodeId,
     kernel: &dyn MicroKernel,
 ) -> Result<Matrix, ShapeError> {
     let node = g.node(id);
     let arg = |i: usize| {
         values[node.inputs[i]]
-            .as_ref()
+            .as_deref()
             .expect("operand materialised before evaluation")
     };
     match node.kind {

@@ -93,20 +93,6 @@ pub fn matmul_accumulate(c: &mut Matrix, a: &Matrix, b: &Matrix) -> Result<(), S
     Ok(())
 }
 
-/// Computes `C += A × B` with the selected [`MicroKernel`] backend.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if shapes are incompatible.
-pub fn matmul_accumulate_with(
-    kernel: &dyn MicroKernel,
-    c: &mut Matrix,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<(), ShapeError> {
-    kernel.gemm(c, a, b)
-}
-
 /// FLOP count of a single `m x k` × `k x n` GEMM (multiply + add).
 pub fn gemm_flops(m: u64, n: u64, k: u64) -> u64 {
     2 * m * n * k

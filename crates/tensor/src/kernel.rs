@@ -25,7 +25,7 @@
 use crate::activation::Activation;
 use crate::error::ShapeError;
 use crate::gemm;
-use crate::matrix::Matrix;
+use crate::matrix::{MatMut, MatRef, Matrix};
 
 /// Rows of the register-blocked micro-tile.
 const MR: usize = 8;
@@ -108,7 +108,8 @@ impl MicroKernel for NaiveKernel {
 /// row panels and A into `MR`-tall column panels (both zero-padded
 /// at ragged edges), and an `MR`×`NR` (8×32) register-blocked
 /// micro-tile accumulates over the K slab before being added back into
-/// `C`.
+/// `C`. Both stages are public, so a caller reusing an operand across
+/// many GEMMs packs it once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockedKernel {
     mc: usize,
@@ -132,7 +133,8 @@ impl BlockedKernel {
         }
     }
 
-    /// The packed loop nest. Shapes must already be validated.
+    /// The packed loop nest over the two stages: pack, then
+    /// [`BlockedKernel::run_tiles`]. Shapes must already be validated.
     ///
     /// When `epi` is set, the activation is applied to each completed
     /// `nc`-wide column strip of `C` right after its final K slab, while
@@ -149,59 +151,120 @@ impl BlockedKernel {
         if m == 0 || n == 0 {
             return;
         }
-        let a_s = a.as_slice();
-        let b_s = b.as_slice();
-        let c_s = c.as_mut_slice();
         let mc = self.mc.min(m.next_multiple_of(MR));
         let kc = self.kc.min(k.max(1));
         let nc = self.nc.min(n.next_multiple_of(NR));
-        let mut ap = vec![0.0f32; mc.next_multiple_of(MR) * kc];
-        let mut bp = vec![0.0f32; kc * nc.next_multiple_of(NR)];
-        let mut jc = 0;
-        while jc < n {
+        let mut ap = vec![0.0f32; Self::packed_a_len(mc, kc)];
+        let mut bp = vec![0.0f32; Self::packed_b_len(kc, nc)];
+        let (a, b, mut c) = (a.view(), b.view(), c.view_mut());
+        for jc in (0..n).step_by(nc) {
             let nc_eff = nc.min(n - jc);
-            let n_panels = nc_eff.div_ceil(NR);
-            let mut pc = 0;
-            while pc < k {
+            for pc in (0..k).step_by(kc) {
                 let kc_eff = kc.min(k - pc);
-                pack_b(&mut bp, b_s, n, pc, jc, kc_eff, nc_eff);
-                let mut ic = 0;
-                while ic < m {
+                Self::pack_b(&mut bp, b.sub(pc, jc, kc_eff, nc_eff));
+                for ic in (0..m).step_by(mc) {
                     let mc_eff = mc.min(m - ic);
-                    let m_panels = mc_eff.div_ceil(MR);
-                    pack_a(&mut ap, a_s, k, ic, pc, mc_eff, kc_eff);
-                    for jp in 0..n_panels {
-                        let bp_panel = &bp[jp * kc_eff * NR..(jp + 1) * kc_eff * NR];
-                        let j0 = jc + jp * NR;
-                        let nr_eff = NR.min(n - j0);
-                        for ip in 0..m_panels {
-                            let ap_panel = &ap[ip * kc_eff * MR..(ip + 1) * kc_eff * MR];
-                            let i0 = ic + ip * MR;
-                            let mr_eff = MR.min(m - i0);
-                            let acc = micro_tile(ap_panel, bp_panel);
-                            for (di, acc_row) in acc.iter().enumerate().take(mr_eff) {
-                                let start = (i0 + di) * n + j0;
-                                let c_row = &mut c_s[start..start + nr_eff];
-                                for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-                                    *cv += av;
-                                }
-                            }
-                        }
-                    }
-                    ic += mc_eff;
+                    Self::pack_a(&mut ap, a.sub(ic, pc, mc_eff, kc_eff));
+                    let c = c.sub_mut(ic, jc, mc_eff, nc_eff);
+                    self.run_tiles(c, &ap, &bp, kc_eff, Order::Chunked);
                 }
-                pc += kc_eff;
             }
             if let Some(act) = epi {
+                let mut strip = c.sub_mut(0, jc, m, nc_eff);
                 for i in 0..m {
-                    for v in &mut c_s[i * n + jc..i * n + jc + nc_eff] {
+                    for v in strip.row_mut(i) {
                         *v = act.apply(*v);
                     }
                 }
             }
-            jc += nc_eff;
         }
     }
+
+    /// Length [`BlockedKernel::pack_a`] fills for `rows × depth`.
+    pub fn packed_a_len(rows: usize, depth: usize) -> usize {
+        rows.next_multiple_of(MR) * depth
+    }
+
+    /// Length [`BlockedKernel::pack_b`] fills for `depth × cols`.
+    pub fn packed_b_len(depth: usize, cols: usize) -> usize {
+        depth * cols.next_multiple_of(NR)
+    }
+
+    /// Packs the `m × depth` operand `a` into `MR`-tall (8) column
+    /// micro-panels: within each panel, the `MR` values of one K step are
+    /// contiguous. Rows past `m` are zero-padded.
+    pub fn pack_a(ap: &mut [f32], a: MatRef<'_>) {
+        let (m, depth) = a.shape();
+        for ip in 0..m.div_ceil(MR) {
+            let panel = &mut ap[ip * depth * MR..(ip + 1) * depth * MR];
+            let rows = MR.min(m - ip * MR);
+            for i in 0..MR {
+                let src = (i < rows).then(|| a.row(ip * MR + i));
+                for (p, d) in panel.iter_mut().skip(i).step_by(MR).enumerate() {
+                    *d = src.map_or(0.0, |row| row[p]);
+                }
+            }
+        }
+    }
+
+    /// Packs the `depth × n` operand `b` into `NR`-wide (32) row
+    /// micro-panels: within each panel, the `NR` values of one K step are
+    /// contiguous. Columns past `n` are zero-padded.
+    pub fn pack_b(bp: &mut [f32], b: MatRef<'_>) {
+        let (depth, n) = b.shape();
+        for jp in 0..n.div_ceil(NR) {
+            let panel = &mut bp[jp * depth * NR..(jp + 1) * depth * NR];
+            let cols = NR.min(n - jp * NR);
+            for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                dst[..cols].copy_from_slice(&b.row(p)[jp * NR..jp * NR + cols]);
+                dst[cols..].fill(0.0);
+            }
+        }
+    }
+
+    /// `C += A × B` in `order`, from operands packed `depth` steps deep.
+    /// How they were packed, or which rows share a panel, does not enter
+    /// the result.
+    pub fn run_tiles(&self, mut c: MatMut<'_>, ap: &[f32], bp: &[f32], depth: usize, order: Order) {
+        let (m, n) = c.shape();
+        let fused = order == Order::Chunked;
+        let chunk = if fused { self.kc } else { depth.max(1) };
+        for k0 in (0..depth).step_by(chunk) {
+            let k1 = depth.min(k0 + chunk);
+            for jp in 0..n.div_ceil(NR) {
+                let bp_panel = &bp[(jp * depth + k0) * NR..(jp * depth + k1) * NR];
+                let cols = jp * NR..n.min((jp + 1) * NR);
+                for ip in 0..m.div_ceil(MR) {
+                    let ap_panel = &ap[(ip * depth + k0) * MR..(ip * depth + k1) * MR];
+                    let rows = ip * MR..m.min((ip + 1) * MR);
+                    let mut acc = [[0.0f32; NR]; MR];
+                    if fused {
+                        acc = micro_tile::<true>(acc, ap_panel, bp_panel);
+                    } else {
+                        for (acc_row, i) in acc.iter_mut().zip(rows.clone()) {
+                            acc_row[..cols.len()].copy_from_slice(&c.row_mut(i)[cols.clone()]);
+                        }
+                        acc = micro_tile::<false>(acc, ap_panel, bp_panel);
+                    }
+                    for (acc_row, i) in acc.iter().zip(rows) {
+                        for (cv, &av) in c.row_mut(i)[cols.clone()].iter_mut().zip(acc_row) {
+                            *cv = if fused { *cv + av } else { av };
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// How [`BlockedKernel::run_tiles`] sums each output element.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Order {
+    /// Per `kc`-deep chunk, one FMA sum from zero, added into `C`.
+    Chunked,
+    /// The naive loop's: each product added onto `C`'s running value —
+    /// bit for bit [`crate::gemm::matmul_accumulate`].
+    Naive,
 }
 
 impl MicroKernel for BlockedKernel {
@@ -211,7 +274,7 @@ impl MicroKernel for BlockedKernel {
 
     fn gemm(&self, c: &mut Matrix, a: &Matrix, b: &Matrix) -> Result<(), ShapeError> {
         check_shapes("blocked_gemm", c, a, b)?;
-        if below_cutoff(a, b) {
+        if below_cutoff(a.rows(), b.cols(), a.cols()) {
             return gemm::matmul_accumulate(c, a, b);
         }
         self.gemm_packed(c, a, b, None);
@@ -226,7 +289,7 @@ impl MicroKernel for BlockedKernel {
         act: Activation,
     ) -> Result<(), ShapeError> {
         check_shapes("blocked_gemm", c, a, b)?;
-        if below_cutoff(a, b) {
+        if below_cutoff(a.rows(), b.cols(), a.cols()) {
             gemm::matmul_accumulate(c, a, b)?;
             act.apply_inplace(c);
             return Ok(());
@@ -236,8 +299,9 @@ impl MicroKernel for BlockedKernel {
     }
 }
 
-fn below_cutoff(a: &Matrix, b: &Matrix) -> bool {
-    gemm::gemm_flops(a.rows() as u64, b.cols() as u64, a.cols() as u64) < NAIVE_CUTOFF_FLOPS
+/// `true` when an `m × n × k` GEMM is below [`NAIVE_CUTOFF_FLOPS`].
+fn below_cutoff(m: usize, n: usize, k: usize) -> bool {
+    gemm::gemm_flops(m as u64, n as u64, k as u64) < NAIVE_CUTOFF_FLOPS
 }
 
 fn check_shapes(op: &'static str, c: &Matrix, a: &Matrix, b: &Matrix) -> Result<(), ShapeError> {
@@ -250,60 +314,8 @@ fn check_shapes(op: &'static str, c: &Matrix, a: &Matrix, b: &Matrix) -> Result<
     Ok(())
 }
 
-/// Packs an `m_eff × k_eff` block of `a` (top-left at `(row0, col0)`,
-/// leading dimension `lda`) into [`MR`]-tall column micro-panels:
-/// within each panel, the `MR` values of one K step are contiguous.
-/// Rows past `m_eff` are zero-padded.
-fn pack_a(
-    ap: &mut [f32],
-    a: &[f32],
-    lda: usize,
-    row0: usize,
-    col0: usize,
-    m_eff: usize,
-    k_eff: usize,
-) {
-    for ip in 0..m_eff.div_ceil(MR) {
-        let panel = &mut ap[ip * k_eff * MR..(ip + 1) * k_eff * MR];
-        let rows = MR.min(m_eff - ip * MR);
-        for (p, dst) in panel.chunks_exact_mut(MR).enumerate() {
-            for (i, d) in dst.iter_mut().enumerate() {
-                *d = if i < rows {
-                    a[(row0 + ip * MR + i) * lda + col0 + p]
-                } else {
-                    0.0
-                };
-            }
-        }
-    }
-}
-
-/// Packs a `k_eff × n_eff` block of `b` (top-left at `(row0, col0)`,
-/// leading dimension `ldb`) into [`NR`]-wide row micro-panels: within
-/// each panel, the `NR` values of one K step are contiguous. Columns
-/// past `n_eff` are zero-padded.
-fn pack_b(
-    bp: &mut [f32],
-    b: &[f32],
-    ldb: usize,
-    row0: usize,
-    col0: usize,
-    k_eff: usize,
-    n_eff: usize,
-) {
-    for jp in 0..n_eff.div_ceil(NR) {
-        let panel = &mut bp[jp * k_eff * NR..(jp + 1) * k_eff * NR];
-        let cols = NR.min(n_eff - jp * NR);
-        for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
-            let src0 = (row0 + p) * ldb + col0 + jp * NR;
-            dst[..cols].copy_from_slice(&b[src0..src0 + cols]);
-            dst[cols..].fill(0.0);
-        }
-    }
-}
-
 /// The register-blocked inner kernel: accumulates one [`MR`]×[`NR`]
-/// tile over a full K slab from packed panels.
+/// tile onto `acc` over a K slab from packed panels.
 ///
 /// The accumulator is [`MR`] explicit local `[f32; NR]` arrays — not a
 /// 2-D array — and the row updates are hand-unrolled in the K-step
@@ -316,30 +328,35 @@ fn pack_b(
 /// measured by the benchmark as `tensor.kernel.blocked_gflops_512`, all
 /// in safe Rust.
 #[inline]
-fn micro_tile(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
-    let mut r0 = [0.0f32; NR];
-    let mut r1 = [0.0f32; NR];
-    let mut r2 = [0.0f32; NR];
-    let mut r3 = [0.0f32; NR];
-    let mut r4 = [0.0f32; NR];
-    let mut r5 = [0.0f32; NR];
-    let mut r6 = [0.0f32; NR];
-    let mut r7 = [0.0f32; NR];
+fn micro_tile<const FUSED: bool>(acc: [[f32; NR]; MR], ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
+    let [mut r0, mut r1, mut r2, mut r3, mut r4, mut r5, mut r6, mut r7] = acc;
     for (ak, bk) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
         let ak: &[f32; MR] = ak.try_into().expect("A panel step is MR wide");
         let bk: &[f32; NR] = bk.try_into().expect("B panel step is NR wide");
         for j in 0..NR {
-            r0[j] = fmadd(ak[0], bk[j], r0[j]);
-            r1[j] = fmadd(ak[1], bk[j], r1[j]);
-            r2[j] = fmadd(ak[2], bk[j], r2[j]);
-            r3[j] = fmadd(ak[3], bk[j], r3[j]);
-            r4[j] = fmadd(ak[4], bk[j], r4[j]);
-            r5[j] = fmadd(ak[5], bk[j], r5[j]);
-            r6[j] = fmadd(ak[6], bk[j], r6[j]);
-            r7[j] = fmadd(ak[7], bk[j], r7[j]);
+            r0[j] = step::<FUSED>(ak[0], bk[j], r0[j]);
+            r1[j] = step::<FUSED>(ak[1], bk[j], r1[j]);
+            r2[j] = step::<FUSED>(ak[2], bk[j], r2[j]);
+            r3[j] = step::<FUSED>(ak[3], bk[j], r3[j]);
+            r4[j] = step::<FUSED>(ak[4], bk[j], r4[j]);
+            r5[j] = step::<FUSED>(ak[5], bk[j], r5[j]);
+            r6[j] = step::<FUSED>(ak[6], bk[j], r6[j]);
+            r7[j] = step::<FUSED>(ak[7], bk[j], r7[j]);
         }
     }
     [r0, r1, r2, r3, r4, r5, r6, r7]
+}
+
+/// One micro-tile step, `c + a * b`: fused ([`fmadd`]) for
+/// [`Order::Chunked`], a separate multiply and add — the naive loop's
+/// rounding — otherwise.
+#[inline(always)]
+fn step<const FUSED: bool>(a: f32, b: f32, c: f32) -> f32 {
+    if FUSED {
+        fmadd(a, b, c)
+    } else {
+        c + a * b
+    }
 }
 
 /// `a * b + c` as a hardware FMA when the compile target has one, and
@@ -376,6 +393,15 @@ impl KernelKind {
         match self {
             KernelKind::Naive => &NAIVE,
             KernelKind::Blocked => &BLOCKED,
+        }
+    }
+
+    /// The [`Order`] giving an `m × n × k` GEMM this kind's rounding:
+    /// chunked only for the blocked kind at or above its cutoff.
+    pub fn order(self, m: usize, n: usize, k: usize) -> Order {
+        match self {
+            KernelKind::Blocked if !below_cutoff(m, n, k) => Order::Chunked,
+            _ => Order::Naive,
         }
     }
 
@@ -506,6 +532,34 @@ mod tests {
                 "blocks ({mc},{kc},{nc}) diverged"
             );
         }
+    }
+
+    #[test]
+    fn packed_tiles_give_the_bits_of_the_gemm_they_stand_for() {
+        // Ragged against MR/NR, and one K extent past a 256-deep chunk.
+        for (m, n, k) in [(1, 1, 1), (13, 9, 11), (16, 48, 32), (9, 33, 300)] {
+            let a = seeded_matrix(m, k, 41);
+            let b = seeded_matrix(k, n, 42);
+            let start = Matrix::from_fn(m, n, |r, c| (r * n + c) as f32 * 0.01 - 1.0);
+            let mut ap = vec![0.0; BlockedKernel::packed_a_len(m, k)];
+            let mut bp = vec![0.0; BlockedKernel::packed_b_len(k, n)];
+            BlockedKernel::pack_a(&mut ap, a.view());
+            BlockedKernel::pack_b(&mut bp, b.view());
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for order in [Order::Naive, Order::Chunked] {
+                let mut want = start.clone();
+                match order {
+                    Order::Naive => gemm::matmul_accumulate(&mut want, &a, &b).unwrap(),
+                    Order::Chunked => BlockedKernel::new().gemm_packed(&mut want, &a, &b, None),
+                }
+                let mut got = start.clone();
+                BlockedKernel::new().run_tiles(got.view_mut(), &ap, &bp, k, order);
+                assert_eq!(bits(&got), bits(&want), "{m}x{n}x{k} {order:?}");
+            }
+        }
+        assert_eq!(KernelKind::Naive.order(64, 64, 64), Order::Naive);
+        assert_eq!(KernelKind::Blocked.order(16, 16, 16), Order::Naive);
+        assert_eq!(KernelKind::Blocked.order(32, 32, 32), Order::Chunked);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! This crate provides the numeric foundation every other layer builds on:
 //!
-//! * [`Matrix`] — a row-major `f32` matrix with tile extraction/insertion,
+//! * [`Matrix`] — a row-major `f32` matrix with borrowed strided views,
 //!   used both as workload data and as the contents of simulated on-chip
 //!   buffers.
 //! * [`gemm`] — reference GEMM kernels (naive and blocked) that define
@@ -41,6 +41,6 @@ pub mod softmax;
 pub use activation::{Activation, BinaryOp};
 pub use error::ShapeError;
 pub use im2col::Conv2dSpec;
-pub use kernel::{BlockedKernel, KernelKind, MicroKernel, NaiveKernel, NumericConfig};
-pub use matrix::Matrix;
+pub use kernel::{BlockedKernel, KernelKind, MicroKernel, NaiveKernel, NumericConfig, Order};
+pub use matrix::{MatMut, MatRef, Matrix, View};
 pub use softmax::{rowwise_softmax, rowwise_softmax_inplace, softmax_scale};

@@ -1,9 +1,9 @@
-//! Row-major `f32` matrix with tile access.
+//! Row-major `f32` matrix and borrowed strided views of it.
 //!
 //! [`Matrix`] doubles as workload data (activations, weights) and as the
-//! contents of simulated on-chip buffers in `flashfuser-sim`. Tile
-//! extraction/insertion mirrors the block-granularity data movement the
-//! paper's fused kernels perform between memory tiers.
+//! contents of simulated on-chip buffers in `flashfuser-sim`, whose
+//! fused executor addresses tiles in place as [`View`]s instead of
+//! copying them out and back.
 
 use crate::error::ShapeError;
 use std::fmt;
@@ -135,58 +135,14 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
-    /// Extracts the `tile_rows x tile_cols` tile whose top-left corner is at
-    /// `(row0, col0)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the tile does not fit inside the matrix.
-    pub fn tile(
-        &self,
-        row0: usize,
-        col0: usize,
-        tile_rows: usize,
-        tile_cols: usize,
-    ) -> Result<Matrix, ShapeError> {
-        if row0 + tile_rows > self.rows || col0 + tile_cols > self.cols {
-            return Err(ShapeError::new(
-                "tile",
-                (self.rows, self.cols),
-                (row0 + tile_rows, col0 + tile_cols),
-            ));
-        }
-        let mut t = Matrix::zeros(tile_rows, tile_cols);
-        for r in 0..tile_rows {
-            let src = (row0 + r) * self.cols + col0;
-            t.data[r * tile_cols..(r + 1) * tile_cols]
-                .copy_from_slice(&self.data[src..src + tile_cols]);
-        }
-        Ok(t)
+    /// The whole matrix as a borrowed view.
+    pub fn view(&self) -> MatRef<'_> {
+        MatRef::new(&self.data, self.rows, self.cols, self.cols)
     }
 
-    /// Adds `tile` element-wise into the region with top-left `(row0, col0)`.
-    ///
-    /// This is the accumulation path used by the simulated
-    /// `inter_cluster_reduce` (TMA `cp.reduce.async.bulk`) primitive.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the tile does not fit.
-    pub fn add_tile(&mut self, row0: usize, col0: usize, tile: &Matrix) -> Result<(), ShapeError> {
-        if row0 + tile.rows > self.rows || col0 + tile.cols > self.cols {
-            return Err(ShapeError::new(
-                "add_tile",
-                (self.rows, self.cols),
-                (row0 + tile.rows, col0 + tile.cols),
-            ));
-        }
-        for r in 0..tile.rows {
-            let dst = (row0 + r) * self.cols + col0;
-            for c in 0..tile.cols {
-                self.data[dst + c] += tile.data[r * tile.cols + c];
-            }
-        }
-        Ok(())
+    /// The whole matrix as a mutable view.
+    pub fn view_mut(&mut self) -> MatMut<'_> {
+        MatMut::new(&mut self.data, self.rows, self.cols, self.cols)
     }
 
     /// Returns the transpose.
@@ -283,6 +239,83 @@ impl Matrix {
     }
 }
 
+/// A `rows × cols` window of row-major `f32` storage `S` — `&[f32]`
+/// ([`MatRef`]) or `&mut [f32]` ([`MatMut`]) — whose rows start `ld`
+/// elements apart: a tile of a [`Matrix`], or of any buffer, in place.
+#[derive(Clone, Copy, Debug)]
+pub struct View<S> {
+    data: S,
+    rows: usize,
+    cols: usize,
+    ld: usize,
+}
+
+/// A borrowed [`View`].
+pub type MatRef<'a> = View<&'a [f32]>;
+/// A mutable [`View`].
+pub type MatMut<'a> = View<&'a mut [f32]>;
+
+impl<S: AsRef<[f32]>> View<S> {
+    /// Views `data` as `rows × cols` with row stride `ld`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols > ld` or `data` ends before the last row does.
+    pub fn new(data: S, rows: usize, cols: usize, ld: usize) -> Self {
+        let span = rows.checked_sub(1).map_or(0, |r| r * ld + cols);
+        let fits = cols <= ld && span <= data.as_ref().len();
+        assert!(fits, "view exceeds its storage");
+        Self {
+            data,
+            rows,
+            cols,
+            ld,
+        }
+    }
+
+    /// `(rows, cols)` pair.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// Row `r` as a slice of `cols` elements.
+    pub fn row(&self, r: usize) -> &[f32] {
+        &self.data.as_ref()[self.at(r, 0, 1, 0)..][..self.cols]
+    }
+
+    /// The `rows × cols` window whose top-left corner is `(row0, col0)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window does not fit inside this view.
+    pub fn sub(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> MatRef<'_> {
+        let at = self.at(row0, col0, rows, cols);
+        View::new(&self.data.as_ref()[at..], rows, cols, self.ld)
+    }
+
+    /// Storage offset of `(row0, col0)`, once the `rows × cols` window
+    /// there is known to fit.
+    fn at(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> usize {
+        let fits = row0 + rows <= self.rows && col0 + cols <= self.cols;
+        assert!(fits, "window out of bounds");
+        (row0 * self.ld + col0).min(self.data.as_ref().len())
+    }
+}
+
+impl<S: AsRef<[f32]> + AsMut<[f32]>> View<S> {
+    /// Row `r` as a mutable slice of `cols` elements.
+    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
+        let at = self.at(r, 0, 1, 0);
+        &mut self.data.as_mut()[at..][..self.cols]
+    }
+
+    /// [`View::sub`], mutably.
+    pub fn sub_mut(&mut self, row0: usize, col0: usize, rows: usize, cols: usize) -> MatMut<'_> {
+        let at = self.at(row0, col0, rows, cols);
+        View::new(&mut self.data.as_mut()[at..], rows, cols, self.ld)
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f32;
 
@@ -360,35 +393,29 @@ mod tests {
     }
 
     #[test]
-    fn tile_round_trip() {
+    fn views_address_tiles_in_place() {
         let m = Matrix::from_fn(6, 8, |r, c| (r * 8 + c) as f32);
-        let t = m.tile(2, 4, 3, 4).unwrap();
+        let whole = m.view();
+        let t = whole.sub(2, 4, 3, 4);
         assert_eq!(t.shape(), (3, 4));
-        assert_eq!(t[(0, 0)], m[(2, 4)]);
-        assert_eq!(t[(2, 3)], m[(4, 7)]);
+        assert_eq!(t.row(0), &m.row(2)[4..]);
+        assert_eq!(t.sub(1, 1, 2, 3).row(1), &m.row(4)[5..]);
 
-        let mut out = Matrix::zeros(6, 8);
-        out.add_tile(2, 4, &t).unwrap();
-        assert_eq!(out[(3, 5)], m[(3, 5)]);
-        assert_eq!(out[(0, 0)], 0.0);
+        let mut out = Matrix::from_fn(4, 4, |_, _| 1.0);
+        let mut view = out.view_mut();
+        for v in view.sub_mut(1, 1, 2, 2).row_mut(1) {
+            *v += 2.0;
+        }
+        assert_eq!(out[(2, 1)], 3.0);
+        assert_eq!(out[(2, 2)], 3.0);
+        assert_eq!(out[(1, 1)], 1.0);
+        assert_eq!(out[(3, 3)], 1.0);
     }
 
     #[test]
-    fn tile_out_of_bounds_is_error() {
-        let m = Matrix::zeros(4, 4);
-        assert!(m.tile(2, 2, 3, 1).is_err());
-        assert!(m.tile(0, 3, 1, 2).is_err());
-    }
-
-    #[test]
-    fn add_tile_accumulates() {
-        let mut m = Matrix::from_fn(4, 4, |_, _| 1.0);
-        let t = Matrix::from_fn(2, 2, |_, _| 2.0);
-        m.add_tile(1, 1, &t).unwrap();
-        assert_eq!(m[(1, 1)], 3.0);
-        assert_eq!(m[(2, 2)], 3.0);
-        assert_eq!(m[(0, 0)], 1.0);
-        assert_eq!(m[(3, 3)], 1.0);
+    #[should_panic(expected = "window out of bounds")]
+    fn view_out_of_bounds_panics() {
+        Matrix::zeros(4, 4).view().sub(2, 2, 3, 1);
     }
 
     #[test]
