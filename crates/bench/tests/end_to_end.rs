@@ -2,7 +2,6 @@
 //! definition through search, functional execution and baselines.
 
 use flashfuser::prelude::*;
-use flashfuser::sim::execute_fused;
 use flashfuser::workloads::{all_workloads, conv_chains, gated_ffn_chains};
 use flashfuser_bench::baselines::{suite, Baseline, ChimeraPolicy, FlashFuserPolicy};
 
@@ -46,7 +45,8 @@ fn searched_plans_execute_correctly_end_to_end() {
         let inputs = chain.make_inputs(100 + i as u64);
         let expected = chain.reference_output(&inputs).unwrap();
         let mut counters = TrafficCounters::new();
-        let got = execute_fused(&plan, &inputs, &mut counters).unwrap();
+        let got =
+            execute_fused_with(&plan, &inputs, &mut counters, NumericConfig::default()).unwrap();
         assert!(
             expected.approx_eq(&got, 1e-3).unwrap(),
             "chain {i}: {}",
@@ -67,7 +67,13 @@ fn all_top_k_plans_execute_correctly() {
     let expected = chain.reference_output(&inputs).unwrap();
     for ranked in result.top_k() {
         let mut counters = TrafficCounters::new();
-        let got = execute_fused(ranked.analysis.plan(), &inputs, &mut counters).unwrap();
+        let got = execute_fused_with(
+            ranked.analysis.plan(),
+            &inputs,
+            &mut counters,
+            NumericConfig::default(),
+        )
+        .unwrap();
         assert!(
             expected.approx_eq(&got, 1e-3).unwrap(),
             "{}",

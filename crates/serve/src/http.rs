@@ -5,7 +5,11 @@
 //! `Content-Length` body — and enforces hard caps on header and body
 //! size so untrusted peers cannot make a worker allocate without bound.
 //! Everything outside that envelope is a typed [`HttpError`] the server
-//! maps to a 4xx response.
+//! maps to a 4xx/5xx response and a close. That includes framing it
+//! cannot honour (RFC 9112 §6.1, §6.3): any `Transfer-Encoding` is a
+//! 501, and a `Content-Length` that is not `1*DIGIT`, or repeated with
+//! a different value, is a 400 — so no body is ever cut as the next
+//! pipelined request.
 //!
 //! [`parse_request`] is incremental and allocation-bounded: it looks
 //! at a byte buffer, returns `Ok(None)` until a full request is
@@ -66,6 +70,9 @@ pub enum HttpError {
     BodyTooLarge(usize),
     /// The HTTP version is not 1.0/1.1.
     BadVersion(String),
+    /// A `Transfer-Encoding` header: bodies are framed by
+    /// `Content-Length` only.
+    TransferEncoding,
     /// An underlying socket error.
     Io(String),
 }
@@ -78,6 +85,7 @@ impl fmt::Display for HttpError {
             HttpError::HeadTooLarge => write!(f, "request head exceeds {MAX_HEAD_BYTES} bytes"),
             HttpError::BodyTooLarge(cap) => write!(f, "request body exceeds {cap} bytes"),
             HttpError::BadVersion(v) => write!(f, "unsupported HTTP version '{v}'"),
+            HttpError::TransferEncoding => write!(f, "transfer-encoding is not supported"),
             HttpError::Io(e) => write!(f, "socket error: {e}"),
         }
     }
@@ -93,6 +101,7 @@ impl HttpError {
             HttpError::HeadTooLarge => 431,
             HttpError::BodyTooLarge(_) => 413,
             HttpError::BadVersion(_) => 505,
+            HttpError::TransferEncoding => 501,
             HttpError::Io(_) => 400,
         }
     }
@@ -159,6 +168,7 @@ fn parse_head(head: &[u8]) -> Result<(Request, usize), HttpError> {
         return Err(HttpError::BadVersion(version.to_string()));
     }
     let mut headers = BTreeMap::new();
+    let mut content_length = None;
     for line in lines {
         if line.is_empty() {
             continue; // the terminating blank line
@@ -166,14 +176,26 @@ fn parse_head(head: &[u8]) -> Result<(Request, usize), HttpError> {
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| HttpError::Malformed(format!("header without ':': '{line}'")))?;
-        headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
+        let (name, value) = (name.trim().to_ascii_lowercase(), value.trim());
+        match name.as_str() {
+            "transfer-encoding" => return Err(HttpError::TransferEncoding),
+            "content-length" => {
+                let n = Some(value)
+                    .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .ok_or_else(|| HttpError::Malformed(format!("bad content-length '{value}'")))?;
+                if content_length.is_some_and(|seen| seen != n) {
+                    return Err(HttpError::Malformed(
+                        "conflicting content-length headers".to_string(),
+                    ));
+                }
+                content_length = Some(n);
+            }
+            _ => {}
+        }
+        headers.insert(name, value.to_string());
     }
-    let content_length = match headers.get("content-length") {
-        None => 0,
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed(format!("bad content-length '{v}'")))?,
-    };
+    let content_length = content_length.unwrap_or(0);
     let connection = headers.get("connection").map(|v| v.to_ascii_lowercase());
     let has_token = |t: &str| {
         connection
@@ -243,6 +265,7 @@ pub fn reason(status: u16) -> &'static str {
         422 => "Unprocessable Entity",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         505 => "HTTP Version Not Supported",
         _ => "Unknown",
@@ -328,6 +351,42 @@ mod tests {
             parse(b"POST /x HTTP/1.1\r\nContent-Length: lots\r\n\r\n"),
             Err(HttpError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn framing_the_parser_cannot_honour_is_refused() {
+        // Accepted, each would leave a body to be cut as the next
+        // pipelined request, or take `+3` as a length.
+        let cases: [(&[u8], u16); 8] = [
+            (
+                b"POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 0\r\n\r\nabc",
+                400,
+            ),
+            (b"POST /x HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc", 400),
+            (b"POST /x HTTP/1.1\r\nContent-Length: -3\r\n\r\n", 400),
+            (b"POST /x HTTP/1.1\r\nContent-Length: 3, 3\r\n\r\nabc", 400),
+            (b"POST /x HTTP/1.1\r\nContent-Length:\r\n\r\n", 400),
+            (
+                b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n",
+                501,
+            ),
+            (
+                b"POST /x HTTP/1.1\r\nContent-Length: 3\r\ntransfer-encoding: identity\r\n\r\nabc",
+                501,
+            ),
+            (
+                b"GET /x HTTP/1.0\r\nTransfer-Encoding: gzip, chunked\r\n\r\n",
+                501,
+            ),
+        ];
+        for (raw, status) in cases {
+            let err = parse_request(raw, DEFAULT_MAX_BODY_BYTES).unwrap_err();
+            assert_eq!(err.status(), status, "{}", String::from_utf8_lossy(raw));
+        }
+        assert_eq!(reason(501), "Not Implemented");
+        // A repeated Content-Length that agrees is one length.
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc";
+        assert_eq!(parse(raw).unwrap().body, b"abc");
     }
 
     #[test]
@@ -417,5 +476,6 @@ mod tests {
         assert_eq!(HttpError::HeadTooLarge.status(), 431);
         assert_eq!(HttpError::BodyTooLarge(1).status(), 413);
         assert_eq!(HttpError::BadVersion("HTTP/2".into()).status(), 505);
+        assert_eq!(HttpError::TransferEncoding.status(), 501);
     }
 }

@@ -1,11 +1,12 @@
-//! The bounded admission queue between the acceptor and the workers.
+//! The bounded admission queue between the reactor and the workers.
 //!
 //! Admission control is the server's only defence against unbounded
-//! fan-in: the acceptor *tries* to enqueue every accepted connection
-//! and, when the queue is full, immediately answers 503 with a retry
-//! hint instead of letting requests pile up in kernel buffers until
-//! something times out. Capacity is the knob (`--queue-depth`): it
-//! bounds worst-case queueing delay at `depth x slowest compile`.
+//! fan-in: the reactor *tries* to enqueue every complete request it
+//! cuts off a connection and, when the queue is full, immediately
+//! answers 503 with a retry hint on that connection — which stays
+//! open — instead of letting requests pile up until something times
+//! out. Capacity is the knob (`--queue-depth`): it bounds worst-case
+//! queueing delay at `depth x slowest compile`.
 //!
 //! Shutdown is *graceful by construction*: [`Queue::close`] stops new
 //! admissions, but [`Queue::pop`] keeps handing out already-admitted
@@ -21,7 +22,7 @@ pub enum Push<T> {
     /// The item was admitted.
     Admitted,
     /// The queue is at capacity; the item comes back to the caller
-    /// (which answers 503 and closes).
+    /// (which answers 503 and keeps the connection).
     Saturated(T),
     /// The queue is closed; the item comes back to the caller.
     Closed(T),
@@ -50,21 +51,6 @@ impl<T> Queue<T> {
             ready: Condvar::new(),
             capacity: capacity.max(1),
         }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Items currently queued (diagnostics; racy by nature).
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").items.len()
-    }
-
-    /// `true` when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Tries to admit `item` without blocking.
@@ -103,11 +89,6 @@ impl<T> Queue<T> {
         self.state.lock().expect("queue poisoned").closed = true;
         self.ready.notify_all();
     }
-
-    /// `true` once [`Queue::close`] has run.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue poisoned").closed
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +104,7 @@ mod tests {
         assert_eq!(q.try_push(3), Push::Saturated(3));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.try_push(4), Push::Admitted);
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.try_push(5), Push::Saturated(5));
     }
 
     #[test]
@@ -161,7 +142,6 @@ mod tests {
     #[test]
     fn capacity_has_a_floor_of_one() {
         let q = Queue::new(0);
-        assert_eq!(q.capacity(), 1);
         assert_eq!(q.try_push(1), Push::Admitted);
         assert_eq!(q.try_push(2), Push::Saturated(2));
     }

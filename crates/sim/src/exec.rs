@@ -1,6 +1,6 @@
 //! Functional execution of fused plans.
 //!
-//! [`execute_fused`] interprets a [`FusedPlan`] at tile granularity with
+//! [`execute_fused_with`] interprets a [`FusedPlan`] at tile granularity with
 //! real `f32` arithmetic, following the cluster dataflow of the paper's
 //! Fig. 7/8:
 //!
@@ -106,27 +106,14 @@ impl From<PlanError> for ExecError {
 
 /// Executes `plan` on `inputs`, returning the output matrix `E[M, L]`
 /// and filling `counters` with the traffic the execution generated.
+/// Every per-tile GEMM accumulation runs through the kernel `numeric`
+/// selects ([`NumericConfig::default`] is the naive oracle). The
+/// traffic accounting is identical under every backend — the kernel
+/// changes how a tile's FLOPs are computed, never which tiles move.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError`] if the inputs do not match the plan's chain.
-pub fn execute_fused(
-    plan: &FusedPlan,
-    inputs: &ChainInputs,
-    counters: &mut TrafficCounters,
-) -> Result<Matrix, ExecError> {
-    execute_fused_with(plan, inputs, counters, NumericConfig::naive())
-}
-
-/// [`execute_fused`] with an explicit numeric backend: every per-tile
-/// GEMM accumulation runs through the selected kernel. The traffic
-/// accounting is identical under every backend — the kernel changes how
-/// a tile's FLOPs are computed, never which tiles move.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] under exactly the same conditions as
-/// [`execute_fused`].
 pub fn execute_fused_with(
     plan: &FusedPlan,
     inputs: &ChainInputs,
@@ -635,7 +622,8 @@ mod tests {
         let inputs = plan.chain.make_inputs(seed);
         let expected = plan.chain.reference_output(&inputs).unwrap();
         let mut counters = TrafficCounters::new();
-        let got = execute_fused(plan, &inputs, &mut counters).unwrap();
+        let got =
+            execute_fused_with(plan, &inputs, &mut counters, NumericConfig::default()).unwrap();
         assert!(
             expected.approx_eq(&got, 1e-3).unwrap(),
             "plan {} diverged: max err {}",
@@ -789,15 +777,10 @@ mod tests {
             let inputs = chain.make_inputs(12);
             let expected = chain.reference_output(&inputs).unwrap();
             let mut naive_c = TrafficCounters::new();
-            execute_fused(&plan, &inputs, &mut naive_c).unwrap();
+            execute_fused_with(&plan, &inputs, &mut naive_c, NumericConfig::default()).unwrap();
             let mut blocked_c = TrafficCounters::new();
-            let got = execute_fused_with(
-                &plan,
-                &inputs,
-                &mut blocked_c,
-                flashfuser_tensor::NumericConfig::blocked(),
-            )
-            .unwrap();
+            let got = execute_fused_with(&plan, &inputs, &mut blocked_c, NumericConfig::blocked())
+                .unwrap();
             assert!(
                 expected.approx_eq(&got, 1e-3).unwrap(),
                 "blocked backend diverged: max err {}",
@@ -855,7 +838,13 @@ mod tests {
         let inputs = chain.make_inputs(13);
         let expected = chain.reference_output(&inputs).unwrap();
         let mut counters = TrafficCounters::new();
-        let got = execute_fused(analysis.plan(), &inputs, &mut counters).unwrap();
+        let got = execute_fused_with(
+            analysis.plan(),
+            &inputs,
+            &mut counters,
+            NumericConfig::default(),
+        )
+        .unwrap();
         assert!(expected.approx_eq(&got, 1e-3).unwrap());
         assert!(counters.primitive_count("softmax_stats") > 0);
         assert!(counters.primitive_count("all_exchange.add") > 0);
@@ -893,7 +882,7 @@ mod tests {
         let inputs = plan.chain.make_inputs(1);
         let mut c = TrafficCounters::new();
         assert!(matches!(
-            execute_fused(&plan, &inputs, &mut c),
+            execute_fused_with(&plan, &inputs, &mut c, NumericConfig::default()),
             Err(ExecError::AttentionSchedule)
         ));
     }
@@ -912,7 +901,7 @@ mod tests {
         inputs.b_gate = None;
         let mut c = TrafficCounters::new();
         assert!(matches!(
-            execute_fused(&plan, &inputs, &mut c),
+            execute_fused_with(&plan, &inputs, &mut c, NumericConfig::default()),
             Err(ExecError::MissingGateWeight)
         ));
     }
@@ -963,7 +952,13 @@ mod tests {
             ),
         ];
         for (inputs, name, got, want) in cases {
-            let err = execute_fused(&plan, &inputs, &mut TrafficCounters::new()).unwrap_err();
+            let err = execute_fused_with(
+                &plan,
+                &inputs,
+                &mut TrafficCounters::new(),
+                NumericConfig::default(),
+            )
+            .unwrap_err();
             match &err {
                 ExecError::Operand {
                     name: n,
@@ -980,7 +975,13 @@ mod tests {
                 )
             );
         }
-        assert!(execute_fused(&plan, &good, &mut TrafficCounters::new()).is_ok());
+        assert!(execute_fused_with(
+            &plan,
+            &good,
+            &mut TrafficCounters::new(),
+            NumericConfig::default()
+        )
+        .is_ok());
     }
 
     #[test]
@@ -1002,7 +1003,7 @@ mod tests {
         let inputs = bigger.make_inputs(1);
         let mut c = TrafficCounters::new();
         assert!(matches!(
-            execute_fused(&plan, &inputs, &mut c),
+            execute_fused_with(&plan, &inputs, &mut c, NumericConfig::default()),
             Err(ExecError::Plan(
                 flashfuser_core::PlanError::GeometryMismatch
             ))
@@ -1012,7 +1013,7 @@ mod tests {
         plan.chain = odd.clone();
         let inputs = odd.make_inputs(1);
         assert!(matches!(
-            execute_fused(&plan, &inputs, &mut c),
+            execute_fused_with(&plan, &inputs, &mut c, NumericConfig::default()),
             Err(ExecError::Plan(
                 flashfuser_core::PlanError::Indivisible { .. }
             ))
@@ -1036,7 +1037,13 @@ mod tests {
                 .unwrap();
             let inputs = chain.make_inputs(10);
             let mut counters = TrafficCounters::new();
-            execute_fused(analysis.plan(), &inputs, &mut counters).unwrap();
+            execute_fused_with(
+                analysis.plan(),
+                &inputs,
+                &mut counters,
+                NumericConfig::default(),
+            )
+            .unwrap();
             assert_eq!(
                 counters.dsm_bytes(),
                 analysis.volume(flashfuser_core::MemLevel::Dsm),
@@ -1064,7 +1071,13 @@ mod tests {
             .unwrap();
         let inputs = chain.make_inputs(9);
         let mut counters = TrafficCounters::new();
-        execute_fused(analysis.plan(), &inputs, &mut counters).unwrap();
+        execute_fused_with(
+            analysis.plan(),
+            &inputs,
+            &mut counters,
+            NumericConfig::default(),
+        )
+        .unwrap();
         assert_eq!(
             counters.global_bytes(),
             analysis.volume(MemLevel::L2),

@@ -2,8 +2,8 @@
 //!
 //! The whole-graph compiler emits segments — fused chains plus unfused
 //! remainders — but until now only single chains could *run*.
-//! [`execute_graph`] closes that gap: fused segments go through the
-//! tile-level [`crate::execute_fused`] interpreter,
+//! [`execute_graph_with`] closes that gap: fused segments go through the
+//! tile-level [`crate::execute_fused_with`] interpreter,
 //! unfused segments through the per-op reference semantics of
 //! [`crate::interp`], and intermediate values are stitched across
 //! segment boundaries exactly where the compiled plan materialises them
@@ -13,7 +13,7 @@
 //!
 //! The caller describes the plan as [`ExecSegment`]s (node lists plus,
 //! for fused segments, the [`FusedPlan`]); the facade crate's
-//! `validate_graph` derives these from a compiled `GraphPlan`. The
+//! `validate_graph_with` derives these from a compiled `GraphPlan`. The
 //! executor re-derives each fused segment's chain I/O roles
 //! structurally ([`recover_chain_io`]) — it trusts the partitioner's
 //! *node sets* but verifies their *shape*, surfacing a typed error
@@ -38,7 +38,7 @@ use std::fmt;
 /// One segment of a compiled graph plan, as the executor consumes it.
 #[derive(Debug, Clone, Copy)]
 pub enum ExecSegment<'a> {
-    /// A fused chain: run through [`crate::execute_fused`].
+    /// A fused chain: run through [`crate::execute_fused_with`].
     Fused {
         /// The compiled plan for the segment's chain.
         plan: &'a FusedPlan,
@@ -67,7 +67,7 @@ pub struct SegmentTrace {
     pub counters: TrafficCounters,
 }
 
-/// The result of [`execute_graph`], borrowing the bound inputs.
+/// The result of [`execute_graph_with`], borrowing the bound inputs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphExecution<'a> {
     /// Per-node values, indexed by id: bound inputs borrowed, computed
@@ -182,30 +182,14 @@ impl From<GraphShapeError> for GraphExecError {
 /// prices ([`OpGraph::op_cost`] bytes to global memory, one kernel
 /// launch per op), so unfused segment counters reconcile against the
 /// plan's accounting the same way fused ones reconcile against the
-/// analyzer.
+/// analyzer. Fused segments run their per-tile accumulations and
+/// unfused segments their per-op GEMMs through the kernel `numeric`
+/// selects; traffic accounting is backend-independent.
 ///
 /// # Errors
 ///
 /// Returns [`GraphExecError`] when the graph, the segment list, or a
 /// fused plan is inconsistent — never panics on malformed input.
-pub fn execute_graph<'a>(
-    g: &OpGraph,
-    segments: &[ExecSegment<'_>],
-    inputs: &'a [(NodeId, Matrix)],
-) -> Result<GraphExecution<'a>, GraphExecError> {
-    execute_graph_with(g, segments, inputs, NumericConfig::naive())
-}
-
-/// [`execute_graph`] with an explicit numeric backend: fused segments
-/// run their per-tile accumulations and unfused segments their per-op
-/// GEMMs through the selected
-/// [`flashfuser_tensor::MicroKernel`]. Traffic accounting
-/// is backend-independent.
-///
-/// # Errors
-///
-/// Returns [`GraphExecError`] under exactly the same conditions as
-/// [`execute_graph`].
 pub fn execute_graph_with<'a>(
     g: &OpGraph,
     segments: &[ExecSegment<'_>],
@@ -307,7 +291,7 @@ fn run_unfused(
                 });
             }
         }
-        let value = eval_compute(g, values, id, numeric.micro_kernel()).map_err(|source| {
+        let value = eval_compute(g, values, id, numeric.kernel.kernel()).map_err(|source| {
             GraphExecError::Exec {
                 segment: idx,
                 source: ExecError::Shape(source),
@@ -380,7 +364,7 @@ mod tests {
             },
         ];
         let inputs = seeded_graph_inputs(&g, 11);
-        let exec = execute_graph(&g, &segments, &inputs).unwrap();
+        let exec = execute_graph_with(&g, &segments, &inputs, NumericConfig::default()).unwrap();
         let reference = interpret_graph(&g, &inputs).unwrap();
 
         // The final output agrees with the op-by-op reference.
@@ -419,7 +403,7 @@ mod tests {
             nodes: &m.nodes,
         }];
         let inputs = seeded_graph_inputs(&g, 5);
-        let exec = execute_graph(&g, &segments, &inputs).unwrap();
+        let exec = execute_graph_with(&g, &segments, &inputs, NumericConfig::default()).unwrap();
         let c = &exec.traces[0].counters;
         assert_eq!(c.global_bytes(), analysis.volume(MemLevel::L2));
         assert_eq!(c.dsm_bytes(), analysis.volume(MemLevel::Dsm));
@@ -436,7 +420,7 @@ mod tests {
         let shapes = g.infer_shapes().unwrap();
         let segments = [ExecSegment::Unfused { nodes: &[mm, act] }];
         let inputs = seeded_graph_inputs(&g, 2);
-        let exec = execute_graph(&g, &segments, &inputs).unwrap();
+        let exec = execute_graph_with(&g, &segments, &inputs, NumericConfig::default()).unwrap();
         let expected: u64 = [mm, act]
             .iter()
             .map(|&id| g.op_cost(&shapes, id).bytes)
@@ -477,7 +461,8 @@ mod tests {
             ),
         ] {
             let oracle = interpret_graph(&g, &inputs).unwrap_err();
-            let executor = execute_graph(&g, &segments, &inputs).unwrap_err();
+            let executor =
+                execute_graph_with(&g, &segments, &inputs, NumericConfig::default()).unwrap_err();
             assert!(oracle.to_string().contains(want), "{oracle}");
             assert!(
                 matches!(&executor, GraphExecError::Bind(e) if e.to_string() == oracle.to_string()),
@@ -489,7 +474,7 @@ mod tests {
             Err(InterpError::MissingInput(0))
         ));
         assert!(matches!(
-            execute_graph(&g, &segments, &good[1..]),
+            execute_graph_with(&g, &segments, &good[1..], NumericConfig::default()),
             Err(GraphExecError::Bind(InterpError::MissingInput(0)))
         ));
     }
@@ -508,7 +493,7 @@ mod tests {
             nodes: &m.nodes[..1],
         }];
         assert!(matches!(
-            execute_graph(&g, &bad, &inputs),
+            execute_graph_with(&g, &bad, &inputs, NumericConfig::default()),
             Err(GraphExecError::NotAChain { segment: 0 })
         ));
 
@@ -517,20 +502,20 @@ mod tests {
             nodes: &m.nodes[2..],
         }];
         assert!(matches!(
-            execute_graph(&g, &orphan, &inputs),
+            execute_graph_with(&g, &orphan, &inputs, NumericConfig::default()),
             Err(GraphExecError::MissingValue { .. })
         ));
 
         // Empty segment.
         let empty = [ExecSegment::Unfused { nodes: &[] }];
         assert!(matches!(
-            execute_graph(&g, &empty, &inputs),
+            execute_graph_with(&g, &empty, &inputs, NumericConfig::default()),
             Err(GraphExecError::EmptySegment { segment: 0 })
         ));
 
         // No segments at all: the Output marker has nothing to forward.
         assert!(matches!(
-            execute_graph(&g, &[], &inputs),
+            execute_graph_with(&g, &[], &inputs, NumericConfig::default()),
             Err(GraphExecError::MissingValue { .. })
         ));
     }

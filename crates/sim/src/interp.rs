@@ -1,6 +1,6 @@
 //! Per-op reference interpreter over an arbitrary [`OpGraph`].
 //!
-//! [`execute_fused`](crate::execute_fused) runs one *fused chain*; this
+//! [`execute_fused_with`](crate::execute_fused_with) runs one *fused chain*; this
 //! module is the other half of the differential oracle: it evaluates
 //! **any** shape-inferred operator DAG node by node with real `f32`
 //! arithmetic — GEMMs through the naive reference loop
@@ -100,7 +100,7 @@ pub fn seeded_graph_inputs(g: &OpGraph, seed: u64) -> Vec<(NodeId, Matrix)> {
 
 /// Borrows `inputs` as the values of `g`'s `Input` nodes by the binding
 /// rule [`interpret_graph`] documents — shared with
-/// [`crate::execute_graph`], so one binding list cannot mean two graphs.
+/// [`crate::execute_graph_with`], so one binding list cannot mean two graphs.
 pub(crate) fn bind_inputs<'a>(
     g: &OpGraph,
     inputs: &'a [(NodeId, Matrix)],

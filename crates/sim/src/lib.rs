@@ -19,8 +19,8 @@
 //!   variance). The gap between this and the cost model is what makes
 //!   top-K profiling (Fig. 12) meaningful.
 //!
-//! [`unfused`] executes the no-fusion baselines (one kernel per
-//! operator with global-memory round trips).
+//! [`unfused`] prices the no-fusion baselines (one kernel per operator
+//! with global-memory round trips); they are never executed.
 //!
 //! On top of the single-chain machinery, [`interp`] evaluates *any*
 //! shape-inferred operator DAG op by op (the differential-fuzzing
@@ -37,13 +37,11 @@ pub mod timing;
 pub mod unfused;
 
 pub use counters::TrafficCounters;
-pub use exec::{execute_fused, execute_fused_with, ExecError};
+pub use exec::{execute_fused_with, ExecError};
 pub use flashfuser_tensor::{KernelKind, NumericConfig};
 pub use graph_exec::{
-    execute_graph, execute_graph_with, ExecSegment, GraphExecError, GraphExecution, SegmentTrace,
+    execute_graph_with, ExecSegment, GraphExecError, GraphExecution, SegmentTrace,
 };
 pub use interp::{interpret_graph, seeded_graph_inputs, InterpError};
 pub use timing::{KernelMeasurement, SimProfiler, TimingModel};
-pub use unfused::{
-    execute_unfused, execute_unfused_with, unfused_time, UnfusedKernelPricer, UnfusedReport,
-};
+pub use unfused::{unfused_time, UnfusedKernelPricer, UnfusedReport};

@@ -1,19 +1,15 @@
 //! Unfused (one-kernel-per-operator) execution — the no-fusion baseline.
 //!
 //! PyTorch-style frameworks launch one kernel per operator and
-//! round-trip every intermediate through global memory (§III). This
-//! module provides both the functional execution (for correctness
-//! cross-checks) and the timing/traffic model the baseline policies
-//! build on.
+//! round-trip every intermediate through global memory (§III). The
+//! baseline is only ever priced, never run: this module is the
+//! timing/traffic model the baseline policies and the graph
+//! partitioner's fallback bar build on.
 
-use crate::counters::TrafficCounters;
-use crate::exec::ExecError;
-use flashfuser_core::{MachineDescriptor, MemLevel};
-use flashfuser_graph::chain::ChainInputs;
+use flashfuser_core::MachineDescriptor;
 use flashfuser_graph::ChainSpec;
-use flashfuser_tensor::{gemm, rowwise_softmax, softmax_scale, Matrix, NumericConfig};
 
-/// The outcome of an unfused execution: per-kernel times and the total.
+/// The priced unfused execution: per-kernel times and the total.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnfusedReport {
     /// `(kernel name, seconds)` in launch order.
@@ -23,99 +19,6 @@ pub struct UnfusedReport {
     pub seconds: f64,
     /// Global bytes moved.
     pub global_bytes: u64,
-}
-
-/// Functionally executes `chain` as separate kernels, counting the
-/// global round trips of every intermediate.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] on input-shape mismatch.
-pub fn execute_unfused(
-    chain: &ChainSpec,
-    inputs: &ChainInputs,
-    counters: &mut TrafficCounters,
-) -> Result<Matrix, ExecError> {
-    execute_unfused_with(chain, inputs, counters, NumericConfig::naive())
-}
-
-/// [`execute_unfused`] with an explicit numeric backend. The non-gated
-/// activation goes through the kernel's fused-epilogue hook
-/// ([`MicroKernel::gemm_epilogue`](flashfuser_tensor::MicroKernel::gemm_epilogue))
-/// — exactly the producer-GEMM epilogue fusion the traffic model
-/// already assumes — so this path exercises the packed kernel's
-/// in-register epilogue. Traffic accounting is backend-independent.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] on input-shape mismatch.
-pub fn execute_unfused_with(
-    chain: &ChainSpec,
-    inputs: &ChainInputs,
-    counters: &mut TrafficCounters,
-    numeric: NumericConfig,
-) -> Result<Matrix, ExecError> {
-    let kernel = numeric.micro_kernel();
-    let dims = chain.dims();
-    let act = chain.kind().activation();
-    let gated = chain.kind().is_gated();
-
-    // Kernel 1: C_raw = A x B. Reads A and B, writes C.
-    counters.kernel_launches += 1;
-    counters.add(
-        MemLevel::Global,
-        dims.a_bytes_f16() + dims.b_bytes_f16() + dims.intermediate_bytes_f16(),
-    );
-
-    let c = if gated {
-        let up = gemm::matmul_with(kernel, &inputs.a, &inputs.b)?;
-        let b_gate = inputs.b_gate.as_ref().ok_or(ExecError::MissingGateWeight)?;
-        // Kernel 2: gate = A x B_gate.
-        let gate = gemm::matmul_with(kernel, &inputs.a, b_gate)?;
-        counters.kernel_launches += 1;
-        counters.add(
-            MemLevel::Global,
-            dims.a_bytes_f16() + dims.b_bytes_f16() + dims.intermediate_bytes_f16(),
-        );
-        // Kernel 3: element-wise act(gate) * up — reads both, writes one.
-        counters.kernel_launches += 1;
-        counters.add(MemLevel::Global, 3 * dims.intermediate_bytes_f16());
-        act.apply_matrix(&gate).mul_elem(&up)?
-    } else {
-        // Activation is fused into the producer GEMM's epilogue by every
-        // framework in the paper's baseline set (even Relay does this),
-        // so it costs no extra round trip.
-        if inputs.a.cols() != inputs.b.rows() {
-            return Err(ExecError::Shape(flashfuser_tensor::ShapeError::new(
-                "matmul",
-                inputs.a.shape(),
-                inputs.b.shape(),
-            )));
-        }
-        let mut c = Matrix::zeros(inputs.a.rows(), inputs.b.cols());
-        kernel.gemm_epilogue(&mut c, &inputs.a, &inputs.b, act)?;
-        c
-    };
-
-    // Attention: a stand-alone three-pass softmax kernel over the
-    // materialised scores — rowwise max, exp+sum, normalize (three
-    // reads) plus the probability write.
-    let c = if chain.kind().is_attention() {
-        counters.kernel_launches += 1;
-        counters.add(MemLevel::Global, 4 * dims.intermediate_bytes_f16());
-        rowwise_softmax(&c, softmax_scale(chain.softmax_scale_k()))
-    } else {
-        c
-    };
-
-    // Final kernel: E = C x D. Reads C and D, writes E.
-    let e = gemm::matmul_with(kernel, &c, &inputs.d)?;
-    counters.kernel_launches += 1;
-    counters.add(
-        MemLevel::Global,
-        dims.intermediate_bytes_f16() + dims.d_bytes_f16() + dims.e_bytes_f16(),
-    );
-    Ok(e)
 }
 
 /// Seconds for one stand-alone kernel with the given FLOP/byte
@@ -267,82 +170,31 @@ mod tests {
     use flashfuser_tensor::Activation;
 
     #[test]
-    fn unfused_matches_reference() {
-        for chain in [
-            ChainSpec::standard_ffn(16, 48, 32, 32, Activation::Relu),
-            ChainSpec::gated_ffn(16, 48, 32, 32, Activation::Silu),
-            ChainSpec::attention(16, 48, 32, 32, true),
-        ] {
-            let inputs = chain.make_inputs(3);
-            let expected = chain.reference_output(&inputs).unwrap();
-            let mut counters = TrafficCounters::new();
-            let got = execute_unfused(&chain, &inputs, &mut counters).unwrap();
-            assert!(expected.approx_eq(&got, 1e-4).unwrap());
-        }
-    }
-
-    #[test]
-    fn blocked_backend_matches_reference_with_identical_traffic() {
-        // Above-cutoff shapes so the packed path (and its fused
-        // epilogue) actually runs, not the small-shape naive fallback.
-        for chain in [
-            ChainSpec::standard_ffn(64, 96, 80, 64, Activation::Gelu),
-            ChainSpec::gated_ffn(64, 96, 80, 64, Activation::Silu),
-        ] {
-            let inputs = chain.make_inputs(6);
-            let expected = chain.reference_output(&inputs).unwrap();
-            let mut naive_c = TrafficCounters::new();
-            execute_unfused(&chain, &inputs, &mut naive_c).unwrap();
-            let mut blocked_c = TrafficCounters::new();
-            let got =
-                execute_unfused_with(&chain, &inputs, &mut blocked_c, NumericConfig::blocked())
-                    .unwrap();
-            assert!(
-                expected.approx_eq(&got, 1e-4).unwrap(),
-                "blocked unfused run diverged: max err {}",
-                expected.max_abs_diff(&got).unwrap()
-            );
-            assert_eq!(naive_c, blocked_c);
-        }
-    }
-
-    #[test]
     fn traffic_matches_chain_model() {
-        // The functional counters must agree with the closed-form
-        // unfused-traffic formula used throughout the repo.
+        // With no split-K (every reduction here is far below 1024), the
+        // priced traffic is exactly the closed-form unfused-traffic
+        // formula used throughout the repo.
         for chain in [
             ChainSpec::standard_ffn(16, 48, 32, 32, Activation::Relu),
             ChainSpec::gated_ffn(16, 48, 32, 32, Activation::Silu),
             ChainSpec::attention(16, 48, 32, 32, false),
             ChainSpec::attention(16, 48, 32, 32, true),
         ] {
-            let inputs = chain.make_inputs(4);
-            let mut counters = TrafficCounters::new();
-            execute_unfused(&chain, &inputs, &mut counters).unwrap();
-            assert_eq!(counters.global_bytes(), chain.unfused_global_bytes());
+            let report = unfused_time(&chain, &MachineDescriptor::h100_sxm(), 0.92);
+            assert_eq!(report.global_bytes, chain.unfused_global_bytes());
         }
     }
 
     #[test]
     fn launch_counts() {
+        let p = MachineDescriptor::h100_sxm();
+        let kernels = |chain: &ChainSpec| unfused_time(chain, &p, 0.92).kernels.len();
         let std = ChainSpec::standard_ffn(16, 32, 32, 32, Activation::Relu);
+        assert_eq!(kernels(&std), 2);
         let gated = ChainSpec::gated_ffn(16, 32, 32, 32, Activation::Silu);
-        let mut c1 = TrafficCounters::new();
-        execute_unfused(&std, &std.make_inputs(1), &mut c1).unwrap();
-        assert_eq!(c1.kernel_launches, 2);
-        let mut c2 = TrafficCounters::new();
-        execute_unfused(&gated, &gated.make_inputs(1), &mut c2).unwrap();
-        assert_eq!(c2.kernel_launches, 4);
+        assert_eq!(kernels(&gated), 4);
         let attn = ChainSpec::attention(16, 32, 32, 32, true);
-        let mut c3 = TrafficCounters::new();
-        execute_unfused(&attn, &attn.make_inputs(1), &mut c3).unwrap();
-        assert_eq!(c3.kernel_launches, 3, "gemm0 + softmax + gemm1");
-        assert_eq!(
-            unfused_time(&attn, &MachineDescriptor::h100_sxm(), 0.92)
-                .kernels
-                .len(),
-            3
-        );
+        assert_eq!(kernels(&attn), 3, "gemm0 + softmax + gemm1");
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl Activation {
         m.map(|x| self.apply(x))
     }
 
-    /// Applies the activation element-wise in place.
-    pub fn apply_inplace(self, m: &mut Matrix) {
-        m.map_inplace(|x| self.apply(x));
-    }
-
     /// All supported activations, for property tests and sweeps.
     pub fn all() -> [Activation; 4] {
         [
@@ -174,9 +169,6 @@ mod tests {
         let m = Matrix::from_vec(1, 3, vec![-1.0, 0.0, 2.0]).unwrap();
         let out = Activation::Relu.apply_matrix(&m);
         assert_eq!(out.as_slice(), &[0.0, 0.0, 2.0]);
-        let mut m2 = m.clone();
-        Activation::Relu.apply_inplace(&mut m2);
-        assert_eq!(m2, out);
     }
 
     #[test]

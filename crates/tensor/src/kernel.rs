@@ -1,7 +1,7 @@
 //! Pluggable GEMM numeric backends.
 //!
 //! Every numeric path in the repository — the graph interpreter, the
-//! fused/unfused executors and `validate_graph` — bottoms out in a
+//! fused executor and `validate_graph_with` — bottoms out in a
 //! matrix multiply. [`MicroKernel`] abstracts that inner kernel so the
 //! whole stack can select, explicitly and deterministically, between:
 //!
@@ -22,7 +22,6 @@
 //! hardware feature, so a given (seed, config) pair reproduces
 //! bit-identical outputs on every run.
 
-use crate::activation::Activation;
 use crate::error::ShapeError;
 use crate::gemm;
 use crate::matrix::{MatMut, MatRef, Matrix};
@@ -62,28 +61,6 @@ pub trait MicroKernel: std::fmt::Debug + Send + Sync {
     /// Returns [`ShapeError`] if `A.cols() != B.rows()` or `C` is not
     /// `A.rows() × B.cols()`.
     fn gemm(&self, c: &mut Matrix, a: &Matrix, b: &Matrix) -> Result<(), ShapeError>;
-
-    /// Computes `C = act(C + A × B)`, the fused-epilogue form.
-    ///
-    /// The default applies the activation as a separate pass after
-    /// [`MicroKernel::gemm`]; kernels may override it to apply the
-    /// epilogue while output blocks are still cache-resident.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] under the same conditions as
-    /// [`MicroKernel::gemm`].
-    fn gemm_epilogue(
-        &self,
-        c: &mut Matrix,
-        a: &Matrix,
-        b: &Matrix,
-        act: Activation,
-    ) -> Result<(), ShapeError> {
-        self.gemm(c, a, b)?;
-        act.apply_inplace(c);
-        Ok(())
-    }
 }
 
 /// The scalar i-k-j reference loop — the repository's numeric oracle.
@@ -135,17 +112,7 @@ impl BlockedKernel {
 
     /// The packed loop nest over the two stages: pack, then
     /// [`BlockedKernel::run_tiles`]. Shapes must already be validated.
-    ///
-    /// When `epi` is set, the activation is applied to each completed
-    /// `nc`-wide column strip of `C` right after its final K slab, while
-    /// the strip is still cache-warm.
-    pub(crate) fn gemm_packed(
-        &self,
-        c: &mut Matrix,
-        a: &Matrix,
-        b: &Matrix,
-        epi: Option<Activation>,
-    ) {
+    pub(crate) fn gemm_packed(&self, c: &mut Matrix, a: &Matrix, b: &Matrix) {
         let (m, k) = a.shape();
         let n = b.cols();
         if m == 0 || n == 0 {
@@ -167,14 +134,6 @@ impl BlockedKernel {
                     Self::pack_a(&mut ap, a.sub(ic, pc, mc_eff, kc_eff));
                     let c = c.sub_mut(ic, jc, mc_eff, nc_eff);
                     self.run_tiles(c, &ap, &bp, kc_eff, Order::Chunked);
-                }
-            }
-            if let Some(act) = epi {
-                let mut strip = c.sub_mut(0, jc, m, nc_eff);
-                for i in 0..m {
-                    for v in strip.row_mut(i) {
-                        *v = act.apply(*v);
-                    }
                 }
             }
         }
@@ -277,24 +236,7 @@ impl MicroKernel for BlockedKernel {
         if below_cutoff(a.rows(), b.cols(), a.cols()) {
             return gemm::matmul_accumulate(c, a, b);
         }
-        self.gemm_packed(c, a, b, None);
-        Ok(())
-    }
-
-    fn gemm_epilogue(
-        &self,
-        c: &mut Matrix,
-        a: &Matrix,
-        b: &Matrix,
-        act: Activation,
-    ) -> Result<(), ShapeError> {
-        check_shapes("blocked_gemm", c, a, b)?;
-        if below_cutoff(a.rows(), b.cols(), a.cols()) {
-            gemm::matmul_accumulate(c, a, b)?;
-            act.apply_inplace(c);
-            return Ok(());
-        }
-        self.gemm_packed(c, a, b, Some(act));
+        self.gemm_packed(c, a, b);
         Ok(())
     }
 }
@@ -427,7 +369,8 @@ impl std::fmt::Display for KernelKind {
 }
 
 /// Deterministic, explicit numeric-backend selection for the
-/// executors and `validate_graph`.
+/// executors and `validate_graph_with`; [`NumericConfig::default`] is
+/// the naive oracle.
 ///
 /// Selection is a plain enum rather than CPU detection so that fuzz
 /// seeds stay reproducible: the same (seed, config) pair yields the
@@ -451,11 +394,6 @@ impl NumericConfig {
         NumericConfig {
             kernel: KernelKind::Blocked,
         }
-    }
-
-    /// The selected kernel instance.
-    pub fn micro_kernel(&self) -> &'static dyn MicroKernel {
-        self.kernel.kernel()
     }
 }
 
@@ -498,27 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn epilogue_matches_separate_activation_for_both_kernels() {
-        let a = seeded_matrix(48, 40, 31);
-        let b = seeded_matrix(40, 56, 32);
-        for kind in KernelKind::all() {
-            for act in Activation::all() {
-                let kernel = kind.kernel();
-                let mut separate = Matrix::from_fn(48, 56, |r, c| (r * 56 + c) as f32 * 0.01);
-                let mut fused = separate.clone();
-                kernel.gemm(&mut separate, &a, &b).unwrap();
-                act.apply_inplace(&mut separate);
-                kernel.gemm_epilogue(&mut fused, &a, &b, act).unwrap();
-                assert_eq!(
-                    fused.as_slice(),
-                    separate.as_slice(),
-                    "{kind} epilogue diverged for {act:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn degenerate_block_shapes_stay_correct() {
         let a = seeded_matrix(13, 9, 7);
         let b = seeded_matrix(9, 11, 8);
@@ -526,7 +443,7 @@ mod tests {
         let uniform = [1, 2, 3, 4, 5, 8, 16, 64].map(|block| (block, block, block));
         for (mc, kc, nc) in uniform.into_iter().chain([(2, 3, 5), (8, 16, 8)]) {
             let mut c = Matrix::zeros(13, 11);
-            BlockedKernel { mc, kc, nc }.gemm_packed(&mut c, &a, &b, None);
+            BlockedKernel { mc, kc, nc }.gemm_packed(&mut c, &a, &b);
             assert!(
                 reference.approx_eq(&c, 1e-5).unwrap(),
                 "blocks ({mc},{kc},{nc}) diverged"
@@ -550,7 +467,7 @@ mod tests {
                 let mut want = start.clone();
                 match order {
                     Order::Naive => gemm::matmul_accumulate(&mut want, &a, &b).unwrap(),
-                    Order::Chunked => BlockedKernel::new().gemm_packed(&mut want, &a, &b, None),
+                    Order::Chunked => BlockedKernel::new().gemm_packed(&mut want, &a, &b),
                 }
                 let mut got = start.clone();
                 BlockedKernel::new().run_tiles(got.view_mut(), &ap, &bp, k, order);
@@ -587,6 +504,5 @@ mod tests {
         assert_eq!(KernelKind::parse("turbo"), None);
         assert_eq!(KernelKind::default(), KernelKind::Naive);
         assert_eq!(NumericConfig::default(), NumericConfig::naive());
-        assert_eq!(NumericConfig::blocked().micro_kernel().name(), "blocked");
     }
 }

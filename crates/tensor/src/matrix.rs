@@ -177,13 +177,6 @@ impl Matrix {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Largest absolute element difference against `other`.
     ///
     /// # Errors

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         d: w2.transpose(),
     };
     let mut counters = TrafficCounters::new();
-    let fused = execute_fused(&plan, &inputs, &mut counters)?;
+    let fused = execute_fused_with(&plan, &inputs, &mut counters, NumericConfig::default())?;
     assert!(direct.transpose().approx_eq(&fused, 1e-3)?);
     println!("fused conv chain matches direct convolution ✔");
 

@@ -43,7 +43,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .clone();
     let inputs = small.make_inputs(42);
     let mut counters = TrafficCounters::new();
-    let fused_out = execute_fused(&small_plan, &inputs, &mut counters)?;
+    let fused_out = execute_fused_with(
+        &small_plan,
+        &inputs,
+        &mut counters,
+        NumericConfig::default(),
+    )?;
     let reference = small.reference_output(&inputs)?;
     assert!(reference.approx_eq(&fused_out, 1e-3)?);
     println!(

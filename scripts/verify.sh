@@ -30,6 +30,9 @@ cargo test -q --workspace --no-fail-fast
 echo "== benchmark bins build against the facade =="
 cargo build --offline -q --release --manifest-path benchmark/Cargo.toml --bins
 
+echo "== benchmark unit tests =="
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 # One short run of every benchmark workload: each checks its own
 # answers (byte-identical replies, codec round trips, plans vs the
 # reference) and ends with a result line that must say so. This is a

@@ -738,6 +738,22 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The command that regenerates and re-validates `seed` alone: every
+/// `fuzz` flag the graph generator or the validation reads.
+fn fuzz_repro(seed: u64, opts: &CommonOpts) -> String {
+    let mut line = format!(
+        "flashfuser-cli fuzz --seeds 1 --start {seed} --ops {} --dims {} --kernel {}",
+        opts.ops, opts.dims, opts.kernel
+    );
+    if opts.attention > 0.0 {
+        line += &format!(" --attention {}", opts.attention);
+    }
+    if let Some(m) = &opts.machine {
+        line += &format!(" --machine {m}");
+    }
+    line
+}
+
 fn cmd_fuzz(args: &[String]) -> ExitCode {
     let (opts, positional) = match parse_opts("fuzz", args) {
         Ok(v) => v,
@@ -784,16 +800,7 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     let mut failures = 0u64;
     for seed in opts.start..end {
         let graph = rand_graph(seed, &config);
-        let repro = format!(
-            "flashfuser-cli fuzz --seeds 1 --start {seed} --ops {} --dims {} --kernel {}{}",
-            opts.ops,
-            opts.dims,
-            opts.kernel,
-            opts.machine
-                .as_deref()
-                .map(|m| format!(" --machine {m}"))
-                .unwrap_or_default()
-        );
+        let repro = fuzz_repro(seed, &opts);
         match validate_graph_with(&compiler, &graph, seed, DEFAULT_TOLERANCE, numeric) {
             Ok(v) => {
                 let attention_fused = v
@@ -865,5 +872,27 @@ fn main() -> ExitCode {
         Some("fuzz") => cmd_fuzz(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some(other) => usage_error(&format!("unknown subcommand '{other}'")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fuzz_repro_line_parses_back_to_the_same_run() {
+        let flags =
+            "--seeds 8 --ops 10 --dims 32 --kernel naive --attention 0.5 --machine a100_sxm";
+        let words = |line: &str| line.split(' ').map(String::from).collect::<Vec<_>>();
+        let (opts, _) = parse_opts("fuzz", &words(flags)).unwrap();
+        let line = fuzz_repro(2, &opts);
+        let (back, positional) = parse_opts("fuzz", &words(&line)[2..]).unwrap();
+        assert!(positional.is_empty(), "{line}");
+        let run = |o: &CommonOpts| (o.ops, o.dims, o.kernel, o.attention, o.machine.clone());
+        assert_eq!(run(&back), run(&opts), "{line}");
+        assert_eq!((back.seeds, back.start), (Some(1), 2), "{line}");
+        // The attention flag appears only when the knob is on.
+        let (plain, _) = parse_opts("fuzz", &words("--seeds 1")).unwrap();
+        assert!(!fuzz_repro(0, &plain).contains("--attention"));
     }
 }

@@ -23,7 +23,7 @@
 //!   timing.
 //!
 //! Compiled graph plans are *numerically falsifiable*:
-//! [`validate_graph`] executes a plan (fused segments tile-by-tile,
+//! [`validate_graph_with`] executes a plan (fused segments tile-by-tile,
 //! unfused remainders op-by-op) against a per-op reference interpreter
 //! on identical seeded inputs and reconciles per-segment traffic with
 //! the dataflow analyzer — the differential oracle behind the `fuzz`
@@ -113,15 +113,14 @@ pub mod service;
 pub mod validate;
 
 pub use validate::{
-    validate_graph, validate_graph_with, GraphValidation, SegmentCheck, ValidateError,
-    DEFAULT_TOLERANCE,
+    validate_graph_with, GraphValidation, SegmentCheck, ValidateError, DEFAULT_TOLERANCE,
 };
 
 /// The most common imports, bundled.
 pub mod prelude {
     pub use crate::{
-        validate_graph, validate_graph_with, Compiled, CompiledSegment, Compiler, CompilerOptions,
-        FusedSegment, GraphPlan, GraphValidation, UnfusedSegment,
+        validate_graph_with, Compiled, CompiledSegment, Compiler, CompilerOptions, FusedSegment,
+        GraphPlan, GraphValidation, UnfusedSegment,
     };
     pub use flashfuser_cache::{CacheStats, PlanCache, PlanKey};
     pub use flashfuser_core::comm::ClusterShape;
@@ -131,7 +130,7 @@ pub mod prelude {
     pub use flashfuser_graph::{
         match_chains, rand_graph, ChainDims, ChainSpec, Dim, OpGraph, OpKind, RandGraphConfig,
     };
-    pub use flashfuser_sim::{execute_fused, unfused_time, SimProfiler, TrafficCounters};
+    pub use flashfuser_sim::{execute_fused_with, unfused_time, SimProfiler, TrafficCounters};
     pub use flashfuser_tensor::{Activation, KernelKind, Matrix, NumericConfig};
 }
 

@@ -1,6 +1,6 @@
 //! Differential validation of compiled whole-graph plans.
 //!
-//! [`validate_graph`] is the end-to-end equivalence oracle: compile a
+//! [`validate_graph_with`] is the end-to-end equivalence oracle: compile a
 //! graph, execute the stitched plan (fused segments tile-by-tile,
 //! unfused remainders op-by-op), execute the same graph through the
 //! per-op reference interpreter, and compare — numerically at every
@@ -60,7 +60,7 @@ use flashfuser_tensor::{KernelKind, Matrix, NumericConfig};
 use std::error::Error;
 use std::fmt;
 
-/// Default mixed absolute/relative tolerance of [`validate_graph`]
+/// Default mixed absolute/relative tolerance of [`validate_graph_with`]
 /// (see the module docs for the derivation).
 pub const DEFAULT_TOLERANCE: f32 = 1e-3;
 
@@ -107,7 +107,7 @@ impl SegmentCheck {
     }
 }
 
-/// The result of [`validate_graph`]: the compiled plan plus the
+/// The result of [`validate_graph_with`]: the compiled plan plus the
 /// per-segment and whole-graph differential verdicts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphValidation {
@@ -146,7 +146,7 @@ impl GraphValidation {
     }
 }
 
-/// Why [`validate_graph`] could not produce a verdict (an actual
+/// Why [`validate_graph_with`] could not produce a verdict (an actual
 /// divergence is a *failed* [`GraphValidation`], not an error).
 #[derive(Debug)]
 pub enum ValidateError {
@@ -230,10 +230,18 @@ fn normwise_err(got: &Matrix, reference: &Matrix) -> f32 {
         / scale
 }
 
-/// Compiles `graph` with `compiler`, executes the stitched plan and the
-/// per-op reference on identical seeded inputs, and reconciles both the
-/// numerics and the per-segment traffic. Deterministic per
-/// `(graph, seed)` — any failure reproduces from the seed alone.
+/// Compiles `graph` with `compiler`, executes the stitched plan under
+/// `numeric` and the per-op reference on identical seeded inputs, and
+/// reconciles both the numerics and the per-segment traffic.
+/// Deterministic per `(graph, seed, numeric)` — any failure reproduces
+/// from the seed alone.
+///
+/// The reference interpretation always runs the naive oracle
+/// ([`NumericConfig::default`]), so under [`NumericConfig::blocked`]
+/// this additionally falsifies the packed kernel against the oracle on
+/// every graph in the fuzz corpus — at the same tolerance, since the
+/// blocked kernel's reassociation noise (≤ 1e-4 normwise per GEMM) sits
+/// well inside [`DEFAULT_TOLERANCE`]'s headroom.
 ///
 /// # Errors
 ///
@@ -241,27 +249,6 @@ fn normwise_err(got: &Matrix, reference: &Matrix) -> f32 {
 /// does not compile, or either execution fails structurally). A
 /// numeric or traffic divergence is reported in the returned
 /// [`GraphValidation`], not as an error.
-pub fn validate_graph(
-    compiler: &Compiler,
-    graph: &OpGraph,
-    seed: u64,
-    tolerance: f32,
-) -> Result<GraphValidation, ValidateError> {
-    validate_graph_with(compiler, graph, seed, tolerance, NumericConfig::naive())
-}
-
-/// [`validate_graph`] with an explicit numeric backend for the
-/// *stitched* execution. The reference interpretation always runs the
-/// naive oracle, so under [`NumericConfig::blocked`] this additionally
-/// falsifies the packed kernel against the oracle on every graph in the
-/// fuzz corpus — at the same tolerance, since the blocked kernel's
-/// reassociation noise (≤ 1e-4 normwise per GEMM) sits well inside
-/// [`DEFAULT_TOLERANCE`]'s headroom.
-///
-/// # Errors
-///
-/// Returns [`ValidateError`] under exactly the same conditions as
-/// [`validate_graph`].
 pub fn validate_graph_with(
     compiler: &Compiler,
     graph: &OpGraph,
@@ -458,7 +445,14 @@ mod tests {
         let l1 = g.append_chain(&chain, x, "l1");
         let t = g.add_node(OpKind::Transpose, vec![l1], "t");
         g.add_node(OpKind::Output, vec![t], "out");
-        let v = validate_graph(&compiler, &g, 1, DEFAULT_TOLERANCE).unwrap();
+        let v = validate_graph_with(
+            &compiler,
+            &g,
+            1,
+            DEFAULT_TOLERANCE,
+            NumericConfig::default(),
+        )
+        .unwrap();
         assert!(v.passed(), "{:?}", v.failures().collect::<Vec<_>>());
         assert_eq!(v.segments.len(), 2);
         assert_eq!(v.fused_count(), 1);
@@ -489,9 +483,15 @@ mod tests {
         assert!(v.passed(), "{:?}", v.failures().collect::<Vec<_>>());
         assert_eq!(v.kernel, KernelKind::Blocked);
         assert_eq!(
-            validate_graph(&compiler, &g, 3, DEFAULT_TOLERANCE)
-                .unwrap()
-                .kernel,
+            validate_graph_with(
+                &compiler,
+                &g,
+                3,
+                DEFAULT_TOLERANCE,
+                NumericConfig::default()
+            )
+            .unwrap()
+            .kernel,
             KernelKind::Naive
         );
     }
@@ -510,7 +510,14 @@ mod tests {
         let probs = g.add_node(OpKind::Softmax { scale_k: 32 }, vec![scores], "softmax");
         let ctx = g.add_node(OpKind::Matmul, vec![probs, v], "ctx");
         g.add_node(OpKind::Output, vec![ctx], "out");
-        let val = validate_graph(&compiler, &g, 5, DEFAULT_TOLERANCE).unwrap();
+        let val = validate_graph_with(
+            &compiler,
+            &g,
+            5,
+            DEFAULT_TOLERANCE,
+            NumericConfig::default(),
+        )
+        .unwrap();
         assert!(val.passed(), "{:?}", val.failures().collect::<Vec<_>>());
         assert_eq!(val.fused_count(), 1);
         assert!(val
@@ -524,7 +531,13 @@ mod tests {
         let compiler = Compiler::new(MachineDescriptor::h100_sxm());
         let g = OpGraph::new();
         assert!(matches!(
-            validate_graph(&compiler, &g, 0, DEFAULT_TOLERANCE),
+            validate_graph_with(
+                &compiler,
+                &g,
+                0,
+                DEFAULT_TOLERANCE,
+                NumericConfig::default()
+            ),
             Err(ValidateError::Compile(_))
         ));
     }

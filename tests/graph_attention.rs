@@ -22,8 +22,14 @@ fn all_eight_zoo_models_fuse_attention_per_layer_and_validate() {
         let small = model.scaled_to(64);
         let layers = 2;
         let graph = small.graph(16, layers);
-        let v = flashfuser::validate_graph(&compiler, &graph, 11, DEFAULT_TOLERANCE)
-            .unwrap_or_else(|e| panic!("{}: validation errored: {e}", model.name));
+        let v = validate_graph_with(
+            &compiler,
+            &graph,
+            11,
+            DEFAULT_TOLERANCE,
+            NumericConfig::default(),
+        )
+        .unwrap_or_else(|e| panic!("{}: validation errored: {e}", model.name));
         assert!(
             v.passed(),
             "{}: diverged (max err {:.2e}): {:?}",
@@ -143,7 +149,14 @@ fn matcher_recovers_the_transposed_k_path() {
     assert_eq!(matches[0].chain, ChainSpec::attention(32, 48, 64, 64, true));
     // And the whole graph compiles + validates end to end.
     let compiler = Compiler::new(MachineDescriptor::h100_sxm());
-    let v = flashfuser::validate_graph(&compiler, &g, 13, DEFAULT_TOLERANCE).unwrap();
+    let v = validate_graph_with(
+        &compiler,
+        &g,
+        13,
+        DEFAULT_TOLERANCE,
+        NumericConfig::default(),
+    )
+    .unwrap();
     assert!(v.passed(), "{:?}", v.failures().collect::<Vec<_>>());
     assert!(v
         .plan

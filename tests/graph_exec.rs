@@ -11,8 +11,14 @@ use flashfuser::DEFAULT_TOLERANCE;
 /// Validates one graph and returns the report, failing loudly with the
 /// per-segment diagnostics on divergence.
 fn validate(compiler: &Compiler, graph: &OpGraph, seed: u64, what: &str) -> GraphValidation {
-    let v = flashfuser::validate_graph(compiler, graph, seed, DEFAULT_TOLERANCE)
-        .unwrap_or_else(|e| panic!("{what}: validation errored: {e}"));
+    let v = validate_graph_with(
+        compiler,
+        graph,
+        seed,
+        DEFAULT_TOLERANCE,
+        NumericConfig::default(),
+    )
+    .unwrap_or_else(|e| panic!("{what}: validation errored: {e}"));
     assert!(
         v.passed(),
         "{what}: diverged (max err {:.2e}): {:?}",
@@ -104,8 +110,17 @@ fn gated_layer_graph_validates() {
 fn validation_is_deterministic_per_seed() {
     let compiler = Compiler::new(MachineDescriptor::h100_sxm());
     let graph = model_zoo()[3].scaled_to(64).layer_graph(16); // BERT
-    let a = flashfuser::validate_graph(&compiler, &graph, 9, DEFAULT_TOLERANCE).unwrap();
-    let b = flashfuser::validate_graph(&compiler, &graph, 9, DEFAULT_TOLERANCE).unwrap();
+    let run = || {
+        validate_graph_with(
+            &compiler,
+            &graph,
+            9,
+            DEFAULT_TOLERANCE,
+            NumericConfig::default(),
+        )
+        .unwrap()
+    };
+    let (a, b) = (run(), run());
     assert_eq!(a.max_err.to_bits(), b.max_err.to_bits());
     assert_eq!(a.segments, b.segments);
 }

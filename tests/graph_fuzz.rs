@@ -4,13 +4,24 @@
 //! regression seeds for bugs the fuzzer found.
 
 use flashfuser::prelude::*;
-use flashfuser::UNFUSED_EFFICIENCY;
+use flashfuser::{ValidateError, DEFAULT_TOLERANCE, UNFUSED_EFFICIENCY};
 use flashfuser_core::segment::partition_graph;
 use flashfuser_graph::op::NodeId;
 use flashfuser_sim::UnfusedKernelPricer;
 
 fn fuzz_config() -> RandGraphConfig {
     RandGraphConfig::new()
+}
+
+/// The differential oracle with the naive kernel on both sides.
+fn oracle(compiler: &Compiler, g: &OpGraph, seed: u64) -> Result<GraphValidation, ValidateError> {
+    validate_graph_with(
+        compiler,
+        g,
+        seed,
+        DEFAULT_TOLERANCE,
+        NumericConfig::default(),
+    )
 }
 
 /// The compute nodes of `g` in topological (insertion) order.
@@ -88,7 +99,7 @@ fn differential_validation_passes_on_64_fuzzed_graphs() {
     let mut fused_total = 0usize;
     for seed in 0..64 {
         let g = rand_graph(seed, &config);
-        let v = flashfuser::validate_graph(&compiler, &g, seed, flashfuser::DEFAULT_TOLERANCE)
+        let v = oracle(&compiler, &g, seed)
             .unwrap_or_else(|e| panic!("seed {seed}: validation errored: {e}"));
         assert!(
             v.passed(),
@@ -132,10 +143,9 @@ fn differential_validation_passes_under_decoded_descriptors() {
                 machine.name,
                 plan.speedup()
             );
-            let v = flashfuser::validate_graph(&compiler, &g, seed, flashfuser::DEFAULT_TOLERANCE)
-                .unwrap_or_else(|e| {
-                    panic!("{}: seed {seed}: validation errored: {e}", machine.name)
-                });
+            let v = oracle(&compiler, &g, seed).unwrap_or_else(|e| {
+                panic!("{}: seed {seed}: validation errored: {e}", machine.name)
+            });
             assert!(
                 v.passed(),
                 "{}: seed {seed}: diverged: {:?}",
@@ -169,7 +179,7 @@ fn regression_seed_0_infeasible_chain_fallback_traffic() {
     // executed bytes must equal the plan's.
     let compiler = Compiler::new(MachineDescriptor::h100_sxm());
     let g = rand_graph(0, &RandGraphConfig::new().with_ops(12));
-    let v = flashfuser::validate_graph(&compiler, &g, 0, flashfuser::DEFAULT_TOLERANCE).unwrap();
+    let v = oracle(&compiler, &g, 0).unwrap();
     assert!(
         v.segments.iter().any(|s| !s.fused && s.nodes.len() >= 3),
         "seed 0 must still contain a multi-op unfused segment (fallen-back chain)"
@@ -193,7 +203,7 @@ fn regression_seed_8_ops_30_f32_overflow_abstains() {
     // finite ground truth exists) instead of failing spuriously.
     let compiler = Compiler::new(MachineDescriptor::h100_sxm());
     let g = rand_graph(8, &RandGraphConfig::new().with_ops(30));
-    let v = flashfuser::validate_graph(&compiler, &g, 8, flashfuser::DEFAULT_TOLERANCE).unwrap();
+    let v = oracle(&compiler, &g, 8).unwrap();
     assert!(
         v.passed(),
         "overflow must abstain, not diverge: {:?}",
@@ -214,7 +224,7 @@ fn regression_tensix_seed_2_sram_rich_descriptor_fuses_every_segment() {
         .expect("committed descriptor decodes");
     let compiler = Compiler::new(tensix);
     let g = rand_graph(2, &RandGraphConfig::new().with_ops(12));
-    let v = flashfuser::validate_graph(&compiler, &g, 2, flashfuser::DEFAULT_TOLERANCE).unwrap();
+    let v = oracle(&compiler, &g, 2).unwrap();
     assert!(v.passed(), "{:?}", v.failures().collect::<Vec<_>>());
     assert_eq!(
         (v.segments.len(), v.fused_count()),
@@ -235,7 +245,7 @@ fn regression_tensix_seed_23_fallback_heavy_graph_still_reconciles() {
         .expect("committed descriptor decodes");
     let compiler = Compiler::new(tensix);
     let g = rand_graph(23, &RandGraphConfig::new().with_ops(12));
-    let v = flashfuser::validate_graph(&compiler, &g, 23, flashfuser::DEFAULT_TOLERANCE).unwrap();
+    let v = oracle(&compiler, &g, 23).unwrap();
     assert!(v.passed(), "{:?}", v.failures().collect::<Vec<_>>());
     assert_eq!(v.fused_count(), 0, "seed 23 must fall back everywhere");
     assert!(v.segments.len() >= 6);
@@ -260,8 +270,7 @@ fn regression_seed_34_deep_graph_cancellation_is_not_a_divergence() {
     let compiler = Compiler::new(MachineDescriptor::h100_sxm());
     for seed in [34, 54, 109, 142, 170, 207] {
         let g = rand_graph(seed, &RandGraphConfig::new().with_ops(12));
-        let v =
-            flashfuser::validate_graph(&compiler, &g, seed, flashfuser::DEFAULT_TOLERANCE).unwrap();
+        let v = oracle(&compiler, &g, seed).unwrap();
         assert!(
             v.passed(),
             "seed {seed}: {:?}",
@@ -297,8 +306,7 @@ fn attention_seed_2_fuses_every_window_on_h100_and_tensix() {
     for machine in [MachineDescriptor::h100_sxm(), tensix] {
         let compiler = Compiler::new(machine.clone());
         let g = rand_graph(2, &config);
-        let v = flashfuser::validate_graph(&compiler, &g, 2, flashfuser::DEFAULT_TOLERANCE)
-            .unwrap_or_else(|e| panic!("{}: {e}", machine.name));
+        let v = oracle(&compiler, &g, 2).unwrap_or_else(|e| panic!("{}: {e}", machine.name));
         assert!(
             v.passed(),
             "{}: {:?}",
@@ -339,7 +347,7 @@ fn attention_population_keeps_the_invariants_for_32_seeds() {
         let mut attention_fused = 0usize;
         for seed in 0..seeds {
             let g = rand_graph(seed, &config);
-            let tolerance = flashfuser::DEFAULT_TOLERANCE;
+            let tolerance = DEFAULT_TOLERANCE;
             let v = flashfuser::validate_graph_with(&compiler, &g, seed, tolerance, numeric)
                 .unwrap_or_else(|e| panic!("{kernel} seed {seed}: validation errored: {e}"));
             assert!(

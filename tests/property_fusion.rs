@@ -8,9 +8,9 @@
 use flashfuser::core::comm::ClusterShape;
 use flashfuser::core::{BlockTile, DataflowAnalyzer, LoopSchedule, MachineDescriptor};
 use flashfuser::graph::{ChainSpec, Dim};
-use flashfuser::sim::{execute_fused, TrafficCounters};
+use flashfuser::sim::{execute_fused_with, TrafficCounters};
 use flashfuser::tensor::rng::SplitMix64;
-use flashfuser::tensor::Activation;
+use flashfuser::tensor::{Activation, NumericConfig};
 
 fn dim_size(rng: &mut SplitMix64) -> usize {
     // Multiples of 16 up to 128 keep the functional runs fast.
@@ -68,7 +68,13 @@ fn feasible_plans_compute_the_reference() {
         let inputs = chain.make_inputs(seed);
         let expected = chain.reference_output(&inputs).unwrap();
         let mut counters = TrafficCounters::new();
-        let got = execute_fused(analysis.plan(), &inputs, &mut counters).unwrap();
+        let got = execute_fused_with(
+            analysis.plan(),
+            &inputs,
+            &mut counters,
+            NumericConfig::default(),
+        )
+        .unwrap();
         assert!(
             expected.approx_eq(&got, 1e-2).unwrap(),
             "{} diverged by {}",

@@ -561,6 +561,51 @@ fn pipelined_keep_alive_bursts_are_bit_identical_to_one_shot_responses() {
     server.shutdown();
 }
 
+/// A handler that records the path of every request a worker runs.
+#[derive(Default)]
+struct Recording(std::sync::Mutex<Vec<String>>);
+
+impl Handler for Recording {
+    fn handle(&self, request: &Request) -> Response {
+        self.0.lock().unwrap().push(request.path.clone());
+        Response::json(200, "{}")
+    }
+}
+
+#[test]
+fn chunked_body_is_refused_not_cut_into_a_smuggled_request() {
+    // The parser frames bodies by Content-Length only: parsed as
+    // body-less, a chunked POST would have its chunk read as the next
+    // pipelined request.
+    let handler = Arc::new(Recording::default());
+    let stats = Arc::new(ServeStats::new());
+    let server = Server::start(
+        ("127.0.0.1", 0),
+        Arc::clone(&handler) as Arc<dyn Handler>,
+        stats,
+        ServeOptions::default(),
+    )
+    .expect("bind ephemeral loopback port");
+    let mut conn = client::Connection::open(server.addr()).expect("connection");
+    let smuggled = "GET /smuggled HTTP/1.1\r\n\r\n";
+    let raw = format!(
+        "POST /compile HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{smuggled}\r\n0\r\n\r\n",
+        smuggled.len()
+    );
+    conn.send_raw(raw.as_bytes()).expect("send");
+    let refused = conn.recv().expect("a typed refusal");
+    assert_eq!(refused.status, 501, "{}", refused.body_utf8());
+    assert!(
+        conn.recv().is_err(),
+        "framing is lost: the connection closes after the one 501"
+    );
+    server.shutdown();
+    assert!(
+        handler.0.lock().unwrap().is_empty(),
+        "no worker ran any part of the chunked request"
+    );
+}
+
 #[test]
 fn mid_stream_disconnect_frees_the_worker() {
     let (server, _compiler, addr) = start(ServeOptions {
