@@ -280,11 +280,6 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// The disk directory, when a disk tier is configured.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk.as_ref().map(DiskStore::dir)
-    }
-
     /// Exports every in-memory entry to a [`DiskStore`]-format snapshot
     /// directory (created if missing) and returns how many records were
     /// written. The snapshot is just a disk-tier directory, so it can be

@@ -196,8 +196,8 @@ impl std::error::Error for JsonError {}
 ///
 /// # Errors
 ///
-/// Returns [`JsonError`] on malformed input, unsupported number forms
-/// (floats, negatives, exponents), excessive nesting, or trailing
+/// Returns [`JsonError`] on malformed input (malformed number syntax
+/// included), non-finite numbers, excessive nesting, or trailing
 /// garbage after the document.
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     parse_with_limits(text, ParseLimits::cache_file())

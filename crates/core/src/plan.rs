@@ -147,11 +147,6 @@ impl PlanGeometry {
         self.clusters_total() * cluster.blocks() as u64
     }
 
-    /// Temporal iterations per block (product of all trip counts).
-    pub fn trips_total(&self) -> u64 {
-        self.trips.iter().map(|&t| t as u64).product()
-    }
-
     /// `true` when partial output sums cross clusters (N is spatial over
     /// more than one cluster), requiring `inter_cluster_reduce`.
     pub fn needs_inter_cluster_reduce(&self) -> bool {

@@ -217,17 +217,6 @@ pub struct SearchStats {
     pub profiling_seconds: f64,
 }
 
-impl SearchStats {
-    /// Ranking throughput in geometry-eligible candidates per second
-    /// (`considered`, skipped planes included).
-    pub fn candidates_per_second(&self) -> f64 {
-        if self.analysis_seconds <= 0.0 {
-            return 0.0;
-        }
-        self.considered as f64 / self.analysis_seconds
-    }
-}
-
 /// Search failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SearchError {

@@ -117,15 +117,6 @@ impl Default for StableHasher {
     }
 }
 
-/// Convenience: hash a sequence of `u64` words in one call.
-pub fn hash_words(words: &[u64]) -> u64 {
-    let mut h = StableHasher::new();
-    for &w in words {
-        h.write_u64(w);
-    }
-    h.finish()
-}
-
 /// Stable per-variant tag of an [`OpKind`] (never reorder — persisted).
 fn kind_tag(kind: &OpKind) -> u64 {
     match kind {

@@ -377,7 +377,7 @@ fn is_dedicated_input(g: &OpGraph, counts: &[usize], id: NodeId) -> bool {
 /// yields two candidates); the partitioner's DP resolves overlaps.
 ///
 /// Each match is cross-checked against the canonical chain form: the
-/// matched subgraph, re-extracted with [`extract_subgraph`], must have
+/// matched subgraph, re-extracted as a stand-alone graph, must have
 /// the same content fingerprint as `ChainSpec::to_op_graph()` of the
 /// recovered chain. A match that fails the check would mean the matcher
 /// and the builder disagree on the family's shape, so it is dropped
@@ -567,15 +567,9 @@ fn match_gated(
 /// interior nodes are re-emitted in canonical order (gated combine
 /// normalised to `(act, up)`), and an `Output` marker closes the graph
 /// — exactly the shape [`ChainSpec::to_op_graph`] produces, so the two
-/// can be compared by fingerprint.
-pub fn extract_subgraph(g: &OpGraph, m: &ChainMatch) -> OpGraph {
-    let shapes = g.infer_shapes().expect("matched graph is well-shaped");
-    extract_with_shapes(g, &shapes, m)
-}
-
-/// [`extract_subgraph`] with the shape vector already computed —
-/// `match_chains` validates every match without re-inferring the host
-/// graph per match.
+/// can be compared by fingerprint. Takes the host graph's shape vector
+/// already computed, so `match_chains` validates every match without
+/// re-inferring it per match.
 fn extract_with_shapes(g: &OpGraph, shapes: &[Shape], m: &ChainMatch) -> OpGraph {
     let mut out = OpGraph::new();
     let (ar, ac) = shapes[m.input];

@@ -50,13 +50,6 @@ pub struct Request {
     pub keep_alive: bool,
 }
 
-impl Request {
-    /// The body as UTF-8, if it is valid UTF-8.
-    pub fn body_utf8(&self) -> Option<&str> {
-        std::str::from_utf8(&self.body).ok()
-    }
-}
-
 /// Why a request could not be read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpError {
@@ -73,8 +66,6 @@ pub enum HttpError {
     /// A `Transfer-Encoding` header: bodies are framed by
     /// `Content-Length` only.
     TransferEncoding,
-    /// An underlying socket error.
-    Io(String),
 }
 
 impl fmt::Display for HttpError {
@@ -86,7 +77,6 @@ impl fmt::Display for HttpError {
             HttpError::BodyTooLarge(cap) => write!(f, "request body exceeds {cap} bytes"),
             HttpError::BadVersion(v) => write!(f, "unsupported HTTP version '{v}'"),
             HttpError::TransferEncoding => write!(f, "transfer-encoding is not supported"),
-            HttpError::Io(e) => write!(f, "socket error: {e}"),
         }
     }
 }
@@ -102,7 +92,6 @@ impl HttpError {
             HttpError::BodyTooLarge(_) => 413,
             HttpError::BadVersion(_) => 505,
             HttpError::TransferEncoding => 501,
-            HttpError::Io(_) => 400,
         }
     }
 }

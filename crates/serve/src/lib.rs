@@ -25,8 +25,8 @@
 //!   protection intact on long-lived connections;
 //! * [`queue`] — the bounded admission queue: backpressure by
 //!   construction, drain-on-close for graceful shutdown;
-//! * [`server`] — acceptor + reactor + fixed worker pool, wired to a
-//!   [`Handler`] implementation; the reactor answers every
+//! * [`server`] — reactor (listener included) + fixed worker pool,
+//!   wired to a [`Handler`] implementation; the reactor answers every
 //!   saturation `503` + `Retry-After` itself — a full queue *without*
 //!   costing the client its connection, a socket over the connection
 //!   limit as a short-lived reject-only connection;

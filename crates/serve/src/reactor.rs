@@ -1,8 +1,8 @@
 //! Readiness polling for the keep-alive reactor, std-only.
 //!
-//! The reactor thread owns every live connection and must sleep until
-//! *either* a socket has bytes for it *or* another thread (acceptor,
-//! worker, shutdown) has work for it. The first half is OS readiness —
+//! The reactor thread owns the listener and every live connection and
+//! must sleep until *either* a socket is ready for it *or* another
+//! thread (worker, shutdown) has work for it. The first half is OS readiness —
 //! on Linux this module declares `poll(2)` directly (one foreign
 //! function, no crate dependency; the workspace's no-external-deps rule
 //! is about packages, not about talking to the platform libc that std

@@ -1,27 +1,28 @@
-//! The serving shell: one acceptor, a readiness reactor owning every
+//! The serving shell: a readiness reactor owning the listener and every
 //! connection, a bounded queue, a fixed worker pool, and a
 //! graceful-shutdown protocol.
 //!
 //! ```text
-//!   accept() ──register──▶ reactor (poll) ──try_push──▶ [queue] ──pop──▶ worker × N
-//!      │ past the reserve?    │   ▲    │ full? / too many conns?           │
-//!      └──▶ drop              │   └────┴──▶ 503 staged on the connection   └─▶ Handler
-//!                             │  completions (waker)◀───────────────────────────┘
+//!   listener ──accept──▶ reactor (poll) ──try_push──▶ [queue] ──pop──▶ worker × N
+//!      │ past the reserve?  │   ▲    │ full? / too many conns?           │
+//!      └──▶ drop            │   └────┴──▶ 503 staged on the connection   └─▶ Handler
+//!                           │  completions (waker)◀───────────────────────────┘
 //! ```
 //!
-//! * The **acceptor** never does request work and never writes: it
-//!   hands every socket to the reactor, and only past
-//!   `max_connections` + `REJECT_RESERVE` (64) sockets does it drop
-//!   new ones outright (a dropped connection is still backpressure).
-//! * The **reactor** is a single thread multiplexing every live
-//!   connection over [`crate::reactor`]'s `poll`: it reads nonblocking
-//!   sockets into per-connection buffers, cuts complete requests off
-//!   the front ([`crate::conn`] keeps pipelined surplus), dispatches at
-//!   most one request per connection into the admission queue, and
-//!   writes completed responses back. Keep-alive is the default
-//!   (HTTP/1.1 semantics), bounded by a per-connection request budget
-//!   and a per-request read deadline — re-armed for every request, so
-//!   slowloris protection does not weaken on long-lived connections.
+//! * The **reactor** is a single thread and the only one that touches a
+//!   socket. The nonblocking listener sits in its [`crate::reactor`]
+//!   `poll` set beside every live connection; when it is readable the
+//!   reactor accepts until `WouldBlock`, and only past
+//!   `max_connections` + `REJECT_RESERVE` (64) sockets does it drop new
+//!   ones outright (a dropped connection is still backpressure). It
+//!   reads nonblocking sockets into per-connection buffers, cuts
+//!   complete requests off the front ([`crate::conn`] keeps pipelined
+//!   surplus), dispatches at most one request per connection into the
+//!   admission queue, and writes completed responses back. Keep-alive
+//!   is the default (HTTP/1.1 semantics), bounded by a per-connection
+//!   request budget and a per-request read deadline — re-armed for
+//!   every request, so slowloris protection does not weaken on
+//!   long-lived connections.
 //! * **Workers** only compute: pop a request, run the [`Handler`]
 //!   (panics cost a 500, not a thread), hand the response back to the
 //!   reactor via the completion list + waker.
@@ -35,10 +36,10 @@
 //!   racing the response. Parse errors close, as HTTP requires once
 //!   framing is lost.
 //! * **Shutdown** is a control signal (a [`Response::shutdown`] flag
-//!   set by the handler, or [`Server::shutdown`] called directly):
+//!   set by the handler, or [`Server::shutdown`] called directly): the
+//!   reactor is woken through its self-pipe and closes the listener,
 //!   admissions stop, dispatched requests complete and flush, workers
-//!   exit, the acceptor is woken by a loopback connect so nothing
-//!   blocks forever.
+//!   exit.
 
 use crate::conn::{Conn, ConnState, Fill};
 use crate::http::{self, HttpError, Request, Response};
@@ -47,8 +48,9 @@ use crate::reactor::{self, Interest, WakeReceiver, Waker};
 use crate::stats::ServeStats;
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -111,17 +113,12 @@ struct Completion {
     at: Instant,
 }
 
-/// State shared between acceptor, workers and the reactor thread.
+/// State shared between the workers and the reactor thread.
 struct ReactorShared {
-    /// Sockets accepted but not yet adopted by the reactor.
-    registrations: Mutex<Vec<TcpStream>>,
     /// Responses computed but not yet staged onto their connection.
     completions: Mutex<Vec<Completion>>,
-    /// Pops the reactor out of `poll` after pushing to either list.
+    /// Pops the reactor out of `poll` after pushing a completion.
     waker: Waker,
-    /// Sockets the reactor owns or is about to adopt, reject-only ones
-    /// included (the acceptor's drop valve reads it).
-    conn_count: AtomicUsize,
 }
 
 /// Coordinates the one-shot transition into shutdown.
@@ -129,38 +126,17 @@ struct ShutdownSignal {
     flag: AtomicBool,
     queue: Arc<Queue<Job>>,
     waker: Waker,
-    addr: SocketAddr,
 }
 
 impl ShutdownSignal {
-    /// Begins shutdown exactly once: close admissions, wake the
-    /// reactor, wake the acceptor with a loopback connect.
+    /// Begins shutdown exactly once: close admissions and wake the
+    /// reactor, which closes the listener.
     fn trigger(&self) {
         if self.flag.swap(true, Ordering::SeqCst) {
             return;
         }
         self.queue.close();
         self.waker.wake();
-        // The acceptor may be blocked in accept(); a throwaway connect
-        // wakes it so it can observe the flag and exit. A wildcard bind
-        // address is not connectable — rewrite it to the loopback of
-        // the same family — and a transiently failing connect (fd
-        // exhaustion under the very flood that prompted shutdown) gets
-        // a few retries so join() cannot hang on a sleeping acceptor.
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake.ip() {
-                std::net::IpAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                std::net::IpAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-            });
-        }
-        for attempt in 0..10 {
-            match TcpStream::connect_timeout(&wake, Duration::from_millis(200)) {
-                Ok(_) => break,
-                Err(_) if attempt < 9 => std::thread::sleep(Duration::from_millis(20)),
-                Err(_) => {} // acceptor will still exit on its next accept
-            }
-        }
     }
 
     fn is_triggered(&self) -> bool {
@@ -174,19 +150,19 @@ impl ShutdownSignal {
 pub struct Server {
     addr: SocketAddr,
     signal: Arc<ShutdownSignal>,
-    acceptor: JoinHandle<()>,
     reactor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `addr` (port 0 picks an ephemeral port) and starts the
-    /// acceptor, the reactor, and the worker pool.
+    /// reactor and the worker pool.
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error when the listener cannot bind,
-    /// the waker pair cannot be created, or a thread cannot spawn.
+    /// Returns the underlying I/O error when the listener cannot bind or
+    /// be made nonblocking, the waker pair cannot be created, or a
+    /// thread cannot spawn.
     pub fn start(
         addr: impl ToSocketAddrs,
         handler: Arc<dyn Handler>,
@@ -195,19 +171,17 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
         let (waker, wake_rx) = reactor::wake_pair()?;
         let queue = Arc::new(Queue::new(options.queue_depth));
         let signal = Arc::new(ShutdownSignal {
             flag: AtomicBool::new(false),
             queue: Arc::clone(&queue),
             waker: waker.clone(),
-            addr,
         });
         let shared = Arc::new(ReactorShared {
-            registrations: Mutex::new(Vec::new()),
             completions: Mutex::new(Vec::new()),
             waker,
-            conn_count: AtomicUsize::new(0),
         });
         let workers_n = if options.workers == 0 {
             std::thread::available_parallelism().map_or(1, usize::from)
@@ -241,11 +215,12 @@ impl Server {
         }
         let reactor = {
             let ctx = ReactorCtx {
+                listener: Some(listener),
                 shared: Arc::clone(&shared),
                 queue: Arc::clone(&queue),
                 signal: Arc::clone(&signal),
-                stats: Arc::clone(&stats),
-                options: options.clone(),
+                stats,
+                options,
             };
             let spawned = std::thread::Builder::new()
                 .name("serve-reactor".to_string())
@@ -255,31 +230,9 @@ impl Server {
                 Err(e) => return Err(cleanup(workers, e)),
             }
         };
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let stats = Arc::clone(&stats);
-            let acceptor_signal = Arc::clone(&signal);
-            let options = options.clone();
-            let spawned = std::thread::Builder::new()
-                .name("serve-acceptor".to_string())
-                .spawn(move || {
-                    acceptor_loop(&listener, &shared, &stats, &acceptor_signal, &options)
-                });
-            match spawned {
-                Ok(handle) => handle,
-                Err(e) => {
-                    // The reactor must exit too before the error returns.
-                    signal.trigger();
-                    let mut threads = workers;
-                    threads.push(reactor);
-                    return Err(cleanup(threads, e));
-                }
-            }
-        };
         Ok(Server {
             addr,
             signal,
-            acceptor,
             reactor,
             workers,
         })
@@ -288,11 +241,6 @@ impl Server {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// `true` once shutdown has been triggered (by any path).
-    pub fn is_shutting_down(&self) -> bool {
-        self.signal.is_triggered()
     }
 
     /// Triggers graceful shutdown and joins every thread: admissions
@@ -309,7 +257,6 @@ impl Server {
     }
 
     fn join(self) {
-        let _ = self.acceptor.join();
         let _ = self.reactor.join();
         for worker in self.workers {
             let _ = worker.join();
@@ -318,49 +265,15 @@ impl Server {
 }
 
 /// Reject-only connections the reactor will hold at once; past
-/// `max_connections` plus this many sockets the acceptor stops handing
-/// them over and drops (an extreme-flood valve).
+/// `max_connections` plus this many sockets it drops new ones on
+/// accept (an extreme-flood valve).
 const REJECT_RESERVE: usize = 64;
 
-fn acceptor_loop(
-    listener: &TcpListener,
-    shared: &ReactorShared,
-    stats: &ServeStats,
-    signal: &ShutdownSignal,
-    options: &ServeOptions,
-) {
-    let drop_beyond = options.max_connections.max(1) + REJECT_RESERVE;
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if signal.is_triggered() {
-                    return;
-                }
-                // Transient failure (aborted connection) or resource
-                // exhaustion (EMFILE under a flood): back off briefly
-                // instead of spinning a core the reactor needs to drain
-                // the very connections holding the descriptors.
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if signal.is_triggered() {
-            // The wake-up connect (or a late client); either way,
-            // admissions are over.
-            drop(stream);
-            return;
-        }
-        stats.accepted.fetch_add(1, Ordering::Relaxed);
-        if shared.conn_count.load(Ordering::SeqCst) >= drop_beyond {
-            stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-            continue; // flood valve: drop without ceremony
-        }
-        shared.conn_count.fetch_add(1, Ordering::SeqCst);
-        shared.registrations.lock().unwrap().push(stream);
-        shared.waker.wake();
-    }
-}
+/// How long the listener leaves the poll set after an `accept` error
+/// other than `WouldBlock` (`EMFILE` under a flood, `ECONNABORTED`), so
+/// the reactor drains the connections holding the descriptors instead
+/// of spinning on the listener.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 fn worker_loop(
     queue: &Queue<Job>,
@@ -391,6 +304,9 @@ fn worker_loop(
 
 /// Everything the reactor thread owns by value.
 struct ReactorCtx {
+    /// The nonblocking listener; dropped once shutdown begins, so late
+    /// connects are refused.
+    listener: Option<TcpListener>,
     shared: Arc<ReactorShared>,
     queue: Arc<Queue<Job>>,
     signal: Arc<ShutdownSignal>,
@@ -402,12 +318,11 @@ struct ReactorCtx {
 /// before force-closing whatever remains.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 
-fn reactor_loop(ctx: ReactorCtx, mut wake_rx: WakeReceiver) {
+fn reactor_loop(mut ctx: ReactorCtx, mut wake_rx: WakeReceiver) {
     // Pipelining backpressure: a connection's unparsed buffer may hold
     // one maximal request plus a chunk of the next before the reactor
     // stops reading it until responses drain the front.
     let high_water = ctx.options.max_body_bytes + http::MAX_HEAD_BYTES + 4096;
-    let max_requests = ctx.options.max_requests_per_conn.max(1);
     let max_conns = ctx.options.max_connections.max(1);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token: u64 = 0;
@@ -415,38 +330,54 @@ fn reactor_loop(ctx: ReactorCtx, mut wake_rx: WakeReceiver) {
     // first; the count must survive that).
     let mut outstanding: usize = 0;
     let mut grace: Option<Instant> = None;
+    // `poll` reported the listener readable: accept on this pass. Only
+    // then — an unconditional accept costs an `EAGAIN` per wake-up.
+    let mut acceptable = false;
+    // After an accept error the listener sits out of the poll set
+    // until this instant.
+    let mut backoff: Option<Instant> = None;
 
     loop {
         let now = Instant::now();
 
-        // 1. Adopt newly accepted sockets.
-        let fresh: Vec<TcpStream> = std::mem::take(&mut *ctx.shared.registrations.lock().unwrap());
-        for stream in fresh {
-            if ctx.signal.is_triggered() {
-                ctx.shared.conn_count.fetch_sub(1, Ordering::SeqCst);
-                continue; // admissions are over
-            }
-            match Conn::new(stream, ctx.options.read_timeout) {
-                Ok(mut conn) => {
-                    // Connections already on their way out hold no slot.
-                    if conns.len() >= max_conns
-                        && conns.values().filter(|c| !c.close_after_flush).count() >= max_conns
-                    {
-                        // Reject-only: the 503 goes out first, then the
-                        // `Draining` handshake reads off the request so
-                        // the close cannot RST the response away.
-                        ctx.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-                        conn.stage(&saturated("too many connections"), false);
-                        conn.close_after_flush = true;
+        // 1. Accept until `WouldBlock`; admissions end with shutdown.
+        if ctx.signal.is_triggered() {
+            ctx.listener = None;
+        }
+        if let Some(listener) = ctx.listener.as_ref().filter(|_| acceptable) {
+            loop {
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(_) => {
+                        backoff = Some(now + ACCEPT_BACKOFF);
+                        break;
                     }
-                    conns.insert(next_token, conn);
-                    next_token += 1;
+                };
+                ctx.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                if conns.len() >= max_conns + REJECT_RESERVE {
+                    ctx.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
+                    continue; // flood valve: drop without ceremony
                 }
-                Err(_) => {
-                    ctx.shared.conn_count.fetch_sub(1, Ordering::SeqCst);
+                let Ok(mut conn) = Conn::new(stream, ctx.options.read_timeout) else {
+                    continue;
+                };
+                // Connections already on their way out hold no slot.
+                if conns.len() >= max_conns
+                    && conns.values().filter(|c| !c.close_after_flush).count() >= max_conns
+                {
+                    // Reject-only: the 503 goes out first, then the
+                    // `Draining` handshake reads off the request so the
+                    // close cannot RST the response away.
+                    ctx.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
+                    conn.stage(&saturated("too many connections"), false);
+                    conn.close_after_flush = true;
                 }
+                conns.insert(next_token, conn);
+                next_token += 1;
             }
         }
+        acceptable = false;
 
         // 2. Stage completed responses.
         let done: Vec<Completion> = std::mem::take(&mut *ctx.shared.completions.lock().unwrap());
@@ -476,27 +407,7 @@ fn reactor_loop(ctx: ReactorCtx, mut wake_rx: WakeReceiver) {
         }
 
         // 3. Advance every connection's state machine; drop the dead.
-        let mut dead: Vec<u64> = Vec::new();
-        for (&token, conn) in conns.iter_mut() {
-            let alive = advance(
-                token,
-                conn,
-                now,
-                &ctx.queue,
-                &ctx.stats,
-                &ctx.signal,
-                &ctx.options,
-                max_requests,
-                &mut outstanding,
-            );
-            if !alive {
-                dead.push(token);
-            }
-        }
-        for token in dead {
-            conns.remove(&token);
-            ctx.shared.conn_count.fetch_sub(1, Ordering::SeqCst);
-        }
+        conns.retain(|&token, conn| advance(token, conn, now, &ctx, &mut outstanding));
 
         // 4. Shutdown: once nothing is dispatched and every buffer has
         // flushed (or the grace period expires), close up shop.
@@ -506,19 +417,26 @@ fn reactor_loop(ctx: ReactorCtx, mut wake_rx: WakeReceiver) {
                 .values()
                 .all(|c| c.write_buf.is_empty() && c.state != ConnState::Dispatched);
             if (outstanding == 0 && all_flushed && conns.is_empty()) || now >= grace_at {
-                ctx.shared
-                    .conn_count
-                    .fetch_sub(conns.len(), Ordering::SeqCst);
                 return;
             }
         }
 
         // 5. Sleep until a socket is ready, a deadline is due, or a
-        // waker byte arrives (registration, completion, shutdown).
+        // waker byte arrives (completion, shutdown). The listener rides
+        // at index 1 unless it is closed or backing off.
         let mut entries: Vec<(std::os::unix::io::RawFd, Interest)> =
             vec![(wake_rx.raw_fd(), Interest::READ)];
         let mut tokens: Vec<u64> = vec![u64::MAX];
         let mut next_deadline: Option<Instant> = grace;
+        backoff = backoff.filter(|&until| now < until);
+        if let Some(until) = backoff {
+            next_deadline = Some(next_deadline.map_or(until, |d| d.min(until)));
+        }
+        let listening = ctx.listener.as_ref().filter(|_| backoff.is_none());
+        if let Some(listener) = listening {
+            entries.push((listener.as_raw_fd(), Interest::READ));
+            tokens.push(u64::MAX);
+        }
         for (&token, conn) in &conns {
             let interest = conn.interest(high_water);
             if interest.read || interest.write {
@@ -538,6 +456,10 @@ fn reactor_loop(ctx: ReactorCtx, mut wake_rx: WakeReceiver) {
         for idx in ready {
             if idx == 0 {
                 wake_rx.drain();
+                continue;
+            }
+            if idx == 1 && listening.is_some() {
+                acceptable = true;
                 continue;
             }
             let token = tokens[idx];
@@ -562,25 +484,20 @@ fn reactor_loop(ctx: ReactorCtx, mut wake_rx: WakeReceiver) {
         }
         for token in dead {
             conns.remove(&token);
-            ctx.shared.conn_count.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
 
 /// Advances one connection: flush, parse, dispatch, enforce deadlines.
 /// Returns `false` when the connection should be dropped.
-#[allow(clippy::too_many_arguments)]
 fn advance(
     token: u64,
     conn: &mut Conn,
     now: Instant,
-    queue: &Queue<Job>,
-    stats: &ServeStats,
-    signal: &ShutdownSignal,
-    options: &ServeOptions,
-    max_requests: u64,
+    ctx: &ReactorCtx,
     outstanding: &mut usize,
 ) -> bool {
+    let (stats, options) = (&*ctx.stats, &ctx.options);
     if flush_or_drop(conn, stats).is_err() {
         return false;
     }
@@ -600,8 +517,9 @@ fn advance(
                 loop {
                     match conn.next_request(options.max_body_bytes) {
                         Ok(Some(request)) => {
-                            let keep_req = request.keep_alive && conn.served + 1 < max_requests;
-                            match queue.try_push(Job {
+                            let keep_req = request.keep_alive
+                                && conn.served + 1 < options.max_requests_per_conn.max(1);
+                            match ctx.queue.try_push(Job {
                                 token,
                                 request,
                                 at: Instant::now(),
@@ -671,7 +589,7 @@ fn advance(
                                     conn.stage(&response, false);
                                     conn.close_after_flush = true;
                                 }
-                            } else if signal.is_triggered() && conn.write_buf.is_empty() {
+                            } else if ctx.signal.is_triggered() && conn.write_buf.is_empty() {
                                 // Shutting down and nothing pending
                                 // here: close now rather than waiting
                                 // out the read deadline.
@@ -762,6 +680,7 @@ fn escape_for_json(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::client;
+    use std::net::TcpStream;
 
     /// Echoes method + path; `/die` asks for shutdown.
     struct Echo;
@@ -795,24 +714,34 @@ mod tests {
     }
 
     fn start_echo(options: ServeOptions) -> (Server, Arc<ServeStats>) {
+        start_echo_on("127.0.0.1", options)
+    }
+
+    fn start_echo_on(host: &str, options: ServeOptions) -> (Server, Arc<ServeStats>) {
         let stats = Arc::new(ServeStats::new());
-        let server = Server::start(
-            ("127.0.0.1", 0),
-            Arc::new(Echo),
-            Arc::clone(&stats),
-            options,
-        )
-        .expect("bind ephemeral port");
+        let server = Server::start((host, 0), Arc::new(Echo), Arc::clone(&stats), options)
+            .expect("bind ephemeral port");
         (server, stats)
     }
 
     #[test]
     fn serves_requests_and_shuts_down_cleanly() {
-        let (server, stats) = start_echo(ServeOptions {
-            workers: 2,
-            ..ServeOptions::default()
-        });
-        let addr = server.addr();
+        // A wildcard bind is served (and shut down) through loopback
+        // exactly like a loopback bind.
+        for host in ["127.0.0.1", "0.0.0.0"] {
+            serves_and_shuts_down_on(host);
+        }
+    }
+
+    fn serves_and_shuts_down_on(host: &str) {
+        let (server, stats) = start_echo_on(
+            host,
+            ServeOptions {
+                workers: 2,
+                ..ServeOptions::default()
+            },
+        );
+        let addr = SocketAddr::from(([127, 0, 0, 1], server.addr().port()));
         let r = client::post(addr, "/compile", b"hello").unwrap();
         assert_eq!(r.status, 200);
         assert_eq!(
@@ -1133,5 +1062,10 @@ mod tests {
         );
         assert_eq!(peer.request("GET", "/still", b"").unwrap().status, 200);
         server.shutdown();
+        assert_eq!(
+            stats.accepted.load(Ordering::Relaxed),
+            flood.len() as u64 + 1,
+            "the peer and every flood socket were accepted exactly once"
+        );
     }
 }

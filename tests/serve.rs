@@ -909,7 +909,7 @@ fn control_shutdown_drains_and_wait_returns() {
     let response = client::post(addr, "/admin/shutdown", b"").expect("control signal");
     assert_eq!(response.status, 200);
     assert!(response.body_utf8().contains("shutting_down"));
-    // wait() joins the acceptor and every worker; returning at all is
+    // wait() joins the reactor and every worker; returning at all is
     // the assertion.
     server.wait();
     assert!(
