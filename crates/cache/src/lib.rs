@@ -89,22 +89,6 @@ impl PlanKey {
             self.graph, self.machine, self.config
         )
     }
-
-    /// Parses a key back out of its [`PlanKey::file_stem`] form — how a
-    /// snapshot import recovers keys from a directory listing. `None`
-    /// for anything that is not exactly 48 hex digits (a foreign file in
-    /// the directory is skipped, not an error).
-    pub fn from_file_stem(stem: &str) -> Option<PlanKey> {
-        if stem.len() != 48 || !stem.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return None;
-        }
-        let part = |range: std::ops::Range<usize>| u64::from_str_radix(&stem[range], 16).ok();
-        Some(PlanKey {
-            graph: part(0..16)?,
-            machine: part(16..32)?,
-            config: part(32..48)?,
-        })
-    }
 }
 
 impl fmt::Display for PlanKey {
@@ -280,12 +264,13 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Exports every in-memory entry to a [`DiskStore`]-format snapshot
-    /// directory (created if missing) and returns how many records were
-    /// written. The snapshot is just a disk-tier directory, so it can be
-    /// shipped to a fresh replica and imported with
-    /// [`PlanCache::preload_from`] — the fleet-warming story: one
-    /// replica pays for the searches, every other replica boots hot.
+    /// Exports the memory tier (at most the LRU capacity, the most
+    /// recently used entries) to a [`DiskStore`]-format directory
+    /// (created if missing) and returns how many records were written.
+    /// A fresh replica opens it with [`PlanCache::with_disk`]. A
+    /// disk-backed cache's own directory already holds every record, so
+    /// ship that instead; this is how a memory-only cache writes its
+    /// warm set.
     ///
     /// The LRU lock is held only long enough to clone the `Arc`s;
     /// serialization and I/O happen outside it.
@@ -305,43 +290,6 @@ impl PlanCache {
             store.save(key, record)?;
         }
         Ok(entries.len())
-    }
-
-    /// Imports every record from a snapshot directory straight into the
-    /// memory tier, returning the imported keys. Counter-neutral: a
-    /// preload is provisioning, not traffic, so hits/misses are
-    /// untouched (`inserts` does count — the records really are
-    /// inserted). Corrupt or foreign files are skipped. When the
-    /// snapshot holds more records than the LRU capacity, the overflow
-    /// is imported-then-evicted; the returned keys include it anyway so
-    /// callers can report snapshot size faithfully.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error when `dir` cannot be read at
-    /// all (a missing snapshot directory is a deployment mistake worth
-    /// surfacing, unlike one corrupt record).
-    pub fn preload_from(&self, dir: impl AsRef<Path>) -> io::Result<Vec<PlanKey>> {
-        let dir = dir.as_ref();
-        if !dir.is_dir() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("snapshot directory not found: {}", dir.display()),
-            ));
-        }
-        let store = DiskStore::open(dir)?;
-        let mut imported = Vec::new();
-        for key in store.keys() {
-            if let Some(record) = store.load(&key) {
-                self.inserts.fetch_add(1, Ordering::Relaxed);
-                self.lru
-                    .lock()
-                    .expect("plan LRU poisoned")
-                    .insert(key, Arc::new(record));
-                imported.push(key);
-            }
-        }
-        Ok(imported)
     }
 }
 
@@ -420,20 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn file_stem_round_trips_and_rejects_foreign_names() {
-        let key = PlanKey::new(u64::MAX, 0, 0xdead_beef_cafe_f00d);
-        assert_eq!(PlanKey::from_file_stem(&key.file_stem()), Some(key));
-        assert_eq!(PlanKey::from_file_stem(""), None);
-        assert_eq!(PlanKey::from_file_stem("not-a-key"), None);
-        // Right length, wrong alphabet.
-        assert_eq!(PlanKey::from_file_stem(&"g".repeat(48)), None);
-        // Off-by-one lengths.
-        assert_eq!(PlanKey::from_file_stem(&"0".repeat(47)), None);
-        assert_eq!(PlanKey::from_file_stem(&"0".repeat(49)), None);
-    }
-
-    #[test]
-    fn snapshot_export_then_preload_restores_the_memory_tier() {
+    fn snapshot_export_serves_a_replica_as_its_disk_tier() {
         let dir = std::env::temp_dir().join(format!("ff-cache-snap-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let warm = PlanCache::in_memory(8);
@@ -442,33 +377,24 @@ mod tests {
             warm.put(PlanKey::new(i, 7, 7), Arc::clone(&r));
         }
         assert_eq!(warm.export_to(&dir).unwrap(), 3);
-        // A fresh replica (memory-only — no disk tier to lean on)
-        // preloads the snapshot and answers from memory immediately.
-        let fresh = PlanCache::in_memory(8);
-        let mut imported = fresh.preload_from(&dir).unwrap();
-        imported.sort_unstable_by_key(|k| (k.graph, k.machine, k.config));
-        assert_eq!(
-            imported,
-            (0..3).map(|i| PlanKey::new(i, 7, 7)).collect::<Vec<_>>()
-        );
-        assert_eq!(fresh.len(), 3);
-        let hit = fresh.get(&PlanKey::new(1, 7, 7)).expect("preloaded hit");
-        assert_eq!(*hit, *r);
-        let stats = fresh.stats();
-        // The preload itself was counter-neutral on hits/misses.
-        assert_eq!((stats.mem_hits, stats.misses), (1, 0));
-        // A missing directory is a loud error, not an empty import.
-        let gone = dir.join("no-such-subdir");
-        assert!(fresh.preload_from(&gone).is_err());
-        // A corrupt record and a foreign file are skipped silently.
+        // A corrupt record and a foreign file sit beside the snapshot.
         std::fs::write(
             dir.join(format!("{}.json", PlanKey::new(9, 9, 9).file_stem())),
             "]]",
         )
         .unwrap();
         std::fs::write(dir.join("README.txt"), "not a record").unwrap();
-        let again = PlanCache::in_memory(8);
-        assert_eq!(again.preload_from(&dir).unwrap().len(), 3);
+        // A replica whose LRU holds fewer plans than the snapshot opens
+        // it as its disk tier and still serves every record.
+        let replica = PlanCache::with_disk(2, &dir).unwrap();
+        for i in 0..3 {
+            let hit = replica.get(&PlanKey::new(i, 7, 7)).expect("snapshot hit");
+            assert_eq!(*hit, *r);
+        }
+        // The corrupt record is a miss, not an error.
+        assert!(replica.get(&PlanKey::new(9, 9, 9)).is_none());
+        let stats = replica.stats();
+        assert_eq!((stats.mem_hits, stats.disk_hits, stats.misses), (0, 3, 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

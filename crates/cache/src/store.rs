@@ -73,33 +73,6 @@ impl DiskStore {
         fs::write(&tmp_path, encode_record(record))?;
         fs::rename(&tmp_path, &final_path)
     }
-
-    /// Number of record files currently in the directory (diagnostics).
-    pub fn file_count(&self) -> usize {
-        self.keys().len()
-    }
-
-    /// Every key with a record file in the directory — the discovery
-    /// half of a snapshot import. Files whose names are not a valid
-    /// [`PlanKey::file_stem`] are skipped silently (same spirit as
-    /// corrupt records being misses).
-    pub fn keys(&self) -> Vec<PlanKey> {
-        fs::read_dir(&self.dir).map_or_else(
-            |_| Vec::new(),
-            |entries| {
-                entries
-                    .filter_map(Result::ok)
-                    .map(|e| e.path())
-                    .filter(|p| p.extension().is_some_and(|x| x == "json"))
-                    .filter_map(|p| {
-                        p.file_stem()
-                            .and_then(|s| s.to_str())
-                            .and_then(PlanKey::from_file_stem)
-                    })
-                    .collect()
-            },
-        )
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +113,7 @@ mod tests {
         let r = record();
         store.save(&key, &r).unwrap();
         assert_eq!(store.load(&key).unwrap(), r);
-        assert_eq!(store.file_count(), 1);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -161,7 +134,7 @@ mod tests {
         let r = record();
         store.save(&PlanKey::new(1, 0, 0), &r).unwrap();
         store.save(&PlanKey::new(2, 0, 0), &r).unwrap();
-        assert_eq!(store.file_count(), 2);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

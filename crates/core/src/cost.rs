@@ -17,9 +17,8 @@ use crate::comm::geometry::H100_MAX_CLUSTER;
 use crate::comm::ClusterShape;
 use crate::machine::{MachineDescriptor, MemLevel};
 use crate::plan::PlanGeometry;
-use crate::schedule::LoopSchedule;
 use crate::tiling::BlockTile;
-use flashfuser_graph::{ChainSpec, Dim};
+use flashfuser_graph::ChainSpec;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -93,7 +92,7 @@ pub struct PlanePricing {
 impl PlanePricing {
     /// The admissible bound `max(compute time, minimum-HBM-traffic
     /// time)` for a plane whose mandatory traffic reaches HBM with
-    /// `hbm_bytes` (see [`CostModel::lower_bound`]).
+    /// `hbm_bytes` (see [`CostModel::lower_bound_for`]).
     pub fn lower_bound(&self, hbm_bytes: u64) -> f64 {
         let hbm_s = hbm_bytes as f64 / self.tier_bw[MemLevel::Global.index()];
         self.compute_s.max(hbm_s)
@@ -251,7 +250,7 @@ impl CostModel {
     /// [`CostModel::evaluate`] (which derates by occupancy and only adds
     /// tiers and latency on top), so the score never overstates the
     /// value of fusing a segment — the same admissibility philosophy as
-    /// the candidate-level [`CostModel::lower_bound`], one level up.
+    /// the candidate-level [`CostModel::lower_bound_for`], one level up.
     pub fn chain_lower_bound(&self, chain: &ChainSpec) -> f64 {
         let compute_s = chain.total_flops() as f64 / self.params.peak_flops();
         let hbm_s = chain.fused_min_global_bytes() as f64 / self.params.hbm_bw();
@@ -259,8 +258,11 @@ impl CostModel {
     }
 
     /// An *admissible* lower bound on [`CostModel::evaluate`]`.est_s` for
-    /// one candidate, computable from the plan geometry alone — no
+    /// one candidate, computable from its plan geometry alone — no
     /// dataflow analysis, no resource mapping, no allocation.
+    /// `geometry` must come from the same `(chain, schedule, cluster,
+    /// tile)`, and the schedule must pass Rule 3's temporal face (any
+    /// candidate the analyzer accepts has both).
     ///
     /// The bound is `max(compute time, minimum-HBM-traffic time)` where:
     ///
@@ -274,30 +276,10 @@ impl CostModel {
     ///   adds the non-negative latency chain.
     ///
     /// Hence for every candidate the analyzer accepts,
-    /// `lower_bound <= evaluate(analysis).est_s` holds exactly, which is
-    /// what lets the search engine skip scoring for candidates that
+    /// `lower_bound_for <= evaluate(analysis).est_s` holds exactly, which
+    /// is what lets the search engine skip scoring for candidates that
     /// cannot beat the current top-K worst without ever changing the
     /// search result (see `SearchEngine`).
-    ///
-    /// Returns `None` when the geometry itself is infeasible or Rule 3's
-    /// temporal face fails — cases the analyzer would reject anyway.
-    pub fn lower_bound(
-        &self,
-        chain: &ChainSpec,
-        schedule: &LoopSchedule,
-        cluster: ClusterShape,
-        tile: BlockTile,
-    ) -> Option<f64> {
-        let geometry = PlanGeometry::derive(chain.dims(), schedule, cluster, tile).ok()?;
-        if !schedule.is_spatial(Dim::K) && schedule.innermost_temporal() != Some(Dim::K) {
-            return None;
-        }
-        Some(self.lower_bound_for(chain, &geometry, cluster, tile))
-    }
-
-    /// The pricing half of [`CostModel::lower_bound`], for callers that
-    /// already derived the candidate's [`PlanGeometry`]. `geometry` must
-    /// come from the same `(chain, schedule, cluster, tile)`.
     ///
     /// With `grid_k = grid_l = 1` — which `PlanGeometry::derive`
     /// enforces — the result does not depend on `tile.k` or `tile.l`

@@ -160,7 +160,7 @@ impl PlanGeometry {
     /// `hbm_bytes`, which is what makes it a sound basis for the search
     /// engine's admissible cost lower bound. This is the single source
     /// of truth for that accounting: the analyzer and the cost model's
-    /// `lower_bound` both call it.
+    /// `lower_bound_for` both call it.
     pub fn mandatory_traffic(
         &self,
         chain: &ChainSpec,

@@ -352,16 +352,6 @@ impl<'a> CandidateStream<'a> {
         }
         planes
     }
-
-    /// Visits every candidate; the callback returns `true` to keep
-    /// iterating or `false` to stop early.
-    pub fn for_each(&self, mut f: impl FnMut(&LoopSchedule, ClusterShape, BlockTile) -> bool) {
-        for c in self.iter() {
-            if !f(c.schedule, c.cluster, c.tile) {
-                return;
-            }
-        }
-    }
 }
 
 impl<'a, 's> IntoIterator for &'s CandidateStream<'a> {
@@ -719,26 +709,8 @@ mod tests {
         let chain = ChainSpec::standard_ffn(64, 64, 64, 64, Activation::Relu);
         let all = LoopSchedule::enumerate_all();
         let stream = CandidateStream::build(&chain, &PruneConfig::default(), &all);
-        let mut n = 0u64;
-        stream.for_each(|_, _, _| {
-            n += 1;
-            true
-        });
-        assert_eq!(n, stream.len());
+        assert_eq!(stream.iter().count() as u64, stream.len());
         assert!(!stream.is_empty());
-    }
-
-    #[test]
-    fn stream_early_exit() {
-        let chain = ChainSpec::standard_ffn(64, 64, 64, 64, Activation::Relu);
-        let all = LoopSchedule::enumerate_all();
-        let stream = CandidateStream::build(&chain, &PruneConfig::default(), &all);
-        let mut n = 0;
-        stream.for_each(|_, _, _| {
-            n += 1;
-            n < 5
-        });
-        assert_eq!(n, 5);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //!
 //! # One bound per plane
 //!
-//! [`CostModel::lower_bound`] does not depend on `blk_k` or `blk_l`:
+//! [`CostModel::lower_bound_for`] does not depend on `blk_k` or `blk_l`:
 //! with `grid_k = grid_l = 1` (true of every streamed candidate) the
 //! trip and tile factors of the mandatory traffic cancel, so the bound —
 //! and the traffic itself — is bit-equal across a whole `(schedule,

@@ -7,7 +7,7 @@
 //! flashfuser-cli graph <MODEL> <M> [--layers N]
 //! flashfuser-cli fuzz --seeds <N> [--ops K] [--dims D] [--kernel NAME] [--start S]
 //!                     [--attention P]
-//! flashfuser-cli serve [--port P] [--workers N] [--queue-depth D] [--preload DIR]
+//! flashfuser-cli serve [--port P] [--workers N] [--queue-depth D]
 //! ```
 //!
 //! Every subcommand also takes `--machine SPEC`, `--cache-dir DIR` and
@@ -74,8 +74,9 @@ SUBCOMMANDS:
               worker pool behind a bounded admission queue (503 + retry
               hint when saturated, without dropping the connection), one
               shared plan cache and single-flight coalescer across all
-              requests; POST /admin/snapshot exports the warm cache for
-              --preload, POST /admin/shutdown drains and exits cleanly
+              requests; POST /admin/snapshot exports the in-memory plans
+              for another replica's --cache-dir, POST /admin/shutdown
+              drains and exits cleanly
 
 SPEC (batch): MxNxKxL with an optional ':gated' suffix,
               e.g. 128x3072x768x768 or 128x11008x4096x4096:gated
@@ -93,11 +94,8 @@ OPTIONS:
     --cache-dir DIR    Persist compiled plans under DIR and reuse them on
                        later runs (content-addressed; invalidates itself
                        when the machine or search config changes; every
-                       subcommand)
-    --preload DIR      Serve: import a warm-cache snapshot from DIR before
-                       accepting traffic, so a fresh replica boots hot
-                       (write one with POST /admin/snapshot; /stats then
-                       reports snapshot preload hits)
+                       subcommand). A directory written by POST
+                       /admin/snapshot boots a replica warm
     --workers N        Batch worker threads, or serve's HTTP worker pool
                        size (default: all cores)
     --repeat R         Compile the batch list R times over (demonstrates
@@ -146,13 +144,12 @@ EXAMPLES:
     flashfuser-cli fuzz --seeds 24 --attention 0.5
     flashfuser-cli serve --port 8080 --workers 4 --queue-depth 64
     flashfuser-cli serve --port 8080 --cache-dir /tmp/ff-plans --machine a100_sxm
-    flashfuser-cli serve --port 8081 --preload /tmp/ff-snapshot
+    flashfuser-cli serve --port 8081 --cache-dir /tmp/ff-snapshot
 ";
 
 struct CommonOpts {
     machine: Option<String>,
     cache_dir: Option<String>,
-    preload: Option<String>,
     workers: usize,
     repeat: usize,
     gated: bool,
@@ -192,7 +189,7 @@ fn own_flags(subcommand: &str) -> &'static [&'static str] {
             "--kernel",
             "--attention",
         ],
-        "serve" => &["--port", "--workers", "--queue-depth", "--preload"],
+        "serve" => &["--port", "--workers", "--queue-depth"],
         _ => &[],
     }
 }
@@ -204,7 +201,6 @@ fn parse_opts(subcommand: &str, args: &[String]) -> Result<(CommonOpts, Vec<Stri
     let mut opts = CommonOpts {
         machine: None,
         cache_dir: None,
-        preload: None,
         workers: 0,
         repeat: 1,
         gated: false,
@@ -234,9 +230,9 @@ fn parse_opts(subcommand: &str, args: &[String]) -> Result<(CommonOpts, Vec<Stri
             "--gated" => opts.gated = true,
             "--conv" => opts.conv = true,
             "--dry-run" => opts.dry_run = true,
-            "--machine" | "--cache-dir" | "--preload" | "--workers" | "--repeat" | "--layers"
-            | "--seeds" | "--start" | "--ops" | "--dims" | "--kernel" | "--attention"
-            | "--port" | "--queue-depth" => {
+            "--machine" | "--cache-dir" | "--workers" | "--repeat" | "--layers" | "--seeds"
+            | "--start" | "--ops" | "--dims" | "--kernel" | "--attention" | "--port"
+            | "--queue-depth" => {
                 let flag = args[i].clone();
                 i += 1;
                 let value = args
@@ -245,7 +241,6 @@ fn parse_opts(subcommand: &str, args: &[String]) -> Result<(CommonOpts, Vec<Stri
                 match flag.as_str() {
                     "--machine" => opts.machine = Some(value.clone()),
                     "--cache-dir" => opts.cache_dir = Some(value.clone()),
-                    "--preload" => opts.preload = Some(value.clone()),
                     "--workers" => {
                         opts.workers = value
                             .parse()
@@ -679,7 +674,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     };
     if opts.dry_run {
         println!(
-            "dry-run: would serve {} on 127.0.0.1:{} ({} worker(s), queue depth {}{}{})",
+            "dry-run: would serve {} on 127.0.0.1:{} ({} worker(s), queue depth {}{})",
             params.name,
             opts.port,
             workers_desc,
@@ -688,10 +683,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 .as_deref()
                 .map(|d| format!(", plans persisted under {d}"))
                 .unwrap_or_default(),
-            opts.preload
-                .as_deref()
-                .map(|d| format!(", preloading snapshot from {d}"))
-                .unwrap_or_default(),
         );
         return ExitCode::SUCCESS;
     }
@@ -699,16 +690,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         Ok(c) => std::sync::Arc::new(c),
         Err(e) => return usage_error(&e),
     };
-    let mut preloaded = 0usize;
-    if let Some(dir) = &opts.preload {
-        preloaded = match compiler.preload(dir) {
-            Ok(count) => count,
-            Err(e) => {
-                eprintln!("cannot preload snapshot from {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    }
     let options = flashfuser::serve::ServeOptions {
         workers: opts.workers,
         queue_depth: opts.queue_depth,
@@ -727,9 +708,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         "workers:   {workers_desc}, queue depth {}",
         opts.queue_depth
     );
-    if opts.preload.is_some() {
-        println!("preloaded: {preloaded} cached plan(s) from the snapshot");
-    }
     println!(
         "endpoints: POST /compile, POST /batch, GET /machines, GET /stats, GET /healthz, POST /admin/snapshot, POST /admin/shutdown"
     );

@@ -249,10 +249,6 @@ struct Shared {
     searches: AtomicU64,
     profile_calls: AtomicU64,
     coalesced: AtomicU64,
-    /// Keys imported by [`Compiler::preload`] — so cache hits can be
-    /// attributed to the snapshot in the serving stats.
-    preloaded: std::sync::RwLock<std::collections::HashSet<PlanKey>>,
-    preload_hits: AtomicU64,
 }
 
 impl Compiler {
@@ -283,8 +279,6 @@ impl Compiler {
             searches: AtomicU64::new(0),
             profile_calls: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            preloaded: std::sync::RwLock::new(std::collections::HashSet::new()),
-            preload_hits: AtomicU64::new(0),
         };
         Ok(Self::view(Arc::new(shared), params))
     }
@@ -353,31 +347,11 @@ impl Compiler {
         self.shared.coalesced.load(Ordering::Relaxed)
     }
 
-    /// Imports a warm-cache snapshot directory (as written by
-    /// [`Compiler::export_snapshot`]) into the plan cache and returns
-    /// how many records arrived. Subsequent cache hits on imported keys
-    /// are attributed to the snapshot via [`Compiler::preload_hits`] —
-    /// the number a fleet operator watches to confirm a replica really
-    /// booted hot instead of quietly re-searching.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error when `dir` is missing or
-    /// unreadable (individual corrupt records are skipped, not fatal).
-    pub fn preload(&self, dir: impl AsRef<Path>) -> io::Result<usize> {
-        let keys = self.shared.cache.preload_from(dir)?;
-        let count = keys.len();
-        self.shared
-            .preloaded
-            .write()
-            .expect("preloaded set poisoned")
-            .extend(keys);
-        Ok(count)
-    }
-
-    /// Exports every in-memory cached plan to `dir` in the snapshot
-    /// format [`Compiler::preload`] reads (which is also the disk-tier
-    /// format, so a snapshot can double as a seed `--cache-dir`).
+    /// Exports the memory tier — at most [`DEFAULT_CAPACITY`] plans, the
+    /// most recently used — to `dir` in the disk-tier format, which a
+    /// replica serves as its [`CompilerOptions::cache_dir`]. A
+    /// disk-backed compiler's cache dir already holds every plan, so ship
+    /// that instead; this is how a memory-only one writes its warm set.
     ///
     /// # Errors
     ///
@@ -385,21 +359,6 @@ impl Compiler {
     /// succeeds silently.
     pub fn export_snapshot(&self, dir: impl AsRef<Path>) -> io::Result<usize> {
         self.shared.cache.export_to(dir)
-    }
-
-    /// Keys imported by [`Compiler::preload`] so far.
-    pub fn preloaded_keys(&self) -> u64 {
-        self.shared
-            .preloaded
-            .read()
-            .expect("preloaded set poisoned")
-            .len() as u64
-    }
-
-    /// Cache hits served by records that arrived via
-    /// [`Compiler::preload`] rather than this process's own searches.
-    pub fn preload_hits(&self) -> u64 {
-        self.shared.preload_hits.load(Ordering::Relaxed)
     }
 
     /// Compiles one chain, consulting the cache first.
@@ -523,7 +482,6 @@ impl Compiler {
     ) -> Result<(Arc<PlanRecord>, bool), SearchError> {
         let key = self.key_for(chain);
         if let Some(hit) = self.shared.cache.get(&key) {
-            self.attribute_hit(&key);
             return Ok((hit, false));
         }
         let mut searched = false;
@@ -543,18 +501,6 @@ impl Compiler {
             self.shared.coalesced.fetch_add(1, Ordering::Relaxed);
         }
         Ok((outcome?, searched))
-    }
-
-    /// Credits a cache hit to the snapshot when its key was preloaded.
-    fn attribute_hit(&self, key: &PlanKey) {
-        let preloaded = self
-            .shared
-            .preloaded
-            .read()
-            .expect("preloaded set poisoned");
-        if !preloaded.is_empty() && preloaded.contains(key) {
-            self.shared.preload_hits.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Runs one full search (the cold path).

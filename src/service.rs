@@ -17,8 +17,11 @@
 //! | `GET /machines`        | —                           | built-in machine registry |
 //! | `GET /stats`           | —                           | counters, cache, latency |
 //! | `GET /healthz`         | —                           | `{"ok": true}` |
-//! | `POST /admin/snapshot` | `{"dir": "/path"}`          | warm-cache export count |
+//! | `POST /admin/snapshot` | `{"dir": "/path"}`          | memory-tier export count |
 //! | `POST /admin/shutdown` | —                           | ack, then graceful drain |
+//!
+//! `/admin/snapshot` writes the memory tier only; a disk-backed server
+//! ships its `--cache-dir`, which holds every plan it searched.
 //!
 //! `/compile` and `/batch` bodies may carry an optional `"machine"`
 //! member — either a registry name (`"machine": "a100_sxm"`, see
@@ -245,11 +248,11 @@ impl CompileService {
         )
     }
 
-    /// `POST /admin/snapshot`: export the warm in-memory plan cache to
-    /// a directory on the *server's* filesystem, in the same format the
-    /// disk tier and `serve --preload` read. This is the fleet-warming
-    /// export: one replica pays for the searches, the snapshot ships to
-    /// every other replica.
+    /// `POST /admin/snapshot`: export the memory tier (at most the LRU
+    /// capacity) to a directory on the *server's* filesystem in the
+    /// disk-tier format, which another replica serves as its
+    /// `--cache-dir`. This is how a memory-only server warms a fleet; a
+    /// disk-backed one ships its own `--cache-dir`.
     fn snapshot_endpoint(&self, request: &Request) -> Response {
         let dir = match parse_untrusted(&request.body) {
             Ok(doc) => match doc.get("dir").and_then(JsonValue::as_str) {
@@ -316,8 +319,6 @@ impl CompileService {
                 "  \"cache\": {{\"mem_hits\": {mem_hits}, \"disk_hits\": {disk_hits}, ",
                 "\"misses\": {misses}, \"inserts\": {inserts}, \"evictions\": {evictions}, ",
                 "\"hit_rate_permille\": {hit_permille}}},\n",
-                "  \"snapshot\": {{\"preloaded\": {preloaded}, ",
-                "\"preload_hits\": {preload_hits}}},\n",
                 "  \"latency_us\": {latency},\n",
                 "  \"queue_wait_us\": {queue_wait},\n",
                 "  \"uptime_ms\": {uptime}\n",
@@ -348,8 +349,6 @@ impl CompileService {
             inserts = cache.inserts,
             evictions = cache.evictions,
             hit_permille = hit_permille,
-            preloaded = self.compiler.preloaded_keys(),
-            preload_hits = self.compiler.preload_hits(),
             latency = hist(&s.latency),
             queue_wait = hist(&s.queue_wait),
             uptime = self.started.elapsed().as_millis(),
@@ -823,9 +822,6 @@ mod tests {
                 .as_u64(),
             Some(0)
         );
-        let snapshot = doc.get("snapshot").unwrap();
-        assert_eq!(snapshot.get("preloaded").unwrap().as_u64(), Some(0));
-        assert_eq!(snapshot.get("preload_hits").unwrap().as_u64(), Some(0));
         assert_eq!(
             doc.get("admission")
                 .unwrap()

@@ -117,8 +117,9 @@ fn unknown_subcommand_is_a_usage_error() {
 #[test]
 fn a_flag_its_subcommand_does_not_read_is_a_usage_error() {
     // Each row is valid without its last flag (+ value); the stranger
-    // is a real flag of *another* subcommand, so it must be refused by
-    // name rather than parsed and dropped.
+    // is a real flag of *another* subcommand, or one that was removed
+    // (`serve --preload`, folded into `--cache-dir`), so it must be
+    // refused by name rather than parsed and dropped.
     for (args, stranger) in [
         (
             vec!["compile", "128", "512", "256", "256", "--seeds", "5"],
@@ -133,6 +134,7 @@ fn a_flag_its_subcommand_does_not_read_is_a_usage_error() {
         (vec!["fuzz", "--seeds", "2", "--layers", "2"], "--layers"),
         (vec!["serve", "--port", "0", "--gated"], "--gated"),
         (vec!["serve", "--attention", "0.5"], "--attention"),
+        (vec!["serve", "--preload", "/tmp/x"], "--preload"),
     ] {
         let mut args = args;
         args.push("--dry-run");
@@ -190,9 +192,6 @@ fn serve_dry_run_covers_every_documented_form() {
             "--machine",
             "a100_sxm",
         ],
-        // --preload must *parse* without the directory existing
-        // (dry-run validates arguments, not deployment state).
-        vec!["serve", "--port", "8081", "--preload", "/tmp/ff-snapshot"],
     ] {
         let mut args = args.clone();
         args.push("--dry-run");

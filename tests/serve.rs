@@ -24,9 +24,9 @@
 //!   second request is;
 //! * a 503 under saturation does not cost a keep-alive client its
 //!   connection;
-//! * `POST /admin/snapshot` → `Compiler::preload` boots a replica that
-//!   answers the same workload byte-identically with **zero** new
-//!   searches.
+//! * `POST /admin/snapshot` writes a directory that a replica opens as
+//!   its cache dir, and the replica answers the same workload
+//!   byte-identically with **zero** new searches.
 
 use flashfuser::prelude::*;
 use flashfuser::serve::{client, Handler, Request, Response, ServeOptions, ServeStats, Server};
@@ -718,7 +718,7 @@ fn saturation_503_does_not_cost_a_keep_alive_client_its_connection() {
 }
 
 #[test]
-fn snapshot_export_then_preload_boots_a_replica_answering_warm() {
+fn snapshot_export_serves_a_replica_as_its_cache_dir() {
     let snap_dir = std::env::temp_dir().join(format!("ff-itest-snap-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&snap_dir);
 
@@ -756,11 +756,16 @@ fn snapshot_export_then_preload_boots_a_replica_answering_warm() {
     assert!(count >= 3, "all three plans exported, got {count}");
     origin.shutdown();
 
-    // A fresh replica preloads the snapshot and answers the same
-    // workload byte-identically without running a single search.
-    let replica_compiler = Arc::new(Compiler::new(MachineDescriptor::h100_sxm()));
-    let preloaded = replica_compiler.preload(&snap_dir).expect("preload");
-    assert_eq!(preloaded as u64, count, "preload reads every record");
+    // A fresh replica opens the snapshot as its cache dir and answers
+    // the same workload byte-identically without running a single
+    // search.
+    let replica_compiler = Arc::new(
+        Compiler::with_options(
+            MachineDescriptor::h100_sxm(),
+            CompilerOptions::new().with_cache_dir(&snap_dir),
+        )
+        .expect("replica opens the snapshot"),
+    );
     let replica = service::start(
         Arc::clone(&replica_compiler),
         ("127.0.0.1", 0),
@@ -783,12 +788,11 @@ fn snapshot_export_then_preload_boots_a_replica_answering_warm() {
     assert_eq!(
         replica_compiler.searches_run(),
         0,
-        "a preloaded replica recompiles nothing"
+        "a snapshot replica recompiles nothing"
     );
-    assert_eq!(stat(replica_addr, "snapshot", "preloaded"), count);
     assert!(
-        stat(replica_addr, "snapshot", "preload_hits") >= 3,
-        "every replay request is attributed to the snapshot"
+        stat(replica_addr, "cache", "disk_hits") >= 3,
+        "every replay request is served from the snapshot directory"
     );
     assert!(
         stat(replica_addr, "cache", "hit_rate_permille") >= 900,
@@ -835,7 +839,6 @@ fn cold_stats_document_is_pinned() {
             "\"profile_calls\": 0}},\n",
             "  \"cache\": {{\"mem_hits\": 0, \"disk_hits\": 0, \"misses\": 0, ",
             "\"inserts\": 0, \"evictions\": 0, \"hit_rate_permille\": 0}},\n",
-            "  \"snapshot\": {{\"preloaded\": 0, \"preload_hits\": 0}},\n",
             "  \"latency_us\": {{\"count\": 0, \"p50\": 0, \"p99\": 0, \"max\": 0, ",
             "\"mean\": 0}},\n",
             "  \"queue_wait_us\": {{\"count\": 1, \"p50\": {p50}, \"p99\": {p99}, ",
