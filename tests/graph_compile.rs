@@ -216,3 +216,75 @@ fn empty_graph_is_a_partition_error() {
     assert!(matches!(err, flashfuser::GraphCompileError::Partition(_)));
     assert!(err.to_string().contains("partition"));
 }
+
+/// Content fingerprints are the plan-cache key and the file names of a
+/// `--cache-dir` snapshot: a replica serving a snapshot written by an
+/// older build depends on these values never moving.
+#[test]
+fn chain_fingerprints_are_stable_across_versions() {
+    let pinned = [
+        (
+            ChainSpec::standard_ffn(128, 3072, 768, 768, Activation::Relu),
+            0xcc64_0bae_dd69_03eb_u64,
+        ),
+        (
+            ChainSpec::gated_ffn(128, 11008, 4096, 4096, Activation::Silu),
+            0xa962_a6ec_e219_2590,
+        ),
+        (
+            ChainSpec::attention(128, 128, 64, 64, true),
+            0x0e0d_8aa6_103b_7cef,
+        ),
+        (
+            ChainSpec::attention(128, 128, 64, 64, false),
+            0xe6d1_a0fa_858b_f487,
+        ),
+    ];
+    for (chain, fingerprint) in pinned {
+        assert_eq!(chain.fingerprint(), fingerprint, "{chain}");
+    }
+}
+
+/// Pins the matcher's output over a fixed corpus: 256 random graphs
+/// (attention motifs on even seeds) and every zoo model at two layers.
+/// Each match contributes its chain fingerprint, its fused nodes and
+/// its boundary roles.
+#[test]
+fn matcher_output_is_pinned_over_a_fixed_corpus() {
+    use flashfuser::graph::{recover_chain_io, StableHasher};
+    use flashfuser::workloads::{large_model_zoo, model_zoo};
+    let mut graphs: Vec<OpGraph> = (0..256u64)
+        .map(|seed| {
+            let p = if seed % 2 == 0 { 0.5 } else { 0.0 };
+            let config = RandGraphConfig::new().with_ops(24).with_attention_prob(p);
+            rand_graph(seed, &config)
+        })
+        .collect();
+    graphs.extend(
+        model_zoo()
+            .into_iter()
+            .chain(large_model_zoo())
+            .map(|model| model.graph(128, 2)),
+    );
+    let mut h = StableHasher::new();
+    let mut count = 0usize;
+    for g in &graphs {
+        for m in match_chains(g).unwrap() {
+            count += 1;
+            h.write_u64(m.chain.fingerprint());
+            h.write_usize(m.nodes.len());
+            for &n in &m.nodes {
+                h.write_usize(n);
+            }
+            let e = *m.nodes.last().unwrap();
+            let io = recover_chain_io(g, e).expect("every match closes a chain");
+            h.write_usize(io.input);
+            h.write_usize(io.b_up);
+            h.write_usize(io.b_gate.map_or(usize::MAX, |b| b));
+            h.write_usize(io.d);
+            h.write_usize(io.output);
+        }
+    }
+    assert_eq!(count, 1699);
+    assert_eq!(h.finish(), 0x7c78_600f_0ef2_ca89, "matcher digest moved");
+}
