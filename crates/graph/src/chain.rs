@@ -177,46 +177,14 @@ impl ChainSpec {
         self.total_flops() as f64 / self.fused_min_global_bytes() as f64
     }
 
-    /// Expands the chain into its operator DAG (Fig. 1 shape).
+    /// Expands the chain into its operator DAG (Fig. 1 shape): an input
+    /// `A`, the chain spliced on by [`OpGraph::append_chain`], and an
+    /// `Output` marker.
     pub fn to_op_graph(&self) -> OpGraph {
-        let d = self.dims;
         let mut g = OpGraph::new();
-        let a = g.add_input("A", d.m, d.k);
-        match self.kind {
-            ChainKind::StandardFfn { activation } => {
-                let b = g.add_input("B", d.k, d.n);
-                let dw = g.add_input("D", d.n, d.l);
-                let c = g.add_node(OpKind::Matmul, vec![a, b], "C");
-                let act = g.add_node(OpKind::Activation(activation), vec![c], "act");
-                let e = g.add_node(OpKind::Matmul, vec![act, dw], "E");
-                g.add_node(OpKind::Output, vec![e], "out");
-            }
-            ChainKind::GatedFfn { activation } => {
-                let b_up = g.add_input("B_up", d.k, d.n);
-                let b_gate = g.add_input("B_gate", d.k, d.n);
-                let dw = g.add_input("D", d.n, d.l);
-                let up = g.add_node(OpKind::Matmul, vec![a, b_up], "up");
-                let gate = g.add_node(OpKind::Matmul, vec![a, b_gate], "gate");
-                let act = g.add_node(OpKind::Activation(activation), vec![gate], "act");
-                let mul = g.add_node(OpKind::Elementwise(BinaryOp::Mul), vec![act, up], "mul");
-                let e = g.add_node(OpKind::Matmul, vec![mul, dw], "E");
-                g.add_node(OpKind::Output, vec![e], "out");
-            }
-            ChainKind::Attention { .. } => {
-                let b = g.add_input("B", d.k, d.n);
-                let dw = g.add_input("D", d.n, d.l);
-                let c = g.add_node(OpKind::Matmul, vec![a, b], "scores");
-                let sm = g.add_node(
-                    OpKind::Softmax {
-                        scale_k: self.softmax_scale_k(),
-                    },
-                    vec![c],
-                    "probs",
-                );
-                let e = g.add_node(OpKind::Matmul, vec![sm, dw], "E");
-                g.add_node(OpKind::Output, vec![e], "out");
-            }
-        }
+        let a = g.add_input("A", self.dims.m, self.dims.k);
+        let e = g.append_chain(self, a, "");
+        g.add_node(OpKind::Output, vec![e], "out");
         g
     }
 

@@ -6,12 +6,13 @@
 //! * [`ChainDims`] — the unified loop-dimension set `{M, N, K, L}` of a
 //!   two-GEMM chain (Fig. 2), with FLOP and byte accounting.
 //! * [`ChainSpec`] / [`ChainKind`] — a standard FFN, gated FFN (SwiGLU),
-//!   or convolution block lowered to a GEMM chain via im2col.
+//!   attention window (`softmax(Q x K^T) x V`), or convolution block
+//!   lowered to a GEMM chain via im2col.
 //! * [`OpGraph`] — a small operator DAG used to express and validate the
 //!   chain structure, and the input of whole-graph compilation.
-//! * [`segment`] — shape inference, unfused per-op pricing, and the
-//!   pattern matcher that recovers typed chains from an arbitrary DAG
-//!   (the front half of whole-graph compilation).
+//! * [`segment`] — shape inference, unfused per-op pricing, the one
+//!   chain builder, and the pattern matcher that recovers typed chains
+//!   from an arbitrary DAG (the front half of whole-graph compilation).
 //! * [`mod@rand_graph`] — seeded random-DAG generation: diverse,
 //!   always-valid graphs for differential fuzzing of the compiler.
 //!

@@ -6,18 +6,19 @@
 //!
 //! * [`OpGraph::infer_shapes`] — forward shape inference over the
 //!   topological node order;
-//! * [`match_chains`] — structural pattern matching of the three chain
-//!   families (standard FFN `act(A x B) x D`, gated FFN
+//! * [`recover_chain_io`] — the one walk over the three chain shapes
+//!   (standard FFN `act(A x B) x D`, gated FFN
 //!   `(act(A x B_gate) ⊙ (A x B_up)) x D`, attention
-//!   `softmax(Q x K^T) x V`), each match verified against the canonical
-//!   form via the content fingerprints of [`crate::fingerprint`];
+//!   `softmax(Q x K^T) x V`), returning every role of the chain;
+//! * [`match_chains`] — that walk at every node plus the fusibility
+//!   checks, with the typed chain read off the roles' shapes;
 //! * [`OpGraph::op_cost`] — FLOP/byte pricing of a single node run as a
 //!   stand-alone (unfused) kernel, for everything the matcher leaves
 //!   behind;
-//! * [`OpGraph::append_chain`] — the multi-segment graph builder:
+//! * [`OpGraph::append_chain`] — the one builder of the three shapes:
 //!   splices a chain's operator expansion onto an existing node, so
-//!   model graphs (layer after layer) compose from the same canonical
-//!   pieces the matcher recovers.
+//!   model graphs (layer after layer) and [`ChainSpec::to_op_graph`]
+//!   compose from the same canonical pieces the matcher recovers.
 //!
 //! The matcher is deliberately conservative: FFN weights must be
 //! dedicated graph inputs and every interior node must have exactly one
@@ -31,6 +32,7 @@
 use crate::chain::ChainSpec;
 use crate::op::{NodeId, OpGraph, OpKind};
 use flashfuser_tensor::BinaryOp;
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -208,11 +210,11 @@ impl OpGraph {
             d.m,
             d.k
         );
-        let label = |part: &str| {
+        let label = |part: &'static str| -> Cow<'static, str> {
             if prefix.is_empty() {
-                part.to_string()
+                Cow::Borrowed(part)
             } else {
-                format!("{prefix}.{part}")
+                Cow::Owned(format!("{prefix}.{part}"))
             }
         };
         let activation = chain.kind().activation();
@@ -252,91 +254,99 @@ impl OpGraph {
     }
 }
 
-/// The boundary nodes of a two-GEMM chain embedded in a larger graph:
-/// everything an executor needs to wire a fused kernel into the
-/// surrounding dataflow (read the activation and weight values, store
-/// the result at the output GEMM's node).
+/// The roles of a two-GEMM chain embedded in a larger graph: its
+/// boundary (everything an executor needs to wire a fused kernel into
+/// the surrounding dataflow — read the activation and weight values,
+/// store the result at the output GEMM's node) and its interior (the
+/// compute nodes the fused kernel replaces).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainIo {
-    /// The node feeding the chain (`A`).
+    /// The node feeding the chain (`A`; Q for attention).
     pub input: NodeId,
-    /// The up-projection weight (`B` / `B_up`).
+    /// The up-projection weight (`B` / `B_up`; K^T for attention).
     pub b_up: NodeId,
     /// The gate weight (`B_gate`), present only for gated chains.
     pub b_gate: Option<NodeId>,
-    /// The down-projection weight (`D`).
+    /// The down-projection weight (`D`; V for attention).
     pub d: NodeId,
+    /// GEMM0, `A x B` (the up GEMM of a gated chain, the scores GEMM of
+    /// attention).
+    pub gemm0: NodeId,
+    /// The gate GEMM `A x B_gate`, present only for gated chains.
+    pub gate: Option<NodeId>,
+    /// The activation between the GEMMs, or the softmax of attention.
+    pub act: NodeId,
+    /// The branch combine `act ⊙ up`, present only for gated chains.
+    pub mul: Option<NodeId>,
     /// The output GEMM (`E`).
     pub output: NodeId,
 }
 
-/// Structurally recovers the chain I/O roles from its output GEMM `e`:
-/// walks the producer edges exactly the way [`match_chains`] does, but
-/// without the fusibility checks (consumer counts, dedicated weights)
-/// — callers hand it a node that is *already known* to close a chain
-/// (e.g. the last node of a fused segment) and just need the roles
-/// back. Returns `None` when the subgraph under `e` is not shaped like
-/// either chain family.
+impl ChainIo {
+    /// The compute nodes a fused kernel replaces (GEMMs, activation or
+    /// softmax, branch combine), in ascending id order.
+    pub fn nodes(&self) -> Vec<NodeId> {
+        let mut nodes: Vec<NodeId> = [
+            Some(self.gemm0),
+            self.gate,
+            Some(self.act),
+            self.mul,
+            Some(self.output),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        nodes.sort_unstable();
+        nodes
+    }
+}
+
+/// Structurally recovers the roles of the chain closed by output GEMM
+/// `e` — the one walk over the three chain shapes (`act(A x B) x D`,
+/// `softmax(A x B) x D`, and `(act(A x B_gate) ⊙ (A x B_up)) x D` with
+/// the combine's operands in either order). It applies no fusibility
+/// check (consumer counts, dedicated weights, softmax scale): that is
+/// [`match_chains`]' job, while callers such as the executors hand it a
+/// node already known to close a fused segment. Returns `None` when the
+/// subgraph under `e` has none of the three shapes.
 pub fn recover_chain_io(g: &OpGraph, e: NodeId) -> Option<ChainIo> {
-    let node = g.node(e);
-    if node.kind != OpKind::Matmul {
+    let is_matmul = |id: NodeId| g.node(id).kind == OpKind::Matmul;
+    let is_act = |id: NodeId| matches!(g.node(id).kind, OpKind::Activation(_));
+    if !is_matmul(e) {
         return None;
     }
-    let (c, d) = (node.inputs[0], node.inputs[1]);
-    match g.node(c).kind {
-        OpKind::Activation(_) => {
-            let m0 = g.node(c).inputs[0];
-            if g.node(m0).kind != OpKind::Matmul {
-                return None;
-            }
-            Some(ChainIo {
-                input: g.node(m0).inputs[0],
-                b_up: g.node(m0).inputs[1],
-                b_gate: None,
-                d,
-                output: e,
-            })
-        }
-        OpKind::Softmax { .. } => {
-            let m0 = g.node(c).inputs[0];
-            if g.node(m0).kind != OpKind::Matmul {
-                return None;
-            }
-            Some(ChainIo {
-                input: g.node(m0).inputs[0],
-                b_up: g.node(m0).inputs[1],
-                b_gate: None,
-                d,
-                output: e,
-            })
-        }
+    let (c, d) = (g.node(e).inputs[0], g.node(e).inputs[1]);
+    let (act, gemm0, gate, mul) = match g.node(c).kind {
+        OpKind::Activation(_) | OpKind::Softmax { .. } => (c, g.node(c).inputs[0], None, None),
         OpKind::Elementwise(BinaryOp::Mul) => {
+            // One operand is the activated gate branch, the other the up GEMM.
             let (x, y) = (g.node(c).inputs[0], g.node(c).inputs[1]);
-            let (act_node, up) = if matches!(g.node(x).kind, OpKind::Activation(_)) {
-                (x, y)
-            } else {
-                (y, x)
-            };
-            if !matches!(g.node(act_node).kind, OpKind::Activation(_))
-                || g.node(up).kind != OpKind::Matmul
-            {
+            let (act, up) = if is_act(x) { (x, y) } else { (y, x) };
+            if !is_act(act) || !is_matmul(g.node(act).inputs[0]) {
                 return None;
             }
-            let gate = g.node(act_node).inputs[0];
-            if g.node(gate).kind != OpKind::Matmul || g.node(up).inputs[0] != g.node(gate).inputs[0]
-            {
-                return None;
-            }
-            Some(ChainIo {
-                input: g.node(up).inputs[0],
-                b_up: g.node(up).inputs[1],
-                b_gate: Some(g.node(gate).inputs[1]),
-                d,
-                output: e,
-            })
+            (act, up, Some(g.node(act).inputs[0]), Some(c))
         }
-        _ => None,
+        _ => return None,
+    };
+    if !is_matmul(gemm0) {
+        return None;
     }
+    let input = g.node(gemm0).inputs[0];
+    if gate.is_some_and(|gate| g.node(gate).inputs[0] != input) {
+        return None;
+    }
+    Some(ChainIo {
+        input,
+        b_up: g.node(gemm0).inputs[1],
+        b_gate: gate.map(|gate| g.node(gate).inputs[1]),
+        d,
+        gemm0,
+        gate,
+        act,
+        mul,
+        output: e,
+    })
 }
 
 /// One fusible chain recovered from a larger graph.
@@ -344,283 +354,68 @@ pub fn recover_chain_io(g: &OpGraph, e: NodeId) -> Option<ChainIo> {
 pub struct ChainMatch {
     /// The recovered chain (unnamed; names are metadata).
     pub chain: ChainSpec,
-    /// Compute nodes the fused kernel replaces (GEMMs, activation,
-    /// branch combine), in ascending id order.
+    /// Compute nodes the fused kernel replaces, in ascending id order
+    /// (`io.nodes()`).
     pub nodes: Vec<NodeId>,
-    /// The weight `Input` nodes the chain consumes (`B`, `B_gate`, `D`).
-    pub weights: Vec<NodeId>,
-    /// The node feeding the chain (`A`) — not owned by the match.
-    pub input: NodeId,
-    /// The node producing the chain's result (`E` — the second GEMM).
-    pub output: NodeId,
-}
-
-/// Per-node consumer counts (duplicate edges counted twice).
-fn consumer_counts(g: &OpGraph) -> Vec<usize> {
-    let mut counts = vec![0usize; g.len()];
-    for node in g.nodes() {
-        for &i in &node.inputs {
-            counts[i] += 1;
-        }
-    }
-    counts
-}
-
-/// `true` when `id` is a weight: a dedicated `Input` consumed exactly
-/// once (by the chain itself).
-fn is_dedicated_input(g: &OpGraph, counts: &[usize], id: NodeId) -> bool {
-    matches!(g.node(id).kind, OpKind::Input(..)) && counts[id] == 1
+    /// The chain's roles in the graph.
+    pub io: ChainIo,
 }
 
 /// Finds every fusible two-GEMM chain in `g`, in ascending order of the
 /// output GEMM's node id. Matches may overlap (a three-GEMM ladder
 /// yields two candidates); the partitioner's DP resolves overlaps.
 ///
-/// Each match is cross-checked against the canonical chain form: the
-/// matched subgraph, re-extracted as a stand-alone graph, must have
-/// the same content fingerprint as `ChainSpec::to_op_graph()` of the
-/// recovered chain. A match that fails the check would mean the matcher
-/// and the builder disagree on the family's shape, so it is dropped
-/// (debug builds assert instead).
+/// A node closes a match when [`recover_chain_io`] finds a chain shape
+/// under it and the fusibility checks hold: every interior node but the
+/// output has exactly one consumer; an attention softmax is unscaled or
+/// scaled by exactly `K`; FFN weights (`B`, `B_gate`, `D`) are dedicated
+/// `Input`s, and the two gated weights have the same shape. The
+/// [`ChainSpec`] is read off the roles' inferred shapes and node kinds.
 ///
 /// # Errors
 ///
 /// Returns [`GraphShapeError`] when the graph itself is ill-shaped.
 pub fn match_chains(g: &OpGraph) -> Result<Vec<ChainMatch>, GraphShapeError> {
     let shapes = g.infer_shapes()?;
-    let counts = consumer_counts(g);
+    let mut consumers = vec![0usize; g.len()];
+    for node in g.nodes() {
+        for &i in &node.inputs {
+            consumers[i] += 1;
+        }
+    }
+    // A weight is a dedicated `Input`, consumed by the chain alone.
+    let is_weight = |id: NodeId| matches!(g.node(id).kind, OpKind::Input(..)) && consumers[id] == 1;
     let mut matches = Vec::new();
-    for (id, node) in g.nodes().iter().enumerate() {
-        if node.kind != OpKind::Matmul {
+    for e in 0..g.len() {
+        let Some(io) = recover_chain_io(g, e) else {
+            continue;
+        };
+        let nodes = io.nodes();
+        if nodes.iter().any(|&id| id != e && consumers[id] != 1) {
             continue;
         }
-        // `id` is the candidate GEMM1: E = C x D. Attention windows
-        // accept *any* producer for D (the value tensor V is usually a
-        // computed projection, not a dedicated weight); the FFN
-        // families keep the dedicated-weight requirement.
-        let (c, d) = (node.inputs[0], node.inputs[1]);
-        let m = match_attention(g, &shapes, &counts, id, c, d).or_else(|| {
-            if !is_dedicated_input(g, &counts, d) {
-                return None;
+        let (m, k) = shapes[io.input];
+        let (n, l) = (shapes[io.b_up].1, shapes[io.d].1);
+        let chain = match (g.node(io.act).kind, io.b_gate) {
+            (OpKind::Softmax { scale_k }, _) if scale_k == 0 || scale_k == k => {
+                ChainSpec::attention(m, n, k, l, scale_k != 0)
             }
-            match_standard(g, &shapes, &counts, id, c, d)
-                .or_else(|| match_gated(g, &shapes, &counts, id, c, d))
-        });
-        if let Some(m) = m {
-            let canonical = m.chain.to_op_graph().fingerprint();
-            let extracted = extract_with_shapes(g, &shapes, &m).fingerprint();
-            debug_assert_eq!(
-                canonical, extracted,
-                "matcher and ChainSpec::to_op_graph disagree on {:?}",
-                m.chain
-            );
-            if canonical == extracted {
-                matches.push(m);
+            (OpKind::Activation(act), None) if is_weight(io.b_up) && is_weight(io.d) => {
+                ChainSpec::standard_ffn(m, n, k, l, act)
             }
-        }
+            (OpKind::Activation(act), Some(b_gate))
+                if is_weight(io.b_up)
+                    && is_weight(b_gate)
+                    && is_weight(io.d)
+                    && shapes[b_gate] == shapes[io.b_up] =>
+            {
+                ChainSpec::gated_ffn(m, n, k, l, act)
+            }
+            _ => continue,
+        };
+        matches.push(ChainMatch { chain, nodes, io });
     }
     Ok(matches)
-}
-
-/// Matches `E = softmax(A x B) x D` — an attention window — ending at
-/// GEMM1 `e` with value tensor `d`.
-///
-/// Unlike the FFN families, the three *operands* (`A` = Q, `B` = K^T,
-/// `D` = V) may be arbitrary computed nodes: in a lowered attention
-/// layer they are the Q/K/V projection GEMMs and the K transpose, which
-/// all stay *outside* the window. Only the interior (scores GEMM,
-/// softmax, output GEMM) must be single-consumer. The softmax's
-/// `scale_k` must be `0` (plain) or exactly the contraction dim `K`
-/// (scaled dot-product); anything else is not the canonical chain form.
-fn match_attention(
-    g: &OpGraph,
-    shapes: &[Shape],
-    counts: &[usize],
-    e: NodeId,
-    c: NodeId,
-    d: NodeId,
-) -> Option<ChainMatch> {
-    let OpKind::Softmax { scale_k } = g.node(c).kind else {
-        return None;
-    };
-    if counts[c] != 1 {
-        return None;
-    }
-    let m0 = g.node(c).inputs[0];
-    if g.node(m0).kind != OpKind::Matmul || counts[m0] != 1 {
-        return None;
-    }
-    let (a, b) = (g.node(m0).inputs[0], g.node(m0).inputs[1]);
-    let (mm, kk) = shapes[a];
-    let nn = shapes[b].1;
-    let ll = shapes[d].1;
-    if scale_k != 0 && scale_k != kk {
-        return None;
-    }
-    let weights = [b, d]
-        .into_iter()
-        .filter(|&w| matches!(g.node(w).kind, OpKind::Input(..)))
-        .collect();
-    Some(ChainMatch {
-        chain: ChainSpec::attention(mm, nn, kk, ll, scale_k != 0),
-        nodes: vec![m0, c, e],
-        weights,
-        input: a,
-        output: e,
-    })
-}
-
-/// Matches `E = act(A x B) x D` ending at GEMM1 `e` with weight `d`.
-fn match_standard(
-    g: &OpGraph,
-    shapes: &[Shape],
-    counts: &[usize],
-    e: NodeId,
-    c: NodeId,
-    d: NodeId,
-) -> Option<ChainMatch> {
-    let OpKind::Activation(activation) = g.node(c).kind else {
-        return None;
-    };
-    if counts[c] != 1 {
-        return None;
-    }
-    let m0 = g.node(c).inputs[0];
-    if g.node(m0).kind != OpKind::Matmul || counts[m0] != 1 {
-        return None;
-    }
-    let (a, b) = (g.node(m0).inputs[0], g.node(m0).inputs[1]);
-    if !is_dedicated_input(g, counts, b) {
-        return None;
-    }
-    let (mm, kk) = shapes[a];
-    let nn = shapes[b].1;
-    let ll = shapes[d].1;
-    Some(ChainMatch {
-        chain: ChainSpec::standard_ffn(mm, nn, kk, ll, activation),
-        nodes: vec![m0, c, e],
-        weights: vec![b, d],
-        input: a,
-        output: e,
-    })
-}
-
-/// Matches `E = (act(A x B_gate) ⊙ (A x B_up)) x D` ending at GEMM1
-/// `e` with weight `d`. The element-wise combine must be `Mul`; its
-/// operand order may be either `(act, up)` or `(up, act)` — the
-/// recovered chain is canonical either way.
-fn match_gated(
-    g: &OpGraph,
-    shapes: &[Shape],
-    counts: &[usize],
-    e: NodeId,
-    c: NodeId,
-    d: NodeId,
-) -> Option<ChainMatch> {
-    if g.node(c).kind != OpKind::Elementwise(BinaryOp::Mul) || counts[c] != 1 {
-        return None;
-    }
-    let (x, y) = (g.node(c).inputs[0], g.node(c).inputs[1]);
-    // One operand is the activated gate branch, the other the up GEMM.
-    let (act_node, up) = if matches!(g.node(x).kind, OpKind::Activation(_)) {
-        (x, y)
-    } else {
-        (y, x)
-    };
-    let OpKind::Activation(activation) = g.node(act_node).kind else {
-        return None;
-    };
-    if g.node(up).kind != OpKind::Matmul || counts[act_node] != 1 || counts[up] != 1 {
-        return None;
-    }
-    let gate = g.node(act_node).inputs[0];
-    if g.node(gate).kind != OpKind::Matmul || counts[gate] != 1 {
-        return None;
-    }
-    let (a_up, b_up) = (g.node(up).inputs[0], g.node(up).inputs[1]);
-    let (a_gate, b_gate) = (g.node(gate).inputs[0], g.node(gate).inputs[1]);
-    if a_up != a_gate {
-        return None;
-    }
-    if !is_dedicated_input(g, counts, b_up) || !is_dedicated_input(g, counts, b_gate) {
-        return None;
-    }
-    if shapes[b_up] != shapes[b_gate] {
-        return None;
-    }
-    let (mm, kk) = shapes[a_up];
-    let nn = shapes[b_up].1;
-    let ll = shapes[d].1;
-    let mut nodes = vec![up, gate, act_node, c, e];
-    nodes.sort_unstable();
-    Some(ChainMatch {
-        chain: ChainSpec::gated_ffn(mm, nn, kk, ll, activation),
-        nodes,
-        weights: vec![b_up, b_gate, d],
-        input: a_up,
-        output: e,
-    })
-}
-
-/// Rebuilds the matched region as a stand-alone canonical [`OpGraph`]:
-/// the chain input `A` and the weights become fresh `Input` nodes, the
-/// interior nodes are re-emitted in canonical order (gated combine
-/// normalised to `(act, up)`), and an `Output` marker closes the graph
-/// — exactly the shape [`ChainSpec::to_op_graph`] produces, so the two
-/// can be compared by fingerprint. Takes the host graph's shape vector
-/// already computed, so `match_chains` validates every match without
-/// re-inferring it per match.
-fn extract_with_shapes(g: &OpGraph, shapes: &[Shape], m: &ChainMatch) -> OpGraph {
-    let mut out = OpGraph::new();
-    let (ar, ac) = shapes[m.input];
-    let a = out.add_input("A", ar, ac);
-    let e = if m.chain.kind().is_attention() {
-        let e_node = m.output;
-        let sm = g.node(e_node).inputs[0];
-        let m0 = g.node(sm).inputs[0];
-        let b_shape = shapes[g.node(m0).inputs[1]];
-        let d_shape = shapes[g.node(e_node).inputs[1]];
-        let b = out.add_input("B", b_shape.0, b_shape.1);
-        let dw = out.add_input("D", d_shape.0, d_shape.1);
-        let c2 = out.add_node(OpKind::Matmul, vec![a, b], "scores");
-        let sm2 = out.add_node(g.node(sm).kind, vec![c2], "probs");
-        out.add_node(OpKind::Matmul, vec![sm2, dw], "E")
-    } else if m.chain.kind().is_gated() {
-        // m.nodes is [up, gate, act, mul, e] sorted by id; recover the
-        // roles structurally rather than by position.
-        let e_node = m.output;
-        let mul = g.node(e_node).inputs[0];
-        let (x, y) = (g.node(mul).inputs[0], g.node(mul).inputs[1]);
-        let (act_node, up) = if matches!(g.node(x).kind, OpKind::Activation(_)) {
-            (x, y)
-        } else {
-            (y, x)
-        };
-        let gate = g.node(act_node).inputs[0];
-        let b_up_shape = shapes[g.node(up).inputs[1]];
-        let d_shape = shapes[g.node(e_node).inputs[1]];
-        let b_up = out.add_input("B_up", b_up_shape.0, b_up_shape.1);
-        let b_gate = out.add_input("B_gate", b_up_shape.0, b_up_shape.1);
-        let dw = out.add_input("D", d_shape.0, d_shape.1);
-        let up2 = out.add_node(OpKind::Matmul, vec![a, b_up], "up");
-        let gate2 = out.add_node(g.node(gate).kind, vec![a, b_gate], "gate");
-        let act2 = out.add_node(g.node(act_node).kind, vec![gate2], "act");
-        let mul2 = out.add_node(g.node(mul).kind, vec![act2, up2], "mul");
-        out.add_node(OpKind::Matmul, vec![mul2, dw], "E")
-    } else {
-        let e_node = m.output;
-        let act_node = g.node(e_node).inputs[0];
-        let m0 = g.node(act_node).inputs[0];
-        let b_shape = shapes[g.node(m0).inputs[1]];
-        let d_shape = shapes[g.node(e_node).inputs[1]];
-        let b = out.add_input("B", b_shape.0, b_shape.1);
-        let dw = out.add_input("D", d_shape.0, d_shape.1);
-        let c2 = out.add_node(OpKind::Matmul, vec![a, b], "C");
-        let act2 = out.add_node(g.node(act_node).kind, vec![c2], "act");
-        out.add_node(OpKind::Matmul, vec![act2, dw], "E")
-    };
-    out.add_node(OpKind::Output, vec![e], "out");
-    out
 }
 
 #[cfg(test)]
@@ -710,7 +505,7 @@ mod tests {
         assert_eq!(m.chain, chain);
         assert_eq!(m.chain.fingerprint(), chain.fingerprint());
         assert_eq!(m.nodes, vec![3, 4, 5]);
-        assert_eq!(m.input, 0);
+        assert_eq!(m.io.input, 0);
     }
 
     #[test]
@@ -782,7 +577,7 @@ mod tests {
         assert_eq!(matches.len(), 2);
         assert_eq!(matches[0].chain, chain);
         assert_eq!(matches[1].chain, chain);
-        assert_eq!(matches[0].output, matches[1].input);
+        assert_eq!(matches[0].io.output, matches[1].io.input);
     }
 
     #[test]
@@ -817,23 +612,48 @@ mod tests {
 
     #[test]
     fn chain_io_recovered_for_both_families() {
+        // Roles against to_op_graph's fixed node ids.
         let std_chain = ChainSpec::standard_ffn(16, 32, 32, 16, Activation::Relu);
         let g = std_chain.to_op_graph();
-        let m = &match_chains(&g).unwrap()[0];
-        let io = recover_chain_io(&g, m.output).unwrap();
-        assert_eq!(io.input, m.input);
-        assert_eq!(io.b_up, m.weights[0]);
-        assert_eq!(io.b_gate, None);
-        assert_eq!(io.d, *m.weights.last().unwrap());
-        assert_eq!(io.output, m.output);
+        // A, B, D, C, act, E.
+        let io = recover_chain_io(&g, 5).unwrap();
+        assert_eq!(
+            io,
+            ChainIo {
+                input: 0,
+                b_up: 1,
+                b_gate: None,
+                d: 2,
+                gemm0: 3,
+                gate: None,
+                act: 4,
+                mul: None,
+                output: 5,
+            }
+        );
+        assert_eq!(io.nodes(), vec![3, 4, 5]);
+        assert_eq!(match_chains(&g).unwrap()[0].io, io);
 
         let gated = ChainSpec::gated_ffn(16, 32, 32, 16, Activation::Silu);
         let g = gated.to_op_graph();
-        let m = &match_chains(&g).unwrap()[0];
-        let io = recover_chain_io(&g, m.output).unwrap();
-        assert_eq!(io.input, m.input);
-        assert_eq!(io.b_gate, Some(m.weights[1]));
-        assert_eq!(io.d, m.weights[2]);
+        // A, B_up, B_gate, D, up, gate, act, mul, E.
+        let io = recover_chain_io(&g, 8).unwrap();
+        assert_eq!(
+            io,
+            ChainIo {
+                input: 0,
+                b_up: 1,
+                b_gate: Some(2),
+                d: 3,
+                gemm0: 4,
+                gate: Some(5),
+                act: 6,
+                mul: Some(7),
+                output: 8,
+            }
+        );
+        assert_eq!(io.nodes(), vec![4, 5, 6, 7, 8]);
+        assert_eq!(match_chains(&g).unwrap()[0].io, io);
 
         // A bare GEMM is not a chain.
         let mut g = OpGraph::new();

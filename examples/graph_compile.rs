@@ -24,9 +24,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         graph.matmul_chain_len()
     );
 
-    // The matcher recovers one gated FFN chain per layer; attention
-    // stays unfused (its score/context GEMMs take computed operands,
-    // not dedicated weights).
+    // The matcher recovers two chains per layer: the attention window
+    // (`scores -> softmax -> context`, whose operands are computed
+    // projections) and the gated FFN.
     for (i, m) in match_chains(&graph)?.iter().enumerate() {
         println!("  fusible chain {}: {}", i + 1, m.chain);
     }
@@ -59,6 +59,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         compiler.searches_run(),
         compiler.cache_stats()
     );
-    assert_eq!(compiler.searches_run(), 1, "layer 2 must hit the cache");
+    assert_eq!(
+        plan.fused_segments().count(),
+        4,
+        "two fused chains per layer"
+    );
+    assert_eq!(
+        compiler.searches_run(),
+        2,
+        "layer 2 must hit the cache for both chains"
+    );
     Ok(())
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: formatting, lints, rustdoc (warnings
-# fatal), a release build, the full test suite (the paper's tables and
-# figures included: crates/bench/tests/ledger.rs recomputes REPRO.json),
-# a build of the benchmark/ bins and a 2-second smoke of every
-# benchmark/ workload. CI runs exactly this script.
+# fatal), a release build, a run of every example, the full test suite
+# (the paper's tables and figures included: crates/bench/tests/ledger.rs
+# recomputes REPRO.json), a build of the benchmark/ bins and a 2-second
+# smoke of every benchmark/ workload. CI runs exactly this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +18,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
 echo "== cargo build --release =="
 cargo build --release -q --workspace
+
+# --all-targets compiles the examples; only running them checks their
+# own asserts. Any non-zero exit fails the gate.
+for example in examples/*.rs; do
+    name="$(basename "${example}" .rs)"
+    echo "== example ${name} =="
+    cargo run --release -q --example "${name}" >/dev/null
+done
+echo "== example e2e_inference (flashfuser-bench) =="
+cargo run --release -q -p flashfuser-bench --example e2e_inference >/dev/null
 
 # --no-fail-fast: one red test binary must not hide the suites cargo
 # would have run after it.

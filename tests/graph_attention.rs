@@ -186,13 +186,14 @@ fn matcher_recovers_attention_with_a_computed_value_tensor() {
     assert_eq!(attn.len(), 1);
     assert_eq!(attn[0].chain, ChainSpec::attention(32, 48, 64, 24, false));
     // The computed V is a segment boundary input, not a chain weight.
-    assert_eq!(attn[0].weights, vec![kt]);
+    assert_eq!(attn[0].io.b_up, kt);
+    assert_eq!(attn[0].io.d, v);
 }
 
 #[test]
 fn gated_windows_still_match_under_both_mul_operand_orders() {
-    // The attention matcher runs *first* in `match_chains`; it must not
-    // shadow the gated family in either `Mul` operand order.
+    // Attention and the FFN families share one walk in `match_chains`;
+    // it must recover the gated family in either `Mul` operand order.
     for flip in [false, true] {
         let mut g = OpGraph::new();
         let a = g.add_input("a", 32, 64);
