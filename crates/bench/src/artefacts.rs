@@ -1,9 +1,7 @@
 //! One function per table or figure of the paper, and the registry
 //! naming them.
 
-use crate::baselines::PyTorchPolicy;
-use crate::baselines::{self, run_ablation, AblationVariant, Baseline, BaselineResult};
-use crate::baselines::{ChimeraPolicy, FlashFuserPolicy, MiragePolicy, PipeThreaderPolicy};
+use crate::baselines::{searched, BaselineResult, System, SUITE};
 use crate::e2e::{e2e_speedup, E2eReport};
 use crate::ffn_share::ffn_time_share;
 use crate::microbench::{dsm_curve, primitive_bandwidth, PrimitiveKind};
@@ -58,7 +56,7 @@ pub const ARTEFACTS: &[Artefact] = &[
 /// when an artefact asks for it. Keys are Tables V–VII workload ids.
 #[derive(Default)]
 pub(crate) struct Inputs {
-    suite: OnceCell<HashMap<&'static str, Vec<BaselineResult>>>,
+    suite: OnceCell<HashMap<&'static str, [BaselineResult; SUITE.len()]>>,
     e2e: OnceCell<HashMap<&'static str, E2eReport>>,
 }
 
@@ -66,8 +64,7 @@ impl Inputs {
     /// Every system of the Fig. 10 suite on workload `id`.
     fn suite(&self, id: &str) -> &[BaselineResult] {
         let all = self.suite.get_or_init(|| {
-            let systems = baselines::suite(&h100());
-            let run = |w: Workload| (w.id, systems.iter().map(|s| s.run(&w.chain)).collect());
+            let run = |w: Workload| (w.id, SUITE.map(|s| s.run(&w.chain, &h100())));
             all_workloads().into_iter().map(run).collect()
         });
         &all[id]
@@ -185,7 +182,7 @@ fn tab8(_: &Inputs, out: &mut Rows) {
         let t0 = Instant::now();
         let brute = engine.brute_force(&w.chain, &config, &mut SimProfiler::new(h100()));
         let t1 = Instant::now();
-        let guided = engine.search_with_profiler(&w.chain, &config, &mut SimProfiler::new(h100()));
+        let guided = searched(&w.chain, &h100(), &config);
         let (brute_s, engine_s) = ((t1 - t0).as_secs_f64(), t1.elapsed().as_secs_f64());
         let ((brute, count), guided) = (brute.expect("a plan"), guided.expect("a plan"));
         let same = (seconds(guided.best()) - seconds(&brute)).abs() / seconds(&brute) < 0.02;
@@ -219,7 +216,6 @@ fn fig4(_: &Inputs, out: &mut Rows) {
 }
 
 fn fig5(_: &Inputs, out: &mut Rows) {
-    let (chimera, torch) = (ChimeraPolicy::new(h100()), PyTorchPolicy::new(h100()));
     // The paper's five two-GEMM workloads, (name, N, K) at M = 128, L = K.
     let rows = [
         ("ViT-Base/14", 256, 64),
@@ -230,7 +226,10 @@ fn fig5(_: &Inputs, out: &mut Rows) {
     ];
     for (name, n, k) in rows {
         let chain = ChainSpec::standard_ffn(128, n, k, k, Activation::Relu).named(name);
-        let (c, t) = (chimera.run(&chain), torch.run(&chain));
+        let (c, t) = (
+            System::Chimera.run(&chain, &h100()),
+            System::PyTorch.run(&chain, &h100()),
+        );
         let (relative, kb) = (
             t.seconds / c.seconds,
             chain.dims().intermediate_bytes_f16() / 1024,
@@ -367,12 +366,11 @@ fn fig13(_: &Inputs, out: &mut Rows) {
 }
 
 fn fig14(inputs: &Inputs, out: &mut Rows) {
-    let (mirage, pipe) = (MiragePolicy::new(h100()), PipeThreaderPolicy::new(h100()));
     let (mut vs_m, mut vs_p) = (vec![], vec![]);
     for w in gated_ffn_chains() {
         let f = system(inputs.suite(w.id), "FlashFuser").seconds;
-        let m = mirage.run(&w.chain).seconds / f;
-        let p = pipe.run(&w.chain).seconds / f;
+        let m = System::Mirage.run(&w.chain, &h100()).seconds / f;
+        let p = System::PipeThreader.run(&w.chain, &h100()).seconds / f;
         vs_m.push(m);
         vs_p.push(p);
         out.here(format!("{} vs Mirage", w.id), fixed(m, 2));
@@ -383,20 +381,27 @@ fn fig14(inputs: &Inputs, out: &mut Rows) {
 }
 
 fn fig15(_: &Inputs, out: &mut Rows) {
-    let variants = AblationVariant::ALL;
-    let mut per_variant = vec![vec![]; variants.len()];
+    // On the H100 the unfused reference is PyTorch and the full system
+    // is FlashFuser.
+    let bars = [
+        ("No Fusion", System::PyTorch),
+        ("DA", System::Da),
+        ("DC+DA", System::DcDa),
+        ("All", System::FlashFuser),
+    ];
+    let mut per_bar = vec![vec![]; bars.len()];
     for w in conv_chains().into_iter().chain(gemm_chains()) {
-        let times = variants.map(|v| run_ablation(v, &w.chain, &h100()).seconds);
-        for ((v, t), speedups) in variants.iter().zip(times).zip(&mut per_variant) {
+        let times = bars.map(|(_, s)| s.run(&w.chain, &h100()).seconds);
+        for (((label, _), t), speedups) in bars.iter().zip(times).zip(&mut per_bar) {
             speedups.push(times[0] / t);
-            out.here(format!("{} {}", w.id, v.label()), fixed(times[0] / t, 2));
+            out.here(format!("{} {label}", w.id), fixed(times[0] / t, 2));
         }
     }
     let paper = ["1.00", "1.52", "2.11", "3.29"];
-    for ((v, speedups), paper) in variants.iter().zip(per_variant).zip(paper) {
+    for (((label, _), speedups), paper) in bars.iter().zip(per_bar).zip(paper) {
         let geo = fixed(geomean(speedups), 2);
         let note = if geo == paper { MATCH } else { GAP };
-        out.row(format!("geomean {}", v.label()), paper, geo, note);
+        out.row(format!("geomean {label}"), paper, geo, note);
     }
 }
 
@@ -463,20 +468,18 @@ fn headline(inputs: &Inputs, out: &mut Rows) {
 
 fn ext_a100(inputs: &Inputs, out: &mut Rows) {
     let a100 = MachineDescriptor::a100_sxm();
-    let ff = FlashFuserPolicy::new(a100.clone());
-    let torch = PyTorchPolicy::new(a100);
     let note = "no DSM: the fused search cannot aggregate N-slices on-chip";
     for w in pick(&["G5", "G8", "S3"]) {
         let results = inputs.suite(w.id);
         let h100 = system(results, "PyTorch").seconds / system(results, "FlashFuser").seconds;
         out.here(format!("{} H100", w.id), fixed(h100, 2));
-        let a100 = torch.run(&w.chain).seconds / ff.run(&w.chain).seconds;
-        out.row(format!("{} A100", w.id), "", fixed(a100, 2), note);
+        let on_a100 = |s: System| s.run(&w.chain, &a100).seconds;
+        let speedup = on_a100(System::PyTorch) / on_a100(System::FlashFuser);
+        out.row(format!("{} A100", w.id), "", fixed(speedup, 2), note);
     }
 }
 
 fn ext_cluster(_: &Inputs, out: &mut Rows) {
-    let engine = SearchEngine::new(h100());
     for w in pick(&["G5", "G8", "S3", "S8"]) {
         for limit in [1usize, 2, 4, 8, 16] {
             let mut config = SearchConfig::default();
@@ -484,10 +487,9 @@ fn ext_cluster(_: &Inputs, out: &mut Rows) {
             if limit == 1 {
                 config.prune.lowest_spill = MemLevel::Smem;
             }
-            let mut profiler = SimProfiler::new(h100());
-            let us = match engine.search_with_profiler(&w.chain, &config, &mut profiler) {
-                Ok(r) => fixed(r.best().measured.expect("profiled").seconds * 1e6, 2),
-                Err(_) => "-".to_string(),
+            let us = match searched(&w.chain, &h100(), &config) {
+                Some(r) => fixed(r.best().measured.expect("profiled").seconds * 1e6, 2),
+                None => "-".to_string(),
             };
             out.here(format!("{} best fused us, cls<={limit}", w.id), us);
         }

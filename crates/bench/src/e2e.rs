@@ -8,7 +8,7 @@
 //! FFN time share — exactly how the paper's 1.24x arises from 3.3x
 //! kernel speedups.
 
-use crate::baselines::{Baseline, FlashFuserPolicy};
+use crate::baselines::System;
 use flashfuser_core::MachineDescriptor;
 use flashfuser_sim::unfused_time;
 use flashfuser_workloads::ModelSpec;
@@ -39,7 +39,7 @@ fn non_ffn_layer_time(model: &ModelSpec, m: usize, params: &MachineDescriptor) -
 pub fn e2e_speedup(model: &ModelSpec, m: usize, params: &MachineDescriptor) -> E2eReport {
     let chain = model.ffn_chain(m);
     let baseline_ffn = unfused_time(&chain, params, 0.92).seconds;
-    let ff = FlashFuserPolicy::new(params.clone()).run(&chain);
+    let ff = System::FlashFuser.run(&chain, params);
     // FlashFuser never ships a fused kernel slower than the baseline's
     // unfused FFN (binning falls back per M bucket, §IV-C3).
     let ff_ffn = ff.seconds.min(baseline_ffn);

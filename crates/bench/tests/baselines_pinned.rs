@@ -4,10 +4,7 @@
 
 use flashfuser::prelude::*;
 use flashfuser::workloads::{all_workloads, conv_chains, gated_ffn_chains, gemm_chains};
-use flashfuser_bench::baselines::{
-    run_ablation, suite, AblationVariant, Baseline, BaselineResult, FlashFuserPolicy, MiragePolicy,
-    PipeThreaderPolicy, PyTorchPolicy,
-};
+use flashfuser_bench::baselines::{BaselineResult, System, SUITE};
 use flashfuser_graph::StableHasher;
 
 /// Every result the reproduction prices: the Fig. 10 suite on all 26
@@ -16,41 +13,43 @@ use flashfuser_graph::StableHasher;
 fn results() -> Vec<(&'static str, &'static str, BaselineResult)> {
     let h100 = MachineDescriptor::h100_sxm();
     let mut out = vec![];
-    let systems = suite(&h100);
     for w in all_workloads() {
-        for s in &systems {
-            let r = s.run(&w.chain);
+        for s in SUITE {
+            let r = s.run(&w.chain, &h100);
             out.push((w.id, r.name, r));
         }
     }
-    let extra: [(&str, Box<dyn Baseline>); 2] = [
-        ("Mirage", Box::new(MiragePolicy::new(h100.clone()))),
-        (
-            "PipeThreader",
-            Box::new(PipeThreaderPolicy::new(h100.clone())),
-        ),
+    let extra = [
+        ("Mirage", System::Mirage),
+        ("PipeThreader", System::PipeThreader),
     ];
     for w in gated_ffn_chains() {
-        for (label, s) in &extra {
-            out.push((w.id, *label, s.run(&w.chain)));
+        for (label, s) in extra {
+            out.push((w.id, label, s.run(&w.chain, &h100)));
         }
     }
+    let bars = [
+        ("No Fusion", System::PyTorch),
+        ("DA", System::Da),
+        ("DC+DA", System::DcDa),
+        ("All", System::FlashFuser),
+    ];
     for w in conv_chains().into_iter().chain(gemm_chains()) {
-        for v in AblationVariant::ALL {
-            out.push((w.id, v.label(), run_ablation(v, &w.chain, &h100)));
+        for (label, s) in bars {
+            out.push((w.id, label, s.run(&w.chain, &h100)));
         }
     }
     let a100 = MachineDescriptor::a100_sxm();
-    let a100_systems: [(&str, Box<dyn Baseline>); 2] = [
-        ("a100 PyTorch", Box::new(PyTorchPolicy::new(a100.clone()))),
-        ("a100 FlashFuser", Box::new(FlashFuserPolicy::new(a100))),
+    let a100_systems = [
+        ("a100 PyTorch", System::PyTorch),
+        ("a100 FlashFuser", System::FlashFuser),
     ];
     for w in all_workloads() {
         if !["G5", "G8", "S3"].contains(&w.id) {
             continue;
         }
-        for (label, s) in &a100_systems {
-            out.push((w.id, *label, s.run(&w.chain)));
+        for (label, s) in a100_systems {
+            out.push((w.id, label, s.run(&w.chain, &a100)));
         }
     }
     out

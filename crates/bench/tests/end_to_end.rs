@@ -3,7 +3,7 @@
 
 use flashfuser::prelude::*;
 use flashfuser::workloads::{all_workloads, conv_chains, gated_ffn_chains};
-use flashfuser_bench::baselines::{suite, Baseline, ChimeraPolicy, FlashFuserPolicy};
+use flashfuser_bench::baselines::{System, SUITE};
 
 #[test]
 fn compile_entry_point_finds_a_plan() {
@@ -19,9 +19,8 @@ fn every_workload_has_a_feasible_or_fallback_path() {
     // All 26 paper workloads must run through the FlashFuser policy
     // without panicking, fused or not.
     let params = MachineDescriptor::h100_sxm();
-    let ff = FlashFuserPolicy::new(params);
     for w in all_workloads() {
-        let r = ff.run(&w.chain);
+        let r = System::FlashFuser.run(&w.chain, &params);
         assert!(r.seconds > 0.0, "{}", w.id);
     }
 }
@@ -86,9 +85,8 @@ fn all_top_k_plans_execute_correctly() {
 fn flashfuser_wins_the_gated_suite() {
     // Fig. 10(c) headline: FlashFuser beats every baseline on S1-S8.
     let params = MachineDescriptor::h100_sxm();
-    let systems = suite(&params);
     for w in gated_ffn_chains() {
-        let results: Vec<_> = systems.iter().map(|s| s.run(&w.chain)).collect();
+        let results = SUITE.map(|s| s.run(&w.chain, &params));
         let ff = results.iter().find(|r| r.name == "FlashFuser").unwrap();
         for r in &results {
             assert!(
@@ -108,13 +106,12 @@ fn chimera_cliff_reproduces_on_paper_workloads() {
     // Fig. 5: Chimera fuses the small conv chains but fails the large
     // FFN intermediates.
     let params = MachineDescriptor::h100_sxm();
-    let chimera = ChimeraPolicy::new(params);
     let small = &conv_chains()[0]; // C1: intermediate 1.6 MB? No: per Fig.5 criterion uses M*N*2.
     let _ = small;
     let ok = ChainSpec::standard_ffn(128, 512, 64, 64, Activation::Relu);
-    assert!(chimera.run(&ok).fused);
+    assert!(System::Chimera.run(&ok, &params).fused);
     let fail = &gated_ffn_chains()[2].chain; // S3: intermediate 2.7 MB
-    assert!(!chimera.run(fail).fused);
+    assert!(!System::Chimera.run(fail, &params).fused);
 }
 
 #[test]

@@ -42,7 +42,7 @@ pub struct PruneConfig {
     /// ablation.
     pub lowest_spill: MemLevel,
     /// Whether the target implements the TMA atomic `inter_cluster_reduce`
-    /// path (Hopper-only; `false` for pre-Hopper baseline policies).
+    /// path (Hopper-only; `false` for pre-Hopper baseline systems).
     pub allow_inter_cluster_reduce: bool,
 }
 

@@ -100,9 +100,11 @@ impl LatencyHistogram {
 
 /// Shared serving counters: admission, outcomes, and latency.
 ///
-/// The server owns admission and latency accounting; the handler owns
-/// per-endpoint and error accounting (it knows the routes). Both write
-/// into this one struct so `GET /stats` reads one coherent place.
+/// The server owns admission, latency and outcome accounting: it counts
+/// every status it writes, the 4xx it answers itself (oversized body,
+/// malformed HTTP, read deadline) included. The handler owns
+/// per-endpoint accounting (it knows the routes) and reads this struct
+/// so `GET /stats` reports one coherent place.
 #[derive(Debug, Default)]
 pub struct ServeStats {
     /// Connections accepted by the listener.

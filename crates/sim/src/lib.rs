@@ -44,4 +44,4 @@ pub use graph_exec::{
 };
 pub use interp::{interpret_graph, seeded_graph_inputs, InterpError};
 pub use timing::{KernelMeasurement, SimProfiler, TimingModel};
-pub use unfused::{unfused_time, UnfusedKernelPricer, UnfusedReport};
+pub use unfused::{kernel_seconds, unfused_time, UnfusedKernelPricer, UnfusedReport};

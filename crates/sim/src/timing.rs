@@ -169,22 +169,16 @@ pub struct SimProfiler {
 }
 
 impl SimProfiler {
-    /// Creates a profiler with FlashFuser-default analyzer settings.
+    /// Creates a profiler that re-times any plan a search produced,
+    /// whatever spill floor and reduce flag that search ran with: it
+    /// re-analyzes with the floor at global memory and the inter-cluster
+    /// reduce allowed. Neither changes how an admitted plan places or
+    /// times (DESIGN.md, "One profiler for every search"), so the
+    /// measurement is the search's own analysis, timed.
     pub fn new(params: MachineDescriptor) -> Self {
         Self {
-            analyzer: DataflowAnalyzer::new(params.clone()),
+            analyzer: DataflowAnalyzer::new(params.clone()).with_lowest_spill(MemLevel::Global),
             timer: TimingModel::new(params),
-            profiled: 0,
-        }
-    }
-
-    /// Creates a profiler around a custom-configured analyzer (for
-    /// baseline policies with different spill limits).
-    pub fn with_analyzer(analyzer: DataflowAnalyzer) -> Self {
-        let timer = TimingModel::new(analyzer.params().clone());
-        Self {
-            analyzer,
-            timer,
             profiled: 0,
         }
     }

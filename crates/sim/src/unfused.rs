@@ -3,7 +3,7 @@
 //! PyTorch-style frameworks launch one kernel per operator and
 //! round-trip every intermediate through global memory (§III). The
 //! baseline is only ever priced, never run: this module is the
-//! timing/traffic model the baseline policies and the graph
+//! timing/traffic model the baseline systems and the graph
 //! partitioner's fallback bar build on.
 
 use flashfuser_core::MachineDescriptor;
@@ -28,7 +28,7 @@ pub struct UnfusedReport {
 /// [`UnfusedKernelPricer`] prices remainder operators of a partitioned
 /// graph (element-wise glue, transposes, attention GEMMs) with it, so
 /// both follow exactly the same rule.
-fn unfused_op_time(flops: u64, bytes: u64, params: &MachineDescriptor, efficiency: f64) -> f64 {
+pub fn kernel_seconds(flops: u64, bytes: u64, params: &MachineDescriptor, efficiency: f64) -> f64 {
     assert!(efficiency > 0.0 && efficiency <= 1.0, "efficiency in (0,1]");
     let compute = flops as f64 / (params.peak_flops() * efficiency);
     let memory = bytes as f64 / (params.hbm_bw() * efficiency);
@@ -58,7 +58,7 @@ impl UnfusedKernelPricer {
 
 impl flashfuser_core::UnfusedPricer for UnfusedKernelPricer {
     fn op_seconds(&self, cost: flashfuser_graph::OpCost) -> f64 {
-        unfused_op_time(cost.flops, cost.bytes, &self.params, self.efficiency)
+        kernel_seconds(cost.flops, cost.bytes, &self.params, self.efficiency)
     }
 
     fn chain_seconds(&self, chain: &ChainSpec) -> f64 {
@@ -102,7 +102,7 @@ pub fn unfused_time(
 
     let mut kernel = |name: &'static str, flops: u64, bytes: u64| -> (&'static str, f64) {
         global_bytes += bytes;
-        (name, unfused_op_time(flops, bytes, params, efficiency))
+        (name, kernel_seconds(flops, bytes, params, efficiency))
     };
 
     // Split-K: s f32 partial tiles written + read back (4 bytes/elem =
@@ -233,10 +233,10 @@ mod tests {
     fn op_time_is_roofline_plus_launch() {
         let p = MachineDescriptor::h100_sxm();
         // Pure launch.
-        assert_eq!(unfused_op_time(0, 0, &p, 1.0), p.kernel_launch_s());
+        assert_eq!(kernel_seconds(0, 0, &p, 1.0), p.kernel_launch_s());
         // Memory-bound: doubling bytes doubles the traffic term.
-        let t1 = unfused_op_time(0, 1 << 30, &p, 1.0) - p.kernel_launch_s();
-        let t2 = unfused_op_time(0, 1 << 31, &p, 1.0) - p.kernel_launch_s();
+        let t1 = kernel_seconds(0, 1 << 30, &p, 1.0) - p.kernel_launch_s();
+        let t2 = kernel_seconds(0, 1 << 31, &p, 1.0) - p.kernel_launch_s();
         assert!((t2 / t1 - 2.0).abs() < 1e-12);
     }
 
@@ -256,7 +256,7 @@ mod tests {
         };
         assert_eq!(
             pricer.op_seconds(cost),
-            unfused_op_time(cost.flops, cost.bytes, &p, 0.92)
+            kernel_seconds(cost.flops, cost.bytes, &p, 0.92)
         );
     }
 }

@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut profiler = SimProfiler::new(params.clone());
     let best = engine.search_with_profiler(&c5, &SearchConfig::default(), &mut profiler)?;
     let fused_s = best.best().measured.unwrap().seconds;
-    let unfused = unfused_time(&c5, &params, 0.90);
+    let unfused = unfused_time(&c5, &params, flashfuser::UNFUSED_EFFICIENCY);
     println!(
         "C5: fused {:.2} us vs unfused {:.2} us ({:.2}x)",
         fused_s * 1e6,

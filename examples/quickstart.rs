@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("measured:   {:.2} us", best.measured.unwrap().seconds * 1e6);
 
     // Compare against the unfused execution.
-    let unfused = unfused_time(&chain, &params, 0.90);
+    let unfused = unfused_time(&chain, &params, flashfuser::UNFUSED_EFFICIENCY);
     println!(
         "unfused:    {:.2} us  -> speedup {:.2}x",
         unfused.seconds * 1e6,

@@ -38,7 +38,7 @@
 
 use flashfuser::prelude::*;
 use flashfuser::workloads::{find_model, unknown_model};
-use flashfuser::DEFAULT_TOLERANCE;
+use flashfuser::{DEFAULT_TOLERANCE, UNFUSED_EFFICIENCY};
 use std::process::ExitCode;
 
 const HELP: &str = "\
@@ -443,7 +443,7 @@ fn cmd_compile(args: &[String]) -> ExitCode {
     match compiler.compile(&chain) {
         Ok(compiled) => {
             let compile_s = t0.elapsed().as_secs_f64();
-            let unfused = unfused_time(&chain, &params, 0.90);
+            let unfused = unfused_time(&chain, &params, UNFUSED_EFFICIENCY);
             let stats = compiler.cache_stats();
             println!("plan:     {}", compiled.plan.summary());
             println!(

@@ -100,7 +100,6 @@ struct EndpointCounters {
     healthz: AtomicU64,
     shutdown: AtomicU64,
     snapshot: AtomicU64,
-    bad_requests: AtomicU64,
     infeasible: AtomicU64,
 }
 
@@ -130,7 +129,7 @@ impl CompileService {
 impl Handler for CompileService {
     fn handle(&self, request: &Request) -> Response {
         let bump = |c: &AtomicU64| c.fetch_add(1, Ordering::Relaxed);
-        let response = match (request.method.as_str(), request.path.as_str()) {
+        match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => {
                 bump(&self.counters.healthz);
                 Response::json(200, "{\"ok\": true}")
@@ -161,11 +160,7 @@ impl Handler for CompileService {
                 | "/admin/shutdown",
             ) => api_error(405, "method not allowed for this route"),
             _ => api_error(404, "no such route"),
-        };
-        if (400..500).contains(&response.status) {
-            bump(&self.counters.bad_requests);
         }
-        response
     }
 }
 
@@ -333,7 +328,7 @@ impl CompileService {
             snapshot = load(&c.snapshot),
             shutdown = load(&c.shutdown),
             ok = load(&s.ok_responses),
-            bad = load(&c.bad_requests),
+            bad = load(&s.client_errors),
             infeasible = load(&c.infeasible),
             dropped = load(&s.dropped),
             accepted = load(&s.accepted),

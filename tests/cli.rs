@@ -489,3 +489,26 @@ fn fuzz_rejects_bad_attention_probabilities() {
     let out = run(&["fuzz", "--seeds", "1", "--attention", "lots", "--dry-run"]);
     assert_eq!(out.status.code(), Some(2), "non-numeric probability");
 }
+
+#[test]
+fn compile_prices_the_unfused_comparison_like_the_fallback_bar() {
+    // `compile` reports its speedup against the same unfused price the
+    // graph fallback bar and the partitioner use.
+    use flashfuser::prelude::*;
+    let out = run(&["compile", "128", "2048", "512", "512"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("unfused:"))
+        .expect("an unfused line");
+    let chain = ChainSpec::standard_ffn(128, 2048, 512, 512, Activation::Relu);
+    let h100 = MachineDescriptor::h100_sxm();
+    let unfused = unfused_time(&chain, &h100, flashfuser::UNFUSED_EFFICIENCY);
+    let expected = format!("unfused:  {:.2} us", unfused.seconds * 1e6);
+    assert!(line.starts_with(&expected), "{line:?} is not {expected:?}");
+}
