@@ -141,8 +141,8 @@ impl System {
             System::Bolt | System::McFuser => 0.85,
             System::Taso | System::Chimera => 0.80,
             System::Relay => 0.62,
-            System::PyTorch | System::PipeThreader | System::FlashFuser => 0.90,
-            System::Da | System::DcDa => 0.90,
+            System::PyTorch | System::PipeThreader => 0.90,
+            System::FlashFuser | System::Da | System::DcDa => 0.90,
         }
     }
 
