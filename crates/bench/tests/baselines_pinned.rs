@@ -1,7 +1,9 @@
-//! Pins every baseline result bit for bit. `REPRO.json` prints these
-//! values at two decimals, so a drift in the last bits of a time would
-//! pass the ledger; this digest would not.
+//! Pins every baseline result and every profiled finalist bit for bit.
+//! `REPRO.json` prints these values at two decimals, so a drift in the
+//! last bits of a time would pass the ledger; these digests would not.
 
+use flashfuser::core::{decode_machine, PlanProfiler};
+use flashfuser::default_config_for;
 use flashfuser::prelude::*;
 use flashfuser::workloads::{all_workloads, conv_chains, gated_ffn_chains, gemm_chains};
 use flashfuser_bench::baselines::{BaselineResult, System, SUITE};
@@ -70,6 +72,46 @@ fn every_baseline_result_is_pinned() {
     assert_eq!(
         h.finish(),
         0x67f1_c266_0b4d_f29a,
+        "got {:#018x}",
+        h.finish()
+    );
+}
+
+/// Fig. 12 reads every finalist, not only the winner: pins the cost
+/// model's estimate and the profiler's measurement of each top-K plan
+/// of every workload on the H100, the A100 and the Tensix-like mesh.
+#[test]
+fn every_finalist_profile_is_pinned() {
+    let machines = [
+        MachineDescriptor::h100_sxm(),
+        MachineDescriptor::a100_sxm(),
+        decode_machine(include_str!("../../../machines/tensix_like.json"))
+            .expect("machines/tensix_like.json decodes"),
+    ];
+    let mut h = StableHasher::new();
+    let mut finalists = 0;
+    for machine in &machines {
+        for w in all_workloads() {
+            let Ok(result) =
+                SearchEngine::new(machine.clone()).search(&w.chain, &default_config_for(machine))
+            else {
+                continue;
+            };
+            let mut profiler = SimProfiler::new(machine.clone());
+            for ranked in result.top_k() {
+                let measured = profiler.profile(ranked.analysis.plan());
+                h.write_f64_bits(ranked.est_seconds);
+                h.write_f64_bits(measured.seconds);
+                h.write_u64(measured.global_bytes);
+                h.write_u64(measured.dsm_bytes);
+                finalists += 1;
+            }
+        }
+    }
+    assert_eq!(finalists, 858);
+    assert_eq!(
+        h.finish(),
+        0x83a2_aee5_d419_7899,
         "got {:#018x}",
         h.finish()
     );
