@@ -12,7 +12,7 @@ use crate::{geomean, Artefact, Rows};
 use flashfuser::Compiler;
 use flashfuser_core::prune::{count_cascade, PruneConfig};
 use flashfuser_core::{decode_machine, LoopSchedule, MachineDescriptor, MemLevel, MemTier};
-use flashfuser_core::{RankedPlan, SearchConfig, SearchEngine};
+use flashfuser_core::{PlanProfiler, RankedPlan, SearchConfig, SearchEngine};
 use flashfuser_graph::{ChainKind, ChainSpec};
 use flashfuser_sim::SimProfiler;
 use flashfuser_tensor::{Activation, BinaryOp};
@@ -318,7 +318,7 @@ fn fig12(_: &Inputs, out: &mut Rows) {
         };
         // Measured seconds of the cost model's top-15, in estimated-rank order.
         let mut profiler = SimProfiler::new(h100());
-        let measure = |p: &RankedPlan| profiler.measure(p.analysis.plan()).seconds;
+        let measure = |p: &RankedPlan| profiler.profile(p.analysis.plan()).seconds;
         let times: Vec<f64> = result.top_k().iter().map(measure).collect();
         let top = |k: usize| times[..k.min(times.len())].iter().copied();
         let best_of = |k: usize| top(k).fold(f64::INFINITY, f64::min);

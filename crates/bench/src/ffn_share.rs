@@ -7,6 +7,7 @@
 //! FFN fraction of the layer total. The paper's setting is a sequence
 //! length of 512.
 
+use crate::e2e::non_ffn_layer_time;
 use flashfuser_core::MachineDescriptor;
 use flashfuser_sim::unfused_time;
 use flashfuser_workloads::ModelSpec;
@@ -15,17 +16,7 @@ use flashfuser_workloads::ModelSpec;
 /// resident tokens (the paper uses `m = seq = 512`).
 pub fn ffn_time_share(model: &ModelSpec, m: usize, params: &MachineDescriptor) -> f64 {
     let ffn = unfused_time(&model.ffn_chain(m), params, 0.90).seconds;
-    let attn_flops = model.attention_flops(m, m) as f64;
-    let attn_bytes = model.attention_bytes(m, m) as f64;
-    // Four projection launches plus two batched attention GEMMs.
-    let attn = (attn_flops / (params.peak_flops() * 0.90))
-        .max(attn_bytes / (params.hbm_bw() * 0.90))
-        + 6.0 * params.kernel_launch_s();
-    // Norms/residuals/rotary: two passes over the token activations.
-    let d = model.hidden as u64;
-    let misc_bytes = (4 * m as u64 * d * 2) as f64;
-    let misc = misc_bytes / (params.hbm_bw() * 0.90) + 2.0 * params.kernel_launch_s();
-    ffn / (ffn + attn + misc)
+    ffn / (ffn + non_ffn_layer_time(model, m, params, 0.90))
 }
 
 #[cfg(test)]

@@ -158,7 +158,7 @@ pub fn encode_record(r: &PlanRecord) -> String {
         ),
         version = FORMAT_VERSION,
         chain = encode_chain(chain),
-        schedule = plan.schedule.name(),
+        schedule = plan.schedule,
         cluster = dims4(
             plan.cluster.m(),
             plan.cluster.n(),
@@ -743,7 +743,7 @@ mod tests {
     #[test]
     fn schedule_name_round_trips() {
         for s in LoopSchedule::enumerate_all() {
-            let parsed = parse_schedule(&s.name()).unwrap();
+            let parsed = parse_schedule(&s.to_string()).unwrap();
             assert_eq!(parsed, s);
         }
         assert!(parse_schedule("MN").is_err());

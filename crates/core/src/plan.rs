@@ -270,23 +270,17 @@ impl FusedPlan {
     pub fn deepest_reused_level(&self) -> Option<MemLevel> {
         self.mapping.deepest_reused_level()
     }
-
-    /// Short one-line description for reports.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} {} {} spill={}",
-            self.schedule.name(),
-            self.cluster,
-            self.tile,
-            self.deepest_reused_level()
-                .map_or("none".to_string(), |l| l.to_string()),
-        )
-    }
 }
 
+/// The short one-line description reports print, e.g.
+/// `M|nlk cls(m=1,n=2,k=2,l=2) blk(m=64,n=64,k=32,l=64) spill=smem`.
 impl fmt::Display for FusedPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.summary())
+        write!(f, "{} {} {} spill=", self.schedule, self.cluster, self.tile)?;
+        match self.deepest_reused_level() {
+            Some(level) => write!(f, "{level}"),
+            None => f.write_str("none"),
+        }
     }
 }
 
@@ -409,7 +403,7 @@ mod tests {
             mapping: ResourceMapping::new(),
         };
         assert_eq!(plan.blocks_total(), 2 * 4);
-        let s = plan.summary();
+        let s = plan.to_string();
         assert!(s.contains("M|nlk"));
         assert!(s.contains("cls("));
     }

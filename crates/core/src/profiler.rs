@@ -21,13 +21,6 @@ pub struct ProfileOutcome {
     pub dsm_bytes: u64,
 }
 
-impl ProfileOutcome {
-    /// Achieved TFLOP/s for a workload of `flops`.
-    pub fn tflops(&self, flops: u64) -> f64 {
-        flops as f64 / self.seconds / 1e12
-    }
-}
-
 impl fmt::Display for ProfileOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -116,16 +109,6 @@ impl PlanProfiler for FakeProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tflops_conversion() {
-        let o = ProfileOutcome {
-            seconds: 1e-3,
-            global_bytes: 0,
-            dsm_bytes: 0,
-        };
-        assert!((o.tflops(2_000_000_000_000) - 2000.0).abs() < 1e-6);
-    }
 
     #[test]
     fn display_formats_microseconds() {

@@ -7,7 +7,7 @@
 //! `C(4,1)·3! + C(4,2)·2! + C(4,3)·1! + C(4,4)·0! = 41` schedules.
 
 use flashfuser_graph::Dim;
-use std::fmt;
+use std::fmt::{self, Write};
 use std::sync::OnceLock;
 
 /// One spatial/temporal loop partition.
@@ -94,19 +94,6 @@ impl LoopSchedule {
         }
     }
 
-    /// Compact name in the paper's style: spatial dims in upper case
-    /// followed by the temporal nest in lower case, e.g. `"M|nlk"`.
-    pub fn name(&self) -> String {
-        let mut s: String = self
-            .spatial
-            .iter()
-            .map(|d| d.letter().to_ascii_uppercase())
-            .collect();
-        s.push('|');
-        s.extend(self.temporal.iter().map(|d| d.letter()));
-        s
-    }
-
     /// The 41 schedules of Table IV, enumerated once per process: the
     /// list is a function of nothing, and every search walks it.
     pub fn all() -> &'static [LoopSchedule] {
@@ -137,9 +124,18 @@ impl LoopSchedule {
     }
 }
 
+/// Compact name in the paper's style: spatial dims in upper case
+/// followed by the temporal nest in lower case, e.g. `"M|nlk"`.
 impl fmt::Display for LoopSchedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
+        for d in &self.spatial {
+            f.write_char(d.letter().to_ascii_uppercase())?;
+        }
+        f.write_char('|')?;
+        for d in &self.temporal {
+            f.write_char(d.letter())?;
+        }
+        Ok(())
     }
 }
 
@@ -181,7 +177,7 @@ mod tests {
     #[test]
     fn schedules_are_distinct() {
         let all = LoopSchedule::enumerate_all();
-        let names: HashSet<String> = all.iter().map(|s| s.name()).collect();
+        let names: HashSet<String> = all.iter().map(|s| s.to_string()).collect();
         assert_eq!(names.len(), all.len());
     }
 
@@ -200,14 +196,14 @@ mod tests {
     #[test]
     fn name_format() {
         let s = LoopSchedule::new(vec![Dim::M, Dim::N], vec![Dim::L, Dim::K]);
-        assert_eq!(s.name(), "MN|lk");
+        assert_eq!(s.to_string(), "MN|lk");
     }
 
     #[test]
     fn fully_spatial_schedule_has_empty_nest() {
         let s = LoopSchedule::new(Dim::ALL.to_vec(), vec![]);
         assert_eq!(s.innermost_temporal(), None);
-        assert_eq!(s.name(), "MNKL|");
+        assert_eq!(s.to_string(), "MNKL|");
     }
 
     #[test]

@@ -30,9 +30,9 @@
 //!   one `Copy` entry into the worker's top-K buffer.
 //!
 //! After the deterministic merge the ≤ `K` survivors are turned into
-//! plans ([`DataflowAnalyzer::materialise`]) and priced in full
-//! ([`CostModel::evaluate`], bit-equal to `estimate` — one pricing
-//! core).
+//! plans ([`DataflowAnalyzer::materialise`]); each keeps the estimate
+//! it was ranked on, which [`CostModel::evaluate`] reproduces bit for
+//! bit (one pricing core).
 //!
 //! [`PlaneTerms::score`]: crate::analyzer::PlaneTerms::score
 //!
@@ -72,7 +72,7 @@
 //! persisted.
 
 use crate::analyzer::{CostTerms, DataflowAnalysis, DataflowAnalyzer};
-use crate::cost::{CostBreakdown, CostModel};
+use crate::cost::CostModel;
 use crate::machine::{MachineDescriptor, MemLevel};
 use crate::profiler::{PlanProfiler, ProfileOutcome};
 use crate::prune::{Candidate, CandidateStream, Plane, PlaneIter, PruneConfig};
@@ -159,16 +159,13 @@ impl SearchConfig {
     }
 }
 
-/// One ranked candidate: analysis, analytical cost, and (if profiled)
-/// the measured outcome.
+/// One ranked candidate: analysis, analytical estimate, and (if
+/// profiled) the measured outcome.
 #[derive(Debug, Clone)]
 pub struct RankedPlan {
     /// The analyzed plan.
     pub analysis: DataflowAnalysis,
-    /// Cost-model breakdown.
-    pub cost: CostBreakdown,
-    /// Analytical estimate in seconds (`cost.est_s`, denormalised for
-    /// sorting).
+    /// Analytical estimate in seconds ([`CostModel::evaluate`]`.est_s`).
     pub est_seconds: f64,
     /// Measured outcome after profiling, if any.
     pub measured: Option<ProfileOutcome>,
@@ -513,15 +510,13 @@ impl SearchEngine {
                 let analysis = scan
                     .analyzer
                     .materialise(chain, schedule, cluster, tile, &s.terms);
-                let cost = scan.cost_model.evaluate(&analysis);
                 debug_assert_eq!(
-                    cost.est_s.to_bits(),
+                    scan.cost_model.evaluate(&analysis).est_s.to_bits(),
                     s.est.to_bits(),
                     "estimate and evaluate share one pricing core"
                 );
                 RankedPlan {
                     est_seconds: s.est,
-                    cost,
                     analysis,
                     measured: None,
                 }
@@ -631,13 +626,11 @@ impl Scan<'_> {
                 .as_ref()
                 .is_none_or(|(bs, bq, _)| orders_before(outcome.seconds, cand.seq, *bs, *bq));
             if better {
-                let cost = self.cost_model.evaluate(&analysis);
                 shard.best = Some((
                     outcome.seconds,
                     cand.seq,
                     RankedPlan {
-                        est_seconds: cost.est_s,
-                        cost,
+                        est_seconds: self.cost_model.evaluate(&analysis).est_s,
                         analysis,
                         measured: Some(outcome),
                     },
@@ -823,7 +816,7 @@ mod tests {
         assert_eq!(a.top_k().len(), b.top_k().len());
         for (x, y) in a.top_k().iter().zip(b.top_k()) {
             assert_eq!(x.est_seconds, y.est_seconds);
-            assert_eq!(x.analysis.plan().summary(), y.analysis.plan().summary());
+            assert_eq!(x.analysis.plan().to_string(), y.analysis.plan().to_string());
         }
     }
 }

@@ -43,7 +43,7 @@ fn analysis_volumes_are_consistent() {
         assert!(
             a.volume(MemLevel::Global) >= chain.fused_min_global_bytes(),
             "{}: global {} < min {}",
-            a.plan().summary(),
+            a.plan(),
             a.volume(MemLevel::Global),
             chain.fused_min_global_bytes()
         );

@@ -201,7 +201,7 @@ fn lower_bound_is_admissible_for_every_feasible_candidate() {
                 lb <= est,
                 "{}: inadmissible bound {lb} > est {est} for {}",
                 chain.dims(),
-                analysis.plan().summary()
+                analysis.plan()
             );
             checked += 1;
         }
@@ -345,7 +345,7 @@ fn plane_then_score_then_estimate_is_analyze_then_evaluate_for_every_candidate()
                                 cost_model.estimate(&pricing, &scored).to_bits(),
                                 cost_model.evaluate(&analysis).est_s.to_bits(),
                                 "{at}: estimate vs evaluate for {}",
-                                analysis.plan().summary()
+                                analysis.plan()
                             );
                             accepted += 1;
                         }
@@ -384,7 +384,7 @@ fn candidate_stream_iteration_matches_random_access() {
     let mid = stream.len() / 2;
     let direct = stream.get(mid).unwrap();
     let via_iter = stream.iter().nth(mid as usize).unwrap();
-    assert_eq!(direct.schedule.name(), via_iter.schedule.name());
+    assert_eq!(direct.schedule, via_iter.schedule);
     assert_eq!(direct.cluster, via_iter.cluster);
     assert_eq!(direct.tile, via_iter.tile);
     assert!(stream.get(stream.len()).is_none());

@@ -627,7 +627,7 @@ mod tests {
         assert!(
             expected.approx_eq(&got, 1e-3).unwrap(),
             "plan {} diverged: max err {}",
-            plan.summary(),
+            plan,
             expected.max_abs_diff(&got).unwrap()
         );
         counters
@@ -1047,8 +1047,7 @@ mod tests {
             assert_eq!(
                 counters.dsm_bytes(),
                 analysis.volume(flashfuser_core::MemLevel::Dsm),
-                "schedule {}",
-                schedule.name()
+                "schedule {schedule}"
             );
             // The executor counts every memory-system load (the L2 view);
             // the analyzer's Global volume additionally filters re-loads

@@ -11,13 +11,16 @@
 //!   inter-cluster atomic reduction included — and counts every byte
 //!   moved per memory tier. Its output must match the chain's reference
 //!   result, which is what the correctness test-suite enforces.
-//! * an **analytical timing model** ([`timing`]) that converts the
-//!   dataflow analysis of a plan into "measured" seconds, adding the
-//!   second-order effects the paper's cost model ignores (wave
-//!   quantisation, imperfect overlap, NoC latency chains, barrier costs
-//!   and a deterministic per-plan perturbation standing in for silicon
-//!   variance). The gap between this and the cost model is what makes
-//!   top-K profiling (Fig. 12) meaningful.
+//! * a **profiler** ([`timing`]) that converts the dataflow analysis of
+//!   a plan into "measured" seconds. The layers split the terms between
+//!   them: the core's cost model owns wave quantisation, occupancy, the
+//!   per-tier bandwidths and the amortized DSM-hop/barrier latency
+//!   chain; a measurement is that estimate plus the three terms the
+//!   paper's model leaves out — the overlap leak of non-bottleneck
+//!   stages, the fixed off-chip and launch latency, and a deterministic
+//!   per-plan perturbation standing in for silicon variance. The gap
+//!   between the two is what makes top-K profiling (Fig. 12)
+//!   meaningful.
 //!
 //! [`unfused`] prices the no-fusion baselines (one kernel per operator
 //! with global-memory round trips); they are never executed.
@@ -43,5 +46,5 @@ pub use graph_exec::{
     execute_graph_with, ExecSegment, GraphExecError, GraphExecution, SegmentTrace,
 };
 pub use interp::{interpret_graph, seeded_graph_inputs, InterpError};
-pub use timing::{KernelMeasurement, SimProfiler, TimingModel};
+pub use timing::{time_analysis, SimProfiler};
 pub use unfused::{kernel_seconds, unfused_time, UnfusedKernelPricer, UnfusedReport};

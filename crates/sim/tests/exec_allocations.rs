@@ -143,7 +143,7 @@ fn the_cluster_loop_allocates_nothing_and_no_input_is_copied() {
         assert!(
             counts.iter().all(|&c| c == counts[0]),
             "{}: allocations for the chain, 4x its clusters, 4x its n-trips: {counts:?}",
-            base.summary()
+            base
         );
     }
 

@@ -198,7 +198,7 @@ fn fused_digest(kind: KernelKind) -> u64 {
         let inputs = plan.chain.make_inputs(0xD16 + i as u64);
         let mut counters = TrafficCounters::new();
         let out = execute_fused_with(plan, &inputs, &mut counters, NumericConfig { kernel: kind })
-            .unwrap_or_else(|e| panic!("{}: {e}", plan.summary()));
+            .unwrap_or_else(|e| panic!("{}: {e}", plan));
         fold_matrix(&mut h, &out);
         fold_counters(&mut h, &counters);
     }

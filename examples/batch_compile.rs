@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  {:<12} {:<40} {:>8.2} us",
             chain.name(),
-            compiled.plan.summary(),
+            compiled.plan.to_string(),
             compiled.measured_seconds * 1e6
         );
     }

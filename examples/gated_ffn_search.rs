@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{marker} rank {i}: est {:>8.2} us, measured {:>8.2} us  {}",
             ranked.est_seconds * 1e6,
             ranked.measured.unwrap().seconds * 1e6,
-            ranked.analysis.plan().summary()
+            ranked.analysis.plan()
         );
     }
     println!(

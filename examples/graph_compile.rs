@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "  {}. fused   {:>8.2} us  {} ({})",
                 i + 1,
                 f.stitched_seconds() * 1e6,
-                f.compiled.plan.summary(),
+                f.compiled.plan,
                 if f.searched { "searched" } else { "cache hit" },
             ),
             CompiledSegment::Unfused(u) => println!(

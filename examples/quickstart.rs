@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut profiler = SimProfiler::new(params.clone());
     let result = engine.search_with_profiler(&chain, &SearchConfig::default(), &mut profiler)?;
     let best = result.best();
-    println!("best plan:  {}", best.analysis.plan().summary());
+    println!("best plan:  {}", best.analysis.plan());
     println!("estimated:  {:.2} us", best.est_seconds * 1e6);
     println!("measured:   {:.2} us", best.measured.unwrap().seconds * 1e6);
 

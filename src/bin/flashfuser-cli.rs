@@ -445,7 +445,7 @@ fn cmd_compile(args: &[String]) -> ExitCode {
             let compile_s = t0.elapsed().as_secs_f64();
             let unfused = unfused_time(&chain, &params, UNFUSED_EFFICIENCY);
             let stats = compiler.cache_stats();
-            println!("plan:     {}", compiled.plan.summary());
+            println!("plan:     {}", compiled.plan);
             println!(
                 "fused:    {:.2} us ({} candidates passed Rules 1-4 and the tile/cluster geometry)",
                 compiled.measured_seconds * 1e6,
@@ -524,11 +524,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     let mut failures = 0usize;
     for (chain, result) in batch.iter().zip(&results).take(chains.len()) {
         match result {
-            Ok(c) => println!(
-                "  {chain}: {} ({:.2} us)",
-                c.plan.summary(),
-                c.measured_seconds * 1e6
-            ),
+            Ok(c) => println!("  {chain}: {} ({:.2} us)", c.plan, c.measured_seconds * 1e6),
             Err(e) => {
                 println!("  {chain}: FAILED ({e})");
                 failures += 1;
@@ -620,7 +616,7 @@ fn cmd_graph(args: &[String]) -> ExitCode {
                     "  {:>2}. fused   {:>10.2} us  {} ({how})",
                     i + 1,
                     f.stitched_seconds() * 1e6,
-                    f.compiled.plan.summary(),
+                    f.compiled.plan,
                 );
             }
             CompiledSegment::Unfused(u) => {

@@ -139,7 +139,7 @@ fn workload_names_are_metadata_not_identity() {
     let second = compiler.compile(&renamed).unwrap();
     assert_eq!(compiler.searches_run(), 1);
     assert_eq!(second.plan.chain.name(), "other");
-    assert_eq!(first.plan.summary(), second.plan.summary());
+    assert_eq!(first.plan.to_string(), second.plan.to_string());
 }
 
 #[test]
@@ -167,7 +167,7 @@ fn batch_dedupes_and_preserves_input_order() {
     for (i, request) in batch.iter().enumerate() {
         assert_eq!(&plans[i].chain, request, "result {i} out of order");
     }
-    assert_eq!(plans[0].summary(), plans[2].summary());
+    assert_eq!(plans[0].to_string(), plans[2].to_string());
     // Batch results equal per-request compiles, bit for bit.
     let single = flashfuser::compile(&b, &MachineDescriptor::h100_sxm()).unwrap();
     assert_eq!(single.plan, plans[1]);

@@ -78,7 +78,7 @@ fn feasible_plans_compute_the_reference() {
         assert!(
             expected.approx_eq(&got, 1e-2).unwrap(),
             "{} diverged by {}",
-            analysis.plan().summary(),
+            analysis.plan(),
             expected.max_abs_diff(&got).unwrap()
         );
         // Traffic invariants: the executor agrees with the analyzer.
