@@ -2,7 +2,7 @@
 //! naming them.
 
 use crate::baselines::{searched, BaselineResult, System, SUITE};
-use crate::e2e::{e2e_speedup, E2eReport};
+use crate::e2e::LayerSpeedup;
 use crate::ffn_share::ffn_time_share;
 use crate::microbench::{dsm_curve, primitive_bandwidth, PrimitiveKind};
 use crate::roofline::roofline_point;
@@ -53,11 +53,13 @@ pub const ARTEFACTS: &[Artefact] = &[
 ];
 
 /// What several artefacts read, computed at most once per run and only
-/// when an artefact asks for it. Keys are Tables V–VII workload ids.
+/// when an artefact asks for it: the baseline suite (keys are Tables
+/// V–VII workload ids) and one compiler, whose plan cache serves every
+/// repeated layer shape.
 #[derive(Default)]
 pub(crate) struct Inputs {
     suite: OnceCell<HashMap<&'static str, [BaselineResult; SUITE.len()]>>,
-    e2e: OnceCell<HashMap<&'static str, E2eReport>>,
+    compiler: OnceCell<Compiler>,
 }
 
 impl Inputs {
@@ -70,24 +72,24 @@ impl Inputs {
         &all[id]
     }
 
-    /// End-to-end report of workload `id`'s source model at M = 128.
-    fn e2e(&self, id: &str) -> E2eReport {
-        let all = self.e2e.get_or_init(|| {
-            let report = |w: Workload| {
-                // Reconstruct the source model around the measured FFN subgraph.
-                let d = w.chain.dims();
-                let model = ModelSpec {
-                    name: w.model,
-                    layers: 1,
-                    hidden: d.k,
-                    ffn_hidden: d.n,
-                    gated: w.chain.kind().is_gated(),
-                };
-                (w.id, e2e_speedup(&model, 128, &h100()))
-            };
-            all_workloads().into_iter().map(report).collect()
-        });
-        all[id]
+    /// FlashFuser's speedups on one layer of `model` with `m` tokens in
+    /// flight.
+    fn e2e(&self, model: &ModelSpec, m: usize) -> LayerSpeedup {
+        let compiler = self.compiler.get_or_init(|| Compiler::new(h100()));
+        let plan = compiler.compile_graph(&model.graph(m, 1));
+        LayerSpeedup::of(&plan.expect("a decoder layer compiles"))
+    }
+}
+
+/// The source model of workload `w`, rebuilt around its FFN subgraph.
+fn source_model(w: &Workload) -> ModelSpec {
+    let d = w.chain.dims();
+    ModelSpec {
+        name: w.model,
+        layers: 1,
+        hidden: d.k,
+        ffn_hidden: d.n,
+        gated: w.chain.kind().is_gated(),
     }
 }
 
@@ -405,7 +407,7 @@ fn fig15(_: &Inputs, out: &mut Rows) {
     }
 }
 
-fn fig16(_: &Inputs, out: &mut Rows) {
+fn fig16(inputs: &Inputs, out: &mut Rows) {
     let p = h100();
     out.here("machine balance FLOP/B", fixed(p.machine_balance(), 0));
     let mut all = vec![];
@@ -413,15 +415,15 @@ fn fig16(_: &Inputs, out: &mut Rows) {
         // Sequence 256 at batch 1, 2, 4, ..., 32.
         for m in [256usize, 512, 1024, 2048, 4096, 8192] {
             let label = format!("{} M={m}", model.name);
-            let (r, e2e) = (roofline_point(&model, m, &p), e2e_speedup(&model, m, &p));
+            let (r, e2e) = (roofline_point(&model, m, &p), inputs.e2e(&model, m));
             out.here(format!("{label} intensity"), fixed(r.intensity, 1));
             let attainable = fixed(r.attainable_tflops, 0);
             out.here(format!("{label} attainable TF"), attainable);
             let bound = if r.compute_bound { "compute" } else { "memory" };
             out.here(format!("{label} bound"), bound);
-            all.push(e2e.speedup);
-            out.here(format!("{label} ffn speedup"), fixed(e2e.ffn_speedup, 2));
-            out.here(format!("{label} E2E"), fixed(e2e.speedup, 3));
+            all.push(e2e.layer);
+            out.here(format!("{label} ffn speedup"), fixed(e2e.ffn, 2));
+            out.here(format!("{label} E2E"), fixed(e2e.layer, 3));
         }
     }
     out.row("average E2E speedup", "1.16", fixed(mean(&all), 3), GAP);
@@ -430,10 +432,11 @@ fn fig16(_: &Inputs, out: &mut Rows) {
 fn fig17(inputs: &Inputs, out: &mut Rows) {
     let mut all = vec![];
     for w in gated_ffn_chains().into_iter().chain(gemm_chains()) {
-        let (r, label) = (inputs.e2e(w.id), format!("{} {}", w.id, w.model));
-        all.push(r.speedup);
-        out.here(format!("{label} ffn speedup"), fixed(r.ffn_speedup, 2));
-        out.here(format!("{label} E2E"), fixed(r.speedup, 3));
+        let r = inputs.e2e(&source_model(&w), 128);
+        let label = format!("{} {}", w.id, w.model);
+        all.push(r.layer);
+        out.here(format!("{label} ffn speedup"), fixed(r.ffn, 2));
+        out.here(format!("{label} E2E"), fixed(r.layer, 3));
     }
     let note = "paper: 1.32 on this suite, 1.24 over every model";
     out.row("average E2E speedup", "1.32", fixed(mean(&all), 3), note);
@@ -454,7 +457,7 @@ fn headline(inputs: &Inputs, out: &mut Rows) {
         };
         vs_library.push(best(&libraries) / f.seconds);
         vs_compiler.push(best(&compilers) / f.seconds);
-        e2e.push(inputs.e2e(w.id).speedup);
+        e2e.push(inputs.e2e(&source_model(&w), 128).layer);
     }
     let cut = fixed(100.0 * mean(&traffic_cut), 0);
     out.row("memory-access reduction vs PyTorch %", "58", cut, GAP);

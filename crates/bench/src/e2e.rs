@@ -1,96 +1,101 @@
-//! End-to-end inference timing (Figs. 16(b) and 17).
+//! End-to-end inference speedup (Figs. 16(b) and 17), read off the
+//! [`GraphPlan`] that `Compiler::compile_graph` returns for a model's
+//! layer graph.
 //!
-//! One layer = attention + FFN + element-wise remainder. The serving
-//! baseline (SGLang-class) runs the FFN as tuned-but-unfused kernels
-//! (eff `UNFUSED_EFFICIENCY` = 0.92); the FlashFuser configuration
-//! replaces only the FFN with the searched fused kernel. Everything
-//! else is identical, so the E2E speedup is the Amdahl composition of
-//! the kernel-level gain with the FFN time share — exactly how the
-//! paper's 1.24x arises from 3.3x kernel speedups.
+//! The serving baseline (SGLang-class) runs the FFN as tuned-but-unfused
+//! kernels and attention as one fused kernel (SGLang ships
+//! FlashAttention). So the baseline's layer is the stitched plan with
+//! every FFN segment back at its unfused bar, while FlashFuser's fused
+//! attention stands in for the baseline's: only the FFN earns credit.
+//! On a graph without attention the layer speedup is
+//! [`GraphPlan::speedup`].
 
-use crate::baselines::System;
-use flashfuser::UNFUSED_EFFICIENCY;
-use flashfuser_core::MachineDescriptor;
-use flashfuser_sim::unfused_time;
-use flashfuser_workloads::ModelSpec;
+use flashfuser::GraphPlan;
 
-/// End-to-end comparison for one model and token count.
+/// FlashFuser's speedups over the serving baseline on one compiled graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct E2eReport {
-    /// Kernel-level FFN speedup.
-    pub ffn_speedup: f64,
-    /// End-to-end speedup (whole model; layers are homogeneous).
-    pub speedup: f64,
+pub struct LayerSpeedup {
+    /// Kernel-level FFN speedup (1.0 when no FFN fused).
+    pub ffn: f64,
+    /// End-to-end speedup of the whole graph.
+    pub layer: f64,
 }
 
-/// Non-FFN time of one layer with `m` resident tokens, its kernels
-/// running at `efficiency` of peak compute and bandwidth: attention
-/// (four projection launches plus two batched attention GEMMs) and the
-/// element-wise remainder (norms, residuals and rotary: two passes over
-/// the token activations). Shared by both systems here and by Table I.
-pub(crate) fn non_ffn_layer_time(
-    model: &ModelSpec,
-    m: usize,
-    params: &MachineDescriptor,
-    efficiency: f64,
-) -> f64 {
-    let attn_flops = model.attention_flops(m, m) as f64;
-    let attn_bytes = model.attention_bytes(m, m) as f64;
-    let attn = (attn_flops / (params.peak_flops() * efficiency))
-        .max(attn_bytes / (params.hbm_bw() * efficiency))
-        + 6.0 * params.kernel_launch_s();
-    let misc_bytes = (4 * m as u64 * model.hidden as u64 * 2) as f64;
-    attn + misc_bytes / (params.hbm_bw() * efficiency) + 2.0 * params.kernel_launch_s()
-}
-
-/// Computes the end-to-end speedup of FlashFuser over the serving
-/// baseline for `model` with `m` tokens in flight.
-pub fn e2e_speedup(model: &ModelSpec, m: usize, params: &MachineDescriptor) -> E2eReport {
-    let chain = model.ffn_chain(m);
-    let baseline_ffn = unfused_time(&chain, params, UNFUSED_EFFICIENCY).seconds;
-    let ff = System::FlashFuser.run(&chain, params);
-    // FlashFuser never ships a fused kernel slower than the baseline's
-    // unfused FFN (binning falls back per M bucket, §IV-C3).
-    let ff_ffn = ff.seconds.min(baseline_ffn);
-    let shared = non_ffn_layer_time(model, m, params, UNFUSED_EFFICIENCY);
-    let baseline_layer_s = shared + baseline_ffn;
-    let flashfuser_layer_s = shared + ff_ffn;
-    E2eReport {
-        ffn_speedup: baseline_ffn / ff_ffn,
-        speedup: baseline_layer_s / flashfuser_layer_s,
+impl LayerSpeedup {
+    /// Reads both speedups off `plan`.
+    pub fn of(plan: &GraphPlan) -> Self {
+        let ffn = plan
+            .fused_segments()
+            .filter(|s| !s.chain.kind().is_attention());
+        let (bar, stitched) = ffn.fold((0.0, 0.0), |(bar, stitched), s| {
+            (bar + s.unfused_seconds, stitched + s.stitched_seconds())
+        });
+        LayerSpeedup {
+            ffn: if stitched > 0.0 { bar / stitched } else { 1.0 },
+            layer: (plan.seconds + bar - stitched) / plan.seconds,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashfuser_workloads::{large_model_zoo, model_zoo};
+    use flashfuser::Compiler;
+    use flashfuser_core::MachineDescriptor;
+    use flashfuser_graph::{ChainSpec, OpGraph, OpKind};
+    use flashfuser_tensor::Activation;
+    use flashfuser_workloads::{find_model, large_model_zoo, model_zoo, ModelSpec};
+
+    /// One decoder layer of `model` with `m` tokens, compiled on the H100.
+    fn layer(model: &ModelSpec, m: usize) -> GraphPlan {
+        let compiler = Compiler::new(MachineDescriptor::h100_sxm());
+        compiler
+            .compile_graph(&model.graph(m, 1))
+            .expect("a layer compiles")
+    }
 
     #[test]
     fn e2e_speedup_is_amdahl_bounded() {
         // E2E speedup must be positive, above 1 (fallback guarantees it)
         // and strictly below the kernel-level FFN speedup.
-        let p = MachineDescriptor::h100_sxm();
-        let gpt = &model_zoo()[0];
-        let r = e2e_speedup(gpt, 128, &p);
-        assert!(r.speedup >= 1.0);
-        assert!(r.ffn_speedup >= r.speedup);
-        assert!(r.ffn_speedup > 1.05, "FFN kernel should win: {r:?}");
+        let r = LayerSpeedup::of(&layer(&model_zoo()[0], 128));
+        assert!(r.layer >= 1.0);
+        assert!(r.ffn >= r.layer);
+        assert!(r.ffn > 1.05, "FFN kernel should win: {r:?}");
     }
 
     #[test]
     fn large_models_gain_less_at_high_batch() {
         // Fig. 16: at large m the FFN becomes compute-bound and the
         // fusion headroom shrinks.
-        let p = MachineDescriptor::h100_sxm();
         let model = &large_model_zoo()[1]; // Qwen2.5-14B
-        let small = e2e_speedup(model, 256, &p);
-        let large = e2e_speedup(model, 4096, &p);
+        let small = LayerSpeedup::of(&layer(model, 256));
+        let large = LayerSpeedup::of(&layer(model, 4096));
         assert!(
-            large.speedup <= small.speedup + 1e-9,
+            large.layer <= small.layer + 1e-9,
             "small {} vs large {}",
-            small.speedup,
-            large.speedup
+            small.layer,
+            large.layer
         );
+    }
+
+    #[test]
+    fn only_attention_separates_layer_and_plan_speedup() {
+        // Two FFN layers and no attention: the baseline is the
+        // all-unfused plan.
+        let compiler = Compiler::new(MachineDescriptor::h100_sxm());
+        let ffn = ChainSpec::standard_ffn(128, 1024, 256, 256, Activation::Gelu);
+        let mut g = OpGraph::new();
+        let x = g.add_input("tokens", 128, 256);
+        let l1 = g.append_chain(&ffn, x, "l1");
+        let l2 = g.append_chain(&ffn, l1, "l2");
+        g.add_node(OpKind::Output, vec![l2], "out");
+        let plan = compiler.compile_graph(&g).unwrap();
+        let r = LayerSpeedup::of(&plan);
+        assert!((r.layer - plan.speedup()).abs() <= 1e-12 * plan.speedup());
+        // A zoo layer: fused attention earns no credit.
+        let plan = layer(&find_model("GPT-2").expect("in the zoo"), 128);
+        let r = LayerSpeedup::of(&plan);
+        assert!((1.0..=plan.speedup()).contains(&r.layer), "{r:?}");
     }
 }

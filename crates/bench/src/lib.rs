@@ -100,7 +100,7 @@ impl Artefact {
 }
 
 /// Computes the rows of `artefacts` in order; what several of them read
-/// (the baseline suite, the end-to-end reports) is computed once.
+/// (the baseline suite, one compiler's plan cache) is shared.
 pub fn compute<'a>(artefacts: impl IntoIterator<Item = &'a Artefact>) -> Vec<Row> {
     let (inputs, mut out) = (Inputs::default(), Rows::default());
     for artefact in artefacts {

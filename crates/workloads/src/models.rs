@@ -1,11 +1,11 @@
 //! The transformer model zoo used by Table I and the end-to-end
 //! evaluation (Figs. 16/17).
 //!
-//! Besides the closed-form accounting ([`ModelSpec::attention_flops`]
-//! etc.) the zoo can lower whole decoder layers into [`OpGraph`]s
-//! ([`ModelSpec::graph`]), which is what lets the end-to-end figures
-//! run through the whole-graph compiler
-//! (`flashfuser::Compiler::compile_graph`) instead of closed-form math.
+//! The zoo lowers whole decoder layers into [`OpGraph`]s
+//! ([`ModelSpec::graph`]): the end-to-end figures read their speedups
+//! off the whole-graph compiler's plan of one such layer
+//! (`flashfuser::Compiler::compile_graph`). The closed-form accounting
+//! ([`ModelSpec::attention_flops`] etc.) prices Table I's FFN share.
 
 use flashfuser_graph::op::NodeId;
 use flashfuser_graph::{ChainSpec, OpGraph, OpKind};
@@ -90,8 +90,8 @@ impl ModelSpec {
     /// * residual adds after both halves.
     ///
     /// Sequence length equals `m` (every resident token attends over
-    /// the whole batch window), matching the closed-form accounting the
-    /// end-to-end figures use (`flashfuser_bench::e2e`).
+    /// the whole batch window), matching the closed-form accounting
+    /// ([`ModelSpec::attention_flops`]) Table I uses.
     fn lower_layer(&self, g: &mut OpGraph, x: NodeId, layer: usize, m: usize) -> NodeId {
         let d = self.hidden;
         let l = |part: &str| format!("l{layer}.{part}");

@@ -26,8 +26,11 @@ for example in examples/*.rs; do
     echo "== example ${name} =="
     cargo run --release -q --example "${name}" >/dev/null
 done
-echo "== example e2e_inference (flashfuser-bench) =="
-cargo run --release -q -p flashfuser-bench --example e2e_inference >/dev/null
+for example in crates/bench/examples/*.rs; do
+    name="$(basename "${example}" .rs)"
+    echo "== example ${name} (flashfuser-bench) =="
+    cargo run --release -q -p flashfuser-bench --example "${name}" >/dev/null
+done
 
 # --no-fail-fast: one red test binary must not hide the suites cargo
 # would have run after it.

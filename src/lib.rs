@@ -574,19 +574,9 @@ impl Compiler {
     pub fn compile_graph(&self, graph: &OpGraph) -> Result<GraphPlan, GraphCompileError> {
         let pricer = UnfusedKernelPricer::new(self.params().clone(), UNFUSED_EFFICIENCY);
         let partition = partition_graph(graph, self.params(), &pricer)?;
-        let shapes = graph
-            .infer_shapes()
-            .expect("partition_graph already validated the shapes");
-        // Per-op global bytes of a node run stood alone — the traffic an
-        // infeasible chain really moves once it degrades to one kernel
-        // per operator (remainder segments are priced identically by the
-        // partitioner, so executed traffic reconciles either way).
-        let op_bytes = |nodes: &[NodeId]| -> u64 {
-            nodes
-                .iter()
-                .map(|&id| graph.op_cost(&shapes, id).bytes)
-                .sum()
-        };
+        // Inferred only once a chain turns out infeasible: no other
+        // segment reads them.
+        let mut shapes = None;
         let mut segments = Vec::with_capacity(partition.segments.len());
         let mut seconds = 0.0;
         let mut unfused_seconds = 0.0;
@@ -621,7 +611,21 @@ impl Compiler {
                     Err(SearchError::NoFeasiblePlan) => {
                         seconds += bar;
                         unfused_seconds += bar;
-                        let bytes = op_bytes(&nodes);
+                        // Per-op global bytes of the nodes run stood
+                        // alone — the traffic an infeasible chain really
+                        // moves once it degrades to one kernel per
+                        // operator (remainder segments are priced
+                        // identically by the partitioner, so executed
+                        // traffic reconciles either way).
+                        let shapes = shapes.get_or_insert_with(|| {
+                            graph
+                                .infer_shapes()
+                                .expect("partition_graph already validated the shapes")
+                        });
+                        let bytes = nodes
+                            .iter()
+                            .map(|&id| graph.op_cost(shapes, id).bytes)
+                            .sum();
                         global_bytes += bytes;
                         segments.push(CompiledSegment::Unfused(UnfusedSegment {
                             nodes,
@@ -670,8 +674,8 @@ fn project_record(record: &PlanRecord, chain: &ChainSpec) -> PlanRecord {
 }
 
 /// Kernel efficiency assumed for unfused remainder kernels and the
-/// per-segment fallback bar: tuned-but-unfused, SGLang-class — the same
-/// derate the end-to-end baseline in `flashfuser_bench::e2e` uses.
+/// per-segment fallback bar: tuned-but-unfused, SGLang-class — the
+/// serving baseline's FFN in the end-to-end figures (Figs. 16–17).
 pub const UNFUSED_EFFICIENCY: f64 = 0.92;
 
 /// A fused segment of a [`GraphPlan`].
