@@ -24,10 +24,11 @@
 //!
 //! Whole-graph compilation reuses [`PlanKey`] unchanged: every fused
 //! segment of a partitioned `OpGraph` is keyed by its *recovered*
-//! chain's canonical fingerprint, so a model whose layers repeat one
-//! FFN shape searches once and hits `layers - 1` times, and different
-//! models sharing a shape share entries — across processes when the
-//! disk tier is configured.
+//! chain's canonical fingerprint. One graph compile looks each
+//! distinct chain up once, however many segments share it, so a model
+//! whose layers repeat one FFN and one attention shape costs two
+//! lookups (two searches cold), and different models sharing a shape
+//! share entries — across processes when the disk tier is configured.
 
 pub mod coalesce;
 pub mod lru;

@@ -176,7 +176,7 @@ pub fn partition_graph(
     params: &MachineDescriptor,
     pricer: &dyn UnfusedPricer,
 ) -> Result<GraphPartition, PartitionError> {
-    let shapes = graph.infer_shapes()?;
+    let shapes = graph.shapes()?;
     // Compute nodes in topological (insertion) order, with the inverse
     // position map.
     let compute: Vec<NodeId> = (0..graph.len())
@@ -193,34 +193,54 @@ pub fn partition_graph(
     let cost_model = CostModel::new(params.clone());
     let op_costs: Vec<OpCost> = compute
         .iter()
-        .map(|&id| graph.op_cost(&shapes, id))
+        .map(|&id| graph.op_cost(shapes, id))
         .collect();
     let op_seconds: Vec<f64> = op_costs.iter().map(|&c| pricer.op_seconds(c)).collect();
 
     // Candidate fused windows whose compute nodes are contiguous in the
-    // topological order, scored once; indexed by the position of their
-    // last node for the DP transition.
+    // topological order, scored once. `match_chains` reports them in
+    // ascending order of their output GEMM, a window's last node, so
+    // they come sorted by `end`, the position the DP closes them at.
     struct Window {
         chain: ChainSpec,
         nodes: Vec<NodeId>,
         start: usize,
+        end: usize,
         score: f64,
         unfused: f64,
     }
-    let mut by_end: Vec<Vec<Window>> = (0..compute.len()).map(|_| Vec::new()).collect();
+    let mut windows: Vec<Window> = Vec::new();
+    // Both prices are pure functions of the chain, and a model repeats
+    // one chain per layer: each distinct chain is priced once.
+    let mut priced: Vec<(ChainSpec, f64, f64)> = Vec::new();
     for m in match_chains(graph)? {
-        let positions: Vec<usize> = m.nodes.iter().map(|&id| pos_of[id]).collect();
-        let start = positions[0];
-        let end = positions[positions.len() - 1];
-        if end - start + 1 != positions.len() || positions.windows(2).any(|w| w[1] != w[0] + 1) {
+        let start = pos_of[m.nodes[0]];
+        let contiguous = m
+            .nodes
+            .iter()
+            .enumerate()
+            .all(|(i, &id)| pos_of[id] == start + i);
+        if !contiguous {
             continue; // interleaved with foreign nodes: leave unfused
         }
-        by_end[end].push(Window {
-            score: cost_model.chain_lower_bound(&m.chain),
-            unfused: pricer.chain_seconds(&m.chain),
+        let end = start + m.nodes.len() - 1;
+        let (score, unfused) = match priced.iter().find(|(chain, ..)| *chain == m.chain) {
+            Some(&(_, score, unfused)) => (score, unfused),
+            None => {
+                let score = cost_model.chain_lower_bound(&m.chain);
+                let unfused = pricer.chain_seconds(&m.chain);
+                priced.push((m.chain.clone(), score, unfused));
+                (score, unfused)
+            }
+        };
+        debug_assert!(windows.last().is_none_or(|w| w.end <= end));
+        windows.push(Window {
+            score,
+            unfused,
             chain: m.chain,
             nodes: m.nodes,
             start,
+            end,
         });
     }
 
@@ -231,18 +251,20 @@ pub fn partition_graph(
     let mut dp = vec![f64::INFINITY; n + 1];
     let mut back = vec![Step::Op; n + 1];
     dp[0] = 0.0;
+    let mut next = 0; // the first window not yet closed
     for i in 0..n {
         let step = dp[i] + op_seconds[i];
         if step < dp[i + 1] {
             dp[i + 1] = step;
             back[i + 1] = Step::Op;
         }
-        for (w_idx, w) in by_end[i].iter().enumerate() {
+        while let Some(w) = windows.get(next).filter(|w| w.end == i) {
             let fused = dp[w.start] + w.score;
             if fused < dp[i + 1] {
                 dp[i + 1] = fused;
-                back[i + 1] = Step::Fuse(w_idx);
+                back[i + 1] = Step::Fuse(next);
             }
+            next += 1;
         }
     }
 
@@ -270,10 +292,11 @@ pub fn partition_graph(
             }
             Step::Fuse(w_idx) => {
                 flush(&mut unfused_run, &mut segments);
-                let w = &by_end[i - 1][w_idx];
+                // Each window closes at most one segment: move it out.
+                let w = &mut windows[w_idx];
                 segments.push(Segment::Fused {
                     chain: w.chain.clone(),
-                    nodes: w.nodes.clone(),
+                    nodes: std::mem::take(&mut w.nodes),
                     est_seconds: w.score,
                     unfused_seconds: w.unfused,
                 });

@@ -6,6 +6,7 @@
 //! assert structural properties of the three chain families in Fig. 1
 //! on it.
 
+use crate::segment::{infer_node, GraphShapeError, Shape};
 use flashfuser_tensor::{Activation, BinaryOp};
 use std::collections::HashMap;
 use std::fmt;
@@ -74,6 +75,8 @@ pub struct OpNode {
 ///
 /// Nodes are appended in topological order by construction: a node may only
 /// reference already-inserted nodes, which makes cycles unrepresentable.
+/// The same order lets every node's output shape be inferred as it is
+/// pushed, so [`OpGraph::shapes`] is a read, not a pass over the graph.
 ///
 /// # Example
 ///
@@ -92,6 +95,10 @@ pub struct OpNode {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpGraph {
     nodes: Vec<OpNode>,
+    /// Each node's output shape, indexed by [`NodeId`].
+    shapes: Vec<Shape>,
+    /// The first node whose operand shapes disagree.
+    shape_error: Option<GraphShapeError>,
 }
 
 impl OpGraph {
@@ -101,11 +108,11 @@ impl OpGraph {
     }
 
     /// Adds an input tensor node and returns its id.
-    pub fn add_input(&mut self, label: &str, rows: usize, cols: usize) -> NodeId {
+    pub fn add_input(&mut self, label: impl Into<String>, rows: usize, cols: usize) -> NodeId {
         self.push(OpNode {
             kind: OpKind::Input(rows, cols),
             inputs: vec![],
-            label: label.to_string(),
+            label: label.into(),
         })
     }
 
@@ -115,7 +122,12 @@ impl OpGraph {
     ///
     /// Panics if any input id is out of range (forward references would
     /// create cycles) or if the arity is wrong for the kind.
-    pub fn add_node(&mut self, kind: OpKind, inputs: Vec<NodeId>, label: &str) -> NodeId {
+    pub fn add_node(
+        &mut self,
+        kind: OpKind,
+        inputs: Vec<NodeId>,
+        label: impl Into<String>,
+    ) -> NodeId {
         for &i in &inputs {
             assert!(i < self.nodes.len(), "input id {i} not yet defined");
         }
@@ -130,13 +142,32 @@ impl OpGraph {
         self.push(OpNode {
             kind,
             inputs,
-            label: label.to_string(),
+            label: label.into(),
         })
     }
 
     fn push(&mut self, node: OpNode) -> NodeId {
+        let id = self.nodes.len();
+        let (shape, error) = infer_node(&self.shapes, id, &node);
+        self.shapes.push(shape);
+        self.shape_error = self.shape_error.or(error);
         self.nodes.push(node);
-        self.nodes.len() - 1
+        id
+    }
+
+    /// Every node's output shape, indexed by [`NodeId`], as inferred
+    /// while the nodes were added.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`GraphShapeError`] in node order: a matmul
+    /// whose inner dimensions, or an element-wise node whose operand
+    /// shapes, disagree.
+    pub fn shapes(&self) -> Result<&[Shape], GraphShapeError> {
+        match self.shape_error {
+            Some(e) => Err(e),
+            None => Ok(&self.shapes),
+        }
     }
 
     /// Borrow a node by id.

@@ -144,21 +144,19 @@ pub fn rand_graph(seed: u64, config: &RandGraphConfig) -> OpGraph {
         }
     };
 
-    // The spine: the node new work grows from, plus its shape. Shapes
-    // of all nodes are tracked incrementally so every step stays valid.
+    // The spine: the node new work grows from. Every step reads shapes
+    // off the graph, which infers them as nodes are added, so every
+    // step stays valid.
     let m0 = dim(&mut rng);
     let k0 = dim(&mut rng);
     let mut spine = g.add_input("x", m0, k0);
-    let mut shapes: Vec<(usize, usize)> = vec![(m0, k0)];
-    let sync_shapes = |g: &OpGraph, shapes: &mut Vec<(usize, usize)>| {
-        *shapes = g.infer_shapes().expect("generator only emits valid graphs");
-    };
+    let valid = "generator only emits valid graphs";
 
     let mut compute = 0usize;
     let mut step = 0usize;
     while compute < config.ops {
         step += 1;
-        let (rows, cols) = shapes[spine];
+        let (rows, cols) = g.shapes().expect(valid)[spine];
         // Guarded *before* any draw so a zero probability consumes no
         // stream and default-config graphs stay bit-stable.
         if config.attention_prob > 0.0 && rng.next_bool(config.attention_prob) {
@@ -170,22 +168,21 @@ pub fn rand_graph(seed: u64, config: &RandGraphConfig) -> OpGraph {
             let l = dim(&mut rng);
             let scaled = rng.next_bool(0.5);
             let kt = if rng.next_bool(0.5) {
-                let kin = g.add_input(&format!("K{step}"), n, cols);
-                g.add_node(OpKind::Transpose, vec![kin], &format!("kT{step}"))
+                let kin = g.add_input(format!("K{step}"), n, cols);
+                g.add_node(OpKind::Transpose, vec![kin], format!("kT{step}"))
             } else {
-                g.add_input(&format!("Kt{step}"), cols, n)
+                g.add_input(format!("Kt{step}"), cols, n)
             };
-            let v = g.add_input(&format!("V{step}"), n, l);
-            let scores = g.add_node(OpKind::Matmul, vec![spine, kt], &format!("scores{step}"));
+            let v = g.add_input(format!("V{step}"), n, l);
+            let scores = g.add_node(OpKind::Matmul, vec![spine, kt], format!("scores{step}"));
             let scale_k = if scaled { cols } else { 0 };
             let probs = g.add_node(
                 OpKind::Softmax { scale_k },
                 vec![scores],
-                &format!("softmax{step}"),
+                format!("softmax{step}"),
             );
-            spine = g.add_node(OpKind::Matmul, vec![probs, v], &format!("ctx{step}"));
+            spine = g.add_node(OpKind::Matmul, vec![probs, v], format!("ctx{step}"));
             compute += 3;
-            sync_shapes(&g, &mut shapes);
             continue;
         }
         if rng.next_bool(config.chain_prob) {
@@ -200,7 +197,6 @@ pub fn rand_graph(seed: u64, config: &RandGraphConfig) -> OpGraph {
             };
             spine = g.append_chain(&chain, spine, &format!("s{step}"));
             compute += if chain.kind().is_gated() { 5 } else { 3 };
-            sync_shapes(&g, &mut shapes);
             continue;
         }
         // One glue operator.
@@ -208,18 +204,17 @@ pub fn rand_graph(seed: u64, config: &RandGraphConfig) -> OpGraph {
             0 => {
                 // Unary activation on the spine.
                 let act = *rng.pick(&Activation::all());
-                spine = g.add_node(OpKind::Activation(act), vec![spine], &format!("act{step}"));
-                shapes.push((rows, cols));
+                spine = g.add_node(OpKind::Activation(act), vec![spine], format!("act{step}"));
             }
             1 => {
                 // Transpose (pure data movement; swaps the spine shape).
-                spine = g.add_node(OpKind::Transpose, vec![spine], &format!("t{step}"));
-                shapes.push((cols, rows));
+                spine = g.add_node(OpKind::Transpose, vec![spine], format!("t{step}"));
             }
             2 => {
                 // Residual-style combine with an earlier same-shape node
                 // (multi-consumer when one exists; self-combine — a
                 // duplicate edge — otherwise).
+                let shapes = g.shapes().expect(valid);
                 let peers: Vec<NodeId> = (0..g.len())
                     .filter(|&id| shapes[id] == (rows, cols))
                     .collect();
@@ -228,19 +223,16 @@ pub fn rand_graph(seed: u64, config: &RandGraphConfig) -> OpGraph {
                 spine = g.add_node(
                     OpKind::Elementwise(op),
                     vec![spine, peer],
-                    &format!("mix{step}"),
+                    format!("mix{step}"),
                 );
-                shapes.push((rows, cols));
             }
             _ => {
                 // Bare GEMM against a fresh weight input: a matmul the
                 // matcher must leave unfused unless an activation + a
                 // second GEMM later complete a window around it.
                 let n = dim(&mut rng);
-                let w = g.add_input(&format!("w{step}"), cols, n);
-                shapes.push((cols, n));
-                spine = g.add_node(OpKind::Matmul, vec![spine, w], &format!("mm{step}"));
-                shapes.push((rows, n));
+                let w = g.add_input(format!("w{step}"), cols, n);
+                spine = g.add_node(OpKind::Matmul, vec![spine, w], format!("mm{step}"));
             }
         }
         compute += 1;

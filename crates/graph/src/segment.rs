@@ -4,8 +4,10 @@
 //! hand the compiler a whole-model operator DAG. This module recovers
 //! the typed chains from that DAG:
 //!
-//! * [`OpGraph::infer_shapes`] — forward shape inference over the
-//!   topological node order;
+//! * [`OpGraph::infer_shapes`] — forward shape inference, done node by
+//!   node as the graph is built (each node's inputs precede it), so
+//!   reading the shapes back ([`OpGraph::shapes`]) costs no pass over
+//!   the graph;
 //! * [`recover_chain_io`] — the one walk over the three chain shapes
 //!   (standard FFN `act(A x B) x D`, gated FFN
 //!   `(act(A x B_gate) ⊙ (A x B_up)) x D`, attention
@@ -18,7 +20,9 @@
 //! * [`OpGraph::append_chain`] — the one builder of the three shapes:
 //!   splices a chain's operator expansion onto an existing node, so
 //!   model graphs (layer after layer) and [`ChainSpec::to_op_graph`]
-//!   compose from the same canonical pieces the matcher recovers.
+//!   compose from the same canonical pieces the matcher recovers. It
+//!   checks its input against the already-inferred shape, so stacking
+//!   `L` layers costs `O(L)`, not a shape pass per layer.
 //!
 //! The matcher is deliberately conservative: FFN weights must be
 //! dedicated graph inputs and every interior node must have exactly one
@@ -30,9 +34,8 @@
 //! (scores GEMM, softmax, output GEMM) keeps the single-consumer rule.
 
 use crate::chain::ChainSpec;
-use crate::op::{NodeId, OpGraph, OpKind};
+use crate::op::{NodeId, OpGraph, OpKind, OpNode};
 use flashfuser_tensor::BinaryOp;
-use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -91,54 +94,56 @@ pub struct OpCost {
     pub bytes: u64,
 }
 
+/// The output shape of `node`, about to be pushed as `id`, read off its
+/// inputs' `shapes`, and the mismatch when its operands disagree. A
+/// mismatched node still gets the shape its operands' outer dimensions
+/// imply, so the graph can keep growing and report its first error.
+pub(crate) fn infer_node(
+    shapes: &[Shape],
+    id: NodeId,
+    node: &OpNode,
+) -> (Shape, Option<GraphShapeError>) {
+    let operand = |i: usize| shapes[node.inputs[i]];
+    match node.kind {
+        OpKind::Input(rows, cols) => ((rows, cols), None),
+        OpKind::Matmul => {
+            let (left, right) = (operand(0), operand(1));
+            let error = (left.1 != right.0).then_some(GraphShapeError::MatmulMismatch {
+                node: id,
+                left,
+                right,
+            });
+            ((left.0, right.1), error)
+        }
+        OpKind::Elementwise(_) => {
+            let (left, right) = (operand(0), operand(1));
+            let error = (left != right).then_some(GraphShapeError::ElementwiseMismatch {
+                node: id,
+                left,
+                right,
+            });
+            (left, error)
+        }
+        OpKind::Transpose => {
+            let (r, c) = operand(0);
+            ((c, r), None)
+        }
+        OpKind::Activation(_) | OpKind::Softmax { .. } | OpKind::Output => (operand(0), None),
+    }
+}
+
 impl OpGraph {
     /// Forward shape inference: the output shape of every node, indexed
-    /// by [`NodeId`].
+    /// by [`NodeId`] — a copy of [`OpGraph::shapes`], which the graph
+    /// infers node by node as it is built.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphShapeError`] when a matmul's inner dimensions or
-    /// an element-wise node's operand shapes disagree.
+    /// Returns the first [`GraphShapeError`] in node order, when a
+    /// matmul's inner dimensions or an element-wise node's operand
+    /// shapes disagree.
     pub fn infer_shapes(&self) -> Result<Vec<Shape>, GraphShapeError> {
-        let mut shapes: Vec<Shape> = Vec::with_capacity(self.len());
-        for (id, node) in self.nodes().iter().enumerate() {
-            let shape = match node.kind {
-                OpKind::Input(rows, cols) => (rows, cols),
-                OpKind::Matmul => {
-                    let left = shapes[node.inputs[0]];
-                    let right = shapes[node.inputs[1]];
-                    if left.1 != right.0 {
-                        return Err(GraphShapeError::MatmulMismatch {
-                            node: id,
-                            left,
-                            right,
-                        });
-                    }
-                    (left.0, right.1)
-                }
-                OpKind::Elementwise(_) => {
-                    let left = shapes[node.inputs[0]];
-                    let right = shapes[node.inputs[1]];
-                    if left != right {
-                        return Err(GraphShapeError::ElementwiseMismatch {
-                            node: id,
-                            left,
-                            right,
-                        });
-                    }
-                    left
-                }
-                OpKind::Transpose => {
-                    let (r, c) = shapes[node.inputs[0]];
-                    (c, r)
-                }
-                OpKind::Activation(_) | OpKind::Softmax { .. } | OpKind::Output => {
-                    shapes[node.inputs[0]]
-                }
-            };
-            shapes.push(shape);
-        }
-        Ok(shapes)
+        self.shapes().map(<[Shape]>::to_vec)
     }
 
     /// Prices node `id` as a stand-alone unfused kernel: matmuls move
@@ -147,7 +152,7 @@ impl OpGraph {
     /// transposes are pure data movement; inputs and output markers are
     /// free (an input's bytes are charged to its consumer).
     ///
-    /// `shapes` must come from [`OpGraph::infer_shapes`] on this graph.
+    /// `shapes` must be this graph's [`OpGraph::shapes`].
     pub fn op_cost(&self, shapes: &[Shape], id: NodeId) -> OpCost {
         const F16: u64 = 2;
         let node = self.node(id);
@@ -193,63 +198,65 @@ impl OpGraph {
     /// This is the multi-segment builder: stacking layers is
     /// `append_chain` per layer plus whatever element-wise glue the
     /// model needs, and the result round-trips through [`match_chains`].
+    /// `input`'s shape is read from [`OpGraph::shapes`], which the graph
+    /// keeps as it grows, so a layer costs the same whatever precedes it.
     ///
     /// # Panics
     ///
     /// Panics if `input`'s inferred shape is not `[M, K]` for the
-    /// chain's dims (or if the graph upstream of `input` is ill-shaped).
+    /// chain's dims (or if the graph built so far is ill-shaped).
     pub fn append_chain(&mut self, chain: &ChainSpec, input: NodeId, prefix: &str) -> NodeId {
         let d = chain.dims();
-        let shapes = self.infer_shapes().expect("graph upstream is well-shaped");
+        let have = self.shapes().expect("graph upstream is well-shaped")[input];
         assert_eq!(
-            shapes[input],
+            have,
             (d.m, d.k),
             "append_chain: input node %{input} is {}x{}, chain expects A[{}x{}]",
-            shapes[input].0,
-            shapes[input].1,
+            have.0,
+            have.1,
             d.m,
             d.k
         );
-        let label = |part: &'static str| -> Cow<'static, str> {
+        let label = |part: &str| {
             if prefix.is_empty() {
-                Cow::Borrowed(part)
+                part.to_owned()
             } else {
-                Cow::Owned(format!("{prefix}.{part}"))
+                [prefix, ".", part].concat()
             }
         };
         let activation = chain.kind().activation();
         if chain.kind().is_attention() {
-            let b = self.add_input(&label("B"), d.k, d.n);
-            let dw = self.add_input(&label("D"), d.n, d.l);
-            let c = self.add_node(OpKind::Matmul, vec![input, b], &label("scores"));
+            let b = self.add_input(label("B"), d.k, d.n);
+            let dw = self.add_input(label("D"), d.n, d.l);
+            let c = self.add_node(OpKind::Matmul, vec![input, b], label("scores"));
             let sm = self.add_node(
                 OpKind::Softmax {
                     scale_k: chain.softmax_scale_k(),
                 },
                 vec![c],
-                &label("probs"),
+                label("probs"),
             );
-            return self.add_node(OpKind::Matmul, vec![sm, dw], &label("E"));
+            return self.add_node(OpKind::Matmul, vec![sm, dw], label("E"));
         }
         if chain.kind().is_gated() {
-            let b_up = self.add_input(&label("B_up"), d.k, d.n);
-            let b_gate = self.add_input(&label("B_gate"), d.k, d.n);
-            let dw = self.add_input(&label("D"), d.n, d.l);
-            let up = self.add_node(OpKind::Matmul, vec![input, b_up], &label("up"));
-            let gate = self.add_node(OpKind::Matmul, vec![input, b_gate], &label("gate"));
-            let act = self.add_node(OpKind::Activation(activation), vec![gate], &label("act"));
+            let b_up = self.add_input(label("B_up"), d.k, d.n);
+            let b_gate = self.add_input(label("B_gate"), d.k, d.n);
+            let dw = self.add_input(label("D"), d.n, d.l);
+            let up = self.add_node(OpKind::Matmul, vec![input, b_up], label("up"));
+            let gate = self.add_node(OpKind::Matmul, vec![input, b_gate], label("gate"));
+            let act = self.add_node(OpKind::Activation(activation), vec![gate], label("act"));
             let mul = self.add_node(
                 OpKind::Elementwise(BinaryOp::Mul),
                 vec![act, up],
-                &label("mul"),
+                label("mul"),
             );
-            self.add_node(OpKind::Matmul, vec![mul, dw], &label("E"))
+            self.add_node(OpKind::Matmul, vec![mul, dw], label("E"))
         } else {
-            let b = self.add_input(&label("B"), d.k, d.n);
-            let dw = self.add_input(&label("D"), d.n, d.l);
-            let c = self.add_node(OpKind::Matmul, vec![input, b], &label("C"));
-            let act = self.add_node(OpKind::Activation(activation), vec![c], &label("act"));
-            self.add_node(OpKind::Matmul, vec![act, dw], &label("E"))
+            let b = self.add_input(label("B"), d.k, d.n);
+            let dw = self.add_input(label("D"), d.n, d.l);
+            let c = self.add_node(OpKind::Matmul, vec![input, b], label("C"));
+            let act = self.add_node(OpKind::Activation(activation), vec![c], label("act"));
+            self.add_node(OpKind::Matmul, vec![act, dw], label("E"))
         }
     }
 }
@@ -376,7 +383,7 @@ pub struct ChainMatch {
 ///
 /// Returns [`GraphShapeError`] when the graph itself is ill-shaped.
 pub fn match_chains(g: &OpGraph) -> Result<Vec<ChainMatch>, GraphShapeError> {
-    let shapes = g.infer_shapes()?;
+    let shapes = g.shapes()?;
     let mut consumers = vec![0usize; g.len()];
     for node in g.nodes() {
         for &i in &node.inputs {

@@ -196,7 +196,7 @@ pub fn execute_graph_with<'a>(
     inputs: &'a [(NodeId, Matrix)],
     numeric: NumericConfig,
 ) -> Result<GraphExecution<'a>, GraphExecError> {
-    let shapes = g.infer_shapes()?;
+    let shapes = g.shapes()?;
     let mut values = bind_inputs(g, inputs).map_err(GraphExecError::Bind)?;
 
     let mut traces = Vec::with_capacity(segments.len());
@@ -206,7 +206,7 @@ pub fn execute_graph_with<'a>(
                 run_fused(g, plan, nodes, idx, &mut values, numeric)?
             }
             ExecSegment::Unfused { nodes } => {
-                run_unfused(g, &shapes, nodes, idx, &mut values, numeric)?
+                run_unfused(g, shapes, nodes, idx, &mut values, numeric)?
             }
         };
         traces.push(trace);

@@ -85,46 +85,51 @@ impl ModelSpec {
     ///   projections and the transpose stay ordinary per-op work
     ///   outside the window;
     /// * the FFN as the canonical two-GEMM chain expansion
-    ///   ([`OpGraph::append_chain`] of [`ModelSpec::ffn_chain`]), which
-    ///   the graph partitioner recovers and fuses;
+    ///   ([`OpGraph::append_chain`] of `ffn`, the model's
+    ///   [`ModelSpec::ffn_chain`] built once per graph), which the graph
+    ///   partitioner recovers and fuses;
     /// * residual adds after both halves.
     ///
     /// Sequence length equals `m` (every resident token attends over
     /// the whole batch window), matching the closed-form accounting
     /// ([`ModelSpec::attention_flops`]) Table I uses.
-    fn lower_layer(&self, g: &mut OpGraph, x: NodeId, layer: usize, m: usize) -> NodeId {
+    fn lower_layer(&self, g: &mut OpGraph, x: NodeId, layer: usize, ffn: &ChainSpec) -> NodeId {
         let d = self.hidden;
-        let l = |part: &str| format!("l{layer}.{part}");
-        let wq = g.add_input(&l("Wq"), d, d);
-        let wk = g.add_input(&l("Wk"), d, d);
-        let wv = g.add_input(&l("Wv"), d, d);
-        let wo = g.add_input(&l("Wo"), d, d);
-        let q = g.add_node(OpKind::Matmul, vec![x, wq], &l("q"));
-        let k = g.add_node(OpKind::Matmul, vec![x, wk], &l("k"));
-        let v = g.add_node(OpKind::Matmul, vec![x, wv], &l("v"));
-        let kt = g.add_node(OpKind::Transpose, vec![k], &l("kT"));
-        let scores = g.add_node(OpKind::Matmul, vec![q, kt], &l("scores"));
-        let probs = g.add_node(OpKind::Softmax { scale_k: d }, vec![scores], &l("softmax"));
-        let ctx = g.add_node(OpKind::Matmul, vec![probs, v], &l("ctx"));
-        let attn = g.add_node(OpKind::Matmul, vec![ctx, wo], &l("attn"));
+        // One exact-size allocation per label, moved into its node.
+        let prefix = format!("l{layer}.");
+        let l = |part: &str| [prefix.as_str(), part].concat();
+        let wq = g.add_input(l("Wq"), d, d);
+        let wk = g.add_input(l("Wk"), d, d);
+        let wv = g.add_input(l("Wv"), d, d);
+        let wo = g.add_input(l("Wo"), d, d);
+        let q = g.add_node(OpKind::Matmul, vec![x, wq], l("q"));
+        let k = g.add_node(OpKind::Matmul, vec![x, wk], l("k"));
+        let v = g.add_node(OpKind::Matmul, vec![x, wv], l("v"));
+        let kt = g.add_node(OpKind::Transpose, vec![k], l("kT"));
+        let scores = g.add_node(OpKind::Matmul, vec![q, kt], l("scores"));
+        let probs = g.add_node(OpKind::Softmax { scale_k: d }, vec![scores], l("softmax"));
+        let ctx = g.add_node(OpKind::Matmul, vec![probs, v], l("ctx"));
+        let attn = g.add_node(OpKind::Matmul, vec![ctx, wo], l("attn"));
         let resid1 = g.add_node(
             OpKind::Elementwise(BinaryOp::Add),
             vec![attn, x],
-            &l("resid1"),
+            l("resid1"),
         );
-        let ffn = g.append_chain(&self.ffn_chain(m), resid1, &l("ffn"));
+        let ffn = g.append_chain(ffn, resid1, &l("ffn"));
         g.add_node(
             OpKind::Elementwise(BinaryOp::Add),
             vec![ffn, resid1],
-            &l("resid2"),
+            l("resid2"),
         )
     }
 
     /// Lowers `layers` decoder layers for `m` resident tokens into an
     /// operator DAG ending in an `Output` marker — the whole-graph
     /// compilation input. Every layer's FFN *and* its attention window
-    /// are recoverable fused chains of identical shape, so a plan cache
-    /// serves layers 2..n from layer 1's searches.
+    /// are recoverable fused chains of identical shape, so a whole-graph
+    /// compile resolves each of the two shapes once (one search cold,
+    /// one plan-cache lookup warm) and every layer's segments share that
+    /// plan. Lowering costs the same per layer however deep the graph.
     ///
     /// # Panics
     ///
@@ -133,8 +138,9 @@ impl ModelSpec {
         assert!(layers > 0, "a model graph needs at least one layer");
         let mut g = OpGraph::new();
         let mut x = g.add_input("tokens", m, self.hidden);
+        let ffn = self.ffn_chain(m);
         for layer in 0..layers {
-            x = self.lower_layer(&mut g, x, layer, m);
+            x = self.lower_layer(&mut g, x, layer, &ffn);
         }
         g.add_node(OpKind::Output, vec![x], "out");
         g

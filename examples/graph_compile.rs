@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 i + 1,
                 f.stitched_seconds() * 1e6,
                 f.compiled.plan,
-                if f.searched { "searched" } else { "cache hit" },
+                if f.searched { "searched" } else { "reused" },
             ),
             CompiledSegment::Unfused(u) => println!(
                 "  {}. unfused {:>8.2} us  {} kernel(s)",
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(
         compiler.searches_run(),
         2,
-        "layer 2 must hit the cache for both chains"
+        "layer 2 must reuse layer 1's plans for both chains"
     );
     Ok(())
 }

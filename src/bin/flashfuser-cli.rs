@@ -101,7 +101,7 @@ OPTIONS:
     --repeat R         Compile the batch list R times over (demonstrates
                        dedup + warm-cache hit rates; default 1)
     --layers N         Layers to lower for 'graph' (default 2, so the
-                       second layer demonstrates a plan-cache hit)
+                       second layer reuses the first layer's plans)
     --seeds N          Fuzz: how many seeds to run (required for 'fuzz')
     --start S          Fuzz: first seed (default 0; rerun one failing
                        seed with --start S --seeds 1)
@@ -610,7 +610,7 @@ fn cmd_graph(args: &[String]) -> ExitCode {
                 } else if f.searched {
                     "searched"
                 } else {
-                    "plan cache hit"
+                    "reused"
                 };
                 println!(
                     "  {:>2}. fused   {:>10.2} us  {} ({how})",

@@ -76,7 +76,9 @@
 //!
 //! let plan = compiler.compile_graph(&g)?;
 //! assert_eq!(plan.fused_segments().count(), 2); // both layers fused
-//! assert_eq!(compiler.searches_run(), 1); // layer 2 hit the plan cache
+//! // One search for the one distinct chain; layer 2 shares its plan.
+//! assert_eq!(compiler.searches_run(), 1);
+//! assert_eq!(compiler.cache_stats().misses, 1);
 //! assert!(plan.seconds > 0.0 && plan.seconds < plan.unfused_seconds);
 //! # Ok(())
 //! # }
@@ -232,6 +234,10 @@ impl CompilerOptions {
 pub struct Compiler {
     engine: SearchEngine,
     config: SearchConfig,
+    /// The machine's and the config's halves of every [`PlanKey`] this
+    /// view derives, hashed once when the view is made.
+    machine_fingerprint: u64,
+    config_fingerprint: u64,
     shared: Arc<Shared>,
 }
 
@@ -301,6 +307,8 @@ impl Compiler {
             .clone()
             .unwrap_or_else(|| default_config_for(&machine));
         Compiler {
+            machine_fingerprint: machine.fingerprint(),
+            config_fingerprint: config.fingerprint(),
             engine: SearchEngine::new(machine),
             config,
             shared,
@@ -317,9 +325,14 @@ impl Compiler {
         &self.config
     }
 
-    /// The cache key this compiler derives for `chain`.
+    /// The cache key this compiler derives for `chain`: only the chain
+    /// is hashed per call, the machine and config once per view.
     pub fn key_for(&self, chain: &ChainSpec) -> PlanKey {
-        PlanKey::derive(chain, self.engine.params(), &self.config)
+        PlanKey::new(
+            chain.fingerprint(),
+            self.machine_fingerprint,
+            self.config_fingerprint,
+        )
     }
 
     /// Cache counter snapshot.
@@ -557,9 +570,12 @@ impl Compiler {
     /// boundaries come from a DP over topological cut points scored by
     /// the cost model's admissible chain bound, and everything else is
     /// priced as stand-alone unfused kernels at [`UNFUSED_EFFICIENCY`].
-    /// Each fused segment then goes through [`Compiler::compile`] — so
-    /// segments share the plan cache, and models whose layers repeat a
-    /// shape search once and hit `layers - 1` times.
+    /// Each *distinct* fused chain is then resolved once per call
+    /// through the cached per-chain path ([`Compiler::compile`]'s plan
+    /// cache and coalescer): one key, one lookup or search, one
+    /// [`Compiled`], which every segment of that shape shares as an
+    /// `Arc`. A model whose layers repeat one FFN and one attention
+    /// shape therefore costs two lookups however many layers it has.
     ///
     /// Two fallbacks keep the stitched plan no worse than the unfused
     /// baseline (the paper's §IV-C3 binning rule, applied per segment):
@@ -574,9 +590,10 @@ impl Compiler {
     pub fn compile_graph(&self, graph: &OpGraph) -> Result<GraphPlan, GraphCompileError> {
         let pricer = UnfusedKernelPricer::new(self.params().clone(), UNFUSED_EFFICIENCY);
         let partition = partition_graph(graph, self.params(), &pricer)?;
-        // Inferred only once a chain turns out infeasible: no other
-        // segment reads them.
-        let mut shapes = None;
+        let shapes = graph
+            .shapes()
+            .expect("partition_graph already validated the shapes");
+        let mut resolved: Vec<(ChainSpec, Result<Arc<Compiled>, SearchError>)> = Vec::new();
         let mut segments = Vec::with_capacity(partition.segments.len());
         let mut seconds = 0.0;
         let mut unfused_seconds = 0.0;
@@ -588,9 +605,8 @@ impl Compiler {
                     nodes,
                     unfused_seconds: bar,
                     ..
-                } => match self.compile_record(&chain, None) {
-                    Ok((record, searched)) => {
-                        let compiled = self.to_compiled(&chain, &record);
+                } => match self.resolve_once(&chain, &mut resolved) {
+                    (Ok(compiled), searched) => {
                         let fell_back = compiled.measured_seconds >= bar;
                         seconds += compiled.measured_seconds.min(bar);
                         global_bytes += if fell_back {
@@ -608,7 +624,7 @@ impl Compiler {
                             searched,
                         })));
                     }
-                    Err(SearchError::NoFeasiblePlan) => {
+                    (Err(SearchError::NoFeasiblePlan), _) => {
                         seconds += bar;
                         unfused_seconds += bar;
                         // Per-op global bytes of the nodes run stood
@@ -617,11 +633,6 @@ impl Compiler {
                         // operator (remainder segments are priced
                         // identically by the partitioner, so executed
                         // traffic reconciles either way).
-                        let shapes = shapes.get_or_insert_with(|| {
-                            graph
-                                .infer_shapes()
-                                .expect("partition_graph already validated the shapes")
-                        });
                         let bytes = nodes
                             .iter()
                             .map(|&id| graph.op_cost(shapes, id).bytes)
@@ -657,6 +668,27 @@ impl Compiler {
             global_bytes,
         })
     }
+
+    /// `chain`'s compiled plan within one [`Compiler::compile_graph`]
+    /// call: the first segment of a chain resolves it through
+    /// [`Compiler::compile_record`] and records the outcome in
+    /// `resolved`, later segments share it. The flag is whether this
+    /// segment's lookup ran the search, so only a first segment's can be.
+    fn resolve_once(
+        &self,
+        chain: &ChainSpec,
+        resolved: &mut Vec<(ChainSpec, Result<Arc<Compiled>, SearchError>)>,
+    ) -> (Result<Arc<Compiled>, SearchError>, bool) {
+        if let Some((_, outcome)) = resolved.iter().find(|(c, _)| c == chain) {
+            return (outcome.clone(), false);
+        }
+        let (outcome, searched) = match self.compile_record(chain, None) {
+            Ok((record, searched)) => (Ok(Arc::new(self.to_compiled(chain, &record))), searched),
+            Err(e) => (Err(e), false),
+        };
+        resolved.push((chain.clone(), outcome.clone()));
+        (outcome, searched)
+    }
 }
 
 /// A record with the caller's chain substituted for the cached one —
@@ -684,8 +716,9 @@ pub struct FusedSegment {
     /// The recovered chain this segment compiles.
     pub chain: ChainSpec,
     /// The per-chain compilation result (bit-identical to a direct
-    /// [`Compiler::compile`] of `chain`).
-    pub compiled: Compiled,
+    /// [`Compiler::compile`] of `chain`), shared by every segment of
+    /// the plan with the same chain.
+    pub compiled: Arc<Compiled>,
     /// Graph nodes the fused kernel replaces.
     pub nodes: Vec<NodeId>,
     /// The unfused bar the fused plan had to beat.
@@ -693,8 +726,10 @@ pub struct FusedSegment {
     /// `true` when the measured fused time lost to the bar and the
     /// stitched total uses the unfused time instead.
     pub fell_back: bool,
-    /// `true` when compiling this segment ran a search; `false` when it
-    /// was served from the plan cache (or coalesced).
+    /// `true` when this call ran a search for this segment's chain, and
+    /// only on the first segment of that chain; `false` when the plan
+    /// came from the plan cache, a coalesced search or an earlier
+    /// segment of the same chain.
     pub searched: bool,
 }
 

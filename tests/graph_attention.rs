@@ -92,8 +92,7 @@ fn attention_chain_fingerprint_round_trips_through_the_codec() {
 #[test]
 fn identical_layers_share_the_attention_plan_key() {
     // Two identical decoder layers: the attention window is searched
-    // once and layer 2 is a pure cache hit with the identical compiled
-    // plan.
+    // once and layer 2 shares that search's compiled plan.
     let compiler = Compiler::new(MachineDescriptor::h100_sxm());
     let model = model_zoo()[4].scaled_to(64); // GPT-2, shrunk
     let plan = compiler.compile_graph(&model.graph(16, 2)).unwrap();
@@ -104,7 +103,7 @@ fn identical_layers_share_the_attention_plan_key() {
     assert_eq!(attn.len(), 2);
     assert!(
         attn[0].searched && !attn[1].searched,
-        "layer 2's attention must be served by the plan cache"
+        "layer 2's attention must reuse layer 1's plan"
     );
     assert_eq!(attn[0].compiled, attn[1].compiled);
     // One search for the attention chain, one for the FFN chain —

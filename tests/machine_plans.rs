@@ -46,6 +46,13 @@ fn round_tripped_builtins_compile_bit_identical_plans_with_identical_keys() {
                 decoded.key_for(&chain),
                 "{id}: {chain}: PlanKey must not move across the wire"
             );
+            // A view's once-hashed machine and config halves are the
+            // ones a fresh derivation computes.
+            assert_eq!(
+                native.key_for(&chain),
+                PlanKey::derive(&chain, &builtin, native.config()),
+                "{id}: {chain}"
+            );
             // And the machine axis does partition the key space.
             assert_ne!(
                 native.key_for(&chain),

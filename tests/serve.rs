@@ -308,7 +308,8 @@ fn graph_requests_compile_through_the_shared_cache() {
         ..ServeOptions::default()
     });
     // GPT-2 at a small token count: two layers share every shape, so
-    // layer 2 is pure cache hits.
+    // the request resolves each of its two chains once and layer 2
+    // shares layer 1's plans.
     let body = "{\"graph\": {\"model\": \"GPT-2\", \"m\": 64, \"layers\": 2}}";
     let response = client::post(addr, "/compile", body.as_bytes()).expect("graph compile");
     assert_eq!(response.status, 200, "{}", response.body_utf8());
@@ -329,6 +330,44 @@ fn graph_requests_compile_through_the_shared_cache() {
         again.body, response.body,
         "graph summaries are bit-identical"
     );
+    server.shutdown();
+}
+
+#[test]
+fn cold_graph_bodies_search_exactly_once_per_cache_miss() {
+    let (server, _compiler, addr) = start(ServeOptions::default());
+    // The six whole-model bodies of the `serve_graph` benchmark. Each
+    // holds two distinct chains: BERT and GPT-2 share both, OPT-1.3B
+    // and LLaMA-1B their attention window, so 9 of the 12 are new.
+    let bodies: Vec<String> = [
+        ("BERT", 12),
+        ("GPT-2", 12),
+        ("OPT-1.3B", 24),
+        ("LLaMA-1B", 22),
+        ("GPT-6.7B", 32),
+        ("qwen2_5-14B", 48),
+    ]
+    .iter()
+    .map(|(model, layers)| {
+        format!("{{\"graph\": {{\"model\": \"{model}\", \"m\": 128, \"layers\": {layers}}}}}")
+    })
+    .collect();
+    let post_all = || {
+        for body in &bodies {
+            let response = client::post(addr, "/compile", body.as_bytes()).unwrap();
+            assert_eq!(response.status, 200, "{}", response.body_utf8());
+        }
+    };
+    post_all();
+    let searches = stat(addr, "compiler", "searches");
+    assert_eq!(searches, stat(addr, "cache", "misses"));
+    assert_eq!(searches, 9);
+    assert_eq!(stat(addr, "cache", "mem_hits"), 3);
+    // Warm: one lookup per distinct chain per request, all hits.
+    post_all();
+    assert_eq!(stat(addr, "compiler", "searches"), searches);
+    assert_eq!(stat(addr, "cache", "misses"), searches);
+    assert_eq!(stat(addr, "cache", "mem_hits"), 3 + 12);
     server.shutdown();
 }
 
