@@ -144,9 +144,8 @@ pub fn rand_graph(seed: u64, config: &RandGraphConfig) -> OpGraph {
         }
     };
 
-    // The spine: the node new work grows from. Every step reads shapes
-    // off the graph, which infers them as nodes are added, so every
-    // step stays valid.
+    // The spine: the node new work grows from. Each step reads shapes
+    // off the graph (inferred as nodes are added) so it stays valid.
     let m0 = dim(&mut rng);
     let k0 = dim(&mut rng);
     let mut spine = g.add_input("x", m0, k0);

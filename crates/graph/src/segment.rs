@@ -466,6 +466,12 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("%2"));
+        // A graph keeps growing past a mismatch and still reports the
+        // first one.
+        let c = g.add_input("C", 7, 3);
+        g.add_node(OpKind::Matmul, vec![bad, c], "worse");
+        assert_eq!(g.infer_shapes().unwrap_err(), err);
+        assert_eq!(g.shapes().unwrap_err(), err);
 
         let mut g = OpGraph::new();
         let a = g.add_input("A", 4, 8);
