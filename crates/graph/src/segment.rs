@@ -96,8 +96,9 @@ pub struct OpCost {
 
 /// The output shape of `node`, about to be pushed as `id`, read off its
 /// inputs' `shapes`, and the mismatch when its operands disagree. A
-/// mismatched node still gets the shape its operands' outer dimensions
-/// imply, so the graph can keep growing and report its first error.
+/// mismatched node still gets a shape (a matmul's outer dimensions, an
+/// element-wise node's left operand), so the graph can keep growing and
+/// report its first error.
 pub(crate) fn infer_node(
     shapes: &[Shape],
     id: NodeId,
