@@ -201,8 +201,10 @@ fn tab8(_: &Inputs, out: &mut Rows) {
         let times = format!("{brute_s:.2} / {engine_s:.2} / {:.1}x", brute_s / engine_s);
         out.timed(format!("{id} {metric}"), paper, times, WALL);
         let (skips, planes, dropped) = (stats.prefiltered, stats.planes, stats.planes_skipped);
-        let scan = format!("{skips} / {planes} / {dropped}");
-        out.timed(format!("{id} skips / planes / dropped"), "", scan, "");
+        let (cut, groups) = (stats.groups_skipped, stats.groups);
+        let scan = format!("{skips} / {planes} / {dropped} / {cut} / {groups}");
+        let metric = "skips / planes / dropped / groups cut / groups";
+        out.timed(format!("{id} {metric}"), "", scan, "");
     }
 }
 

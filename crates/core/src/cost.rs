@@ -23,6 +23,7 @@ use crate::comm::geometry::H100_MAX_CLUSTER;
 use crate::comm::ClusterShape;
 use crate::machine::{MachineDescriptor, MemLevel};
 use crate::plan::PlanGeometry;
+use crate::prune::PlaneGroup;
 use crate::tiling::BlockTile;
 use flashfuser_graph::ChainSpec;
 use std::fmt;
@@ -139,14 +140,60 @@ impl CostModel {
         &self.params
     }
 
-    /// The plane-invariant half of the model for a grid of `blocks`
-    /// blocks in clusters of `cluster_size`, running `flops` FLOPs.
-    pub fn plane_pricing(&self, flops: u64, blocks: u64, cluster_size: usize) -> PlanePricing {
+    /// The fraction of every tier's bandwidth a grid of `blocks` blocks
+    /// can draw: resident blocks over SMs, clamped to `[0.05, 1]`.
+    fn occupancy(&self, blocks: u64) -> f64 {
+        (blocks as f64 / self.params.num_sms() as f64).clamp(0.05, 1.0)
+    }
+
+    /// [`PlanePricing`]'s compute term alone: tensor-core time for
+    /// `flops` FLOPs at the wave-quantised occupancy of `blocks` blocks.
+    /// Bit-equal to the pricing's own, so a scan may test it before
+    /// building the rest.
+    pub fn compute_s(&self, flops: u64, blocks: u64) -> f64 {
         let sms = self.params.num_sms() as u64;
         let waves = blocks.div_ceil(sms).max(1);
         let wave_eff = blocks as f64 / (waves * sms) as f64;
-        let bw_util = (blocks as f64 / sms as f64).clamp(0.05, 1.0);
-        let compute_s = flops as f64 / self.params.peak_flops() / wave_eff;
+        flops as f64 / self.params.peak_flops() / wave_eff
+    }
+
+    /// [`PlanePricing::lower_bound`]'s HBM term alone: `hbm_bytes` at the
+    /// Global tier's bandwidth for clusters of `cluster_size`, derated by
+    /// the occupancy of `blocks` blocks. Bit-equal to the pricing's own.
+    pub fn hbm_s(&self, hbm_bytes: u64, blocks: u64, cluster_size: usize) -> f64 {
+        let bw = self.params.bandwidth(MemLevel::Global, cluster_size) * self.occupancy(blocks);
+        hbm_bytes as f64 / bw
+    }
+
+    /// An admissible floor under [`PlanePricing::lower_bound`] for every
+    /// plane of `group`, in O(1): `max(flops / peak, hbm_s(corner,
+    /// max_blocks))`.
+    ///
+    /// * `flops / peak` is the compute term before the wave-quantisation
+    ///   derate `wave_eff ≤ 1` divides it.
+    /// * With `grid_k = grid_l = 1` the mandatory traffic is a sum of
+    ///   terms like `2·M·K·N / (cls_n·blk_n)`, each non-increasing in
+    ///   `blk_m` and `blk_n` (the L2 filter is monotone in its raw
+    ///   bytes), so the group's [`PlaneGroup::corner`] moves the least.
+    /// * The block count `cls · grid_m · grid_n` is non-increasing in
+    ///   `blk_m` and `blk_n`, so [`PlaneGroup::max_blocks`] gives the
+    ///   highest occupancy, hence the fastest HBM.
+    ///
+    /// Correctly rounded `f64` operations are monotone, so the
+    /// inequality survives rounding; `tests/stream_oracle.rs` checks it
+    /// plane by plane.
+    pub fn group_floor(&self, chain: &ChainSpec, group: &PlaneGroup<'_, '_>) -> f64 {
+        let (tile, geometry) = group.corner().first();
+        let corner = geometry.mandatory_traffic(chain, group.cluster, tile, self.params.l2_bytes());
+        let compute_s = chain.total_flops() as f64 / self.params.peak_flops();
+        compute_s.max(self.hbm_s(corner.hbm_bytes, group.max_blocks(), group.cluster.blocks()))
+    }
+
+    /// The plane-invariant half of the model for a grid of `blocks`
+    /// blocks in clusters of `cluster_size`, running `flops` FLOPs.
+    pub fn plane_pricing(&self, flops: u64, blocks: u64, cluster_size: usize) -> PlanePricing {
+        let bw_util = self.occupancy(blocks);
+        let compute_s = self.compute_s(flops, blocks);
         let (dsm_bw, dsm_latency_cycles) = self
             .dsm_by_cluster
             .get(cluster_size)

@@ -278,6 +278,52 @@ impl<'a> CandidateStream<'a> {
         group.axes.map(|slot| self.axes[slot].as_slice())
     }
 
+    /// The `(schedule, cluster)` groups, in stream order.
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = PlaneGroup<'a, '_>> {
+        (0..self.groups.len()).map(|index| self.group(index))
+    }
+
+    /// The group at `index` of [`CandidateStream::groups`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of range.
+    pub fn group(&self, index: usize) -> PlaneGroup<'a, '_> {
+        let header = &self.groups[index];
+        let [m, n, k, l] = self.axes_of(header).map(|axis| axis.len() as u64);
+        PlaneGroup {
+            stream: self,
+            index,
+            schedule: header.schedule,
+            cluster: header.cluster,
+            first_seq: header.first_seq,
+            len: m * n * k * l,
+        }
+    }
+
+    /// The plane at positions `(im, in_)` of group `group`'s M and N
+    /// axes, whose first candidate sits at `seq`.
+    #[inline]
+    fn plane(&self, group: usize, im: usize, in_: usize, seq: u64) -> Plane<'a, '_> {
+        let group = &self.groups[group];
+        let [axis_m, axis_n, tiles_k, tiles_l] = self.axes_of(group);
+        let (m, n) = (axis_m[im], axis_n[in_]);
+        let schedule = group.schedule;
+        let mut geometry_mn = PlanGeometry::UNIT;
+        geometry_mn.set_count(Dim::M, schedule.is_spatial(Dim::M), m.count);
+        geometry_mn.set_count(Dim::N, schedule.is_spatial(Dim::N), n.count);
+        Plane {
+            seq,
+            schedule,
+            cluster: group.cluster,
+            blk_m: m.blk,
+            blk_n: n.blk,
+            tiles_k,
+            tiles_l,
+            geometry_mn,
+        }
+    }
+
     /// Iterator over the planes from the one *containing* `start` up to
     /// `end`, plus `start`'s `(blk_k, blk_l)` digits inside that first
     /// plane. Both bounds are clamped to the stream.
@@ -439,6 +485,56 @@ impl<'a, 's> Plane<'a, 's> {
     }
 }
 
+/// One `(schedule, cluster)` group of the stream (see
+/// [`CandidateStream::group`]): the cross product of its four tile axes,
+/// a contiguous run of `|tiles_m| x |tiles_n|` planes. Every axis
+/// ascends in `blk_d`, so its first entry has the largest `count` and
+/// its last the smallest — which is where a whole-group bound reads its
+/// extremes ([`PlaneGroup::corner`], [`PlaneGroup::max_blocks`]).
+#[derive(Clone, Copy)]
+pub struct PlaneGroup<'a, 's> {
+    stream: &'s CandidateStream<'a>,
+    index: usize,
+    /// The loop schedule.
+    pub schedule: &'a LoopSchedule,
+    /// The cluster shape.
+    pub cluster: ClusterShape,
+    /// Stream position of the group's first candidate.
+    pub first_seq: u64,
+    /// Candidates in the group; never zero.
+    pub len: u64,
+}
+
+impl<'a, 's> PlaneGroup<'a, 's> {
+    /// The group's planes in stream order.
+    pub fn planes(&self) -> PlaneIter<'a, 's> {
+        PlaneIter {
+            stream: self.stream,
+            group: self.index,
+            pos: [0, 0],
+            seq: self.first_seq,
+            end: self.first_seq + self.len,
+        }
+    }
+
+    /// The plane of the largest `blk_m` and `blk_n` — the last entries of
+    /// the M and N axes. Its mandatory traffic is the least of the group.
+    pub fn corner(&self) -> Plane<'a, 's> {
+        let [m, n, k, l] = self.stream.axes_of(&self.stream.groups[self.index]);
+        let (im, in_) = (m.len() - 1, n.len() - 1);
+        let seq = self.first_seq + (im * n.len() + in_) as u64 * (k.len() * l.len()) as u64;
+        self.stream.plane(self.index, im, in_, seq)
+    }
+
+    /// Blocks launched by the plane of the smallest `blk_m` and `blk_n` —
+    /// the first entries of the M and N axes: the most of any plane in
+    /// the group.
+    pub fn max_blocks(&self) -> u64 {
+        let (_, geometry) = self.stream.plane(self.index, 0, 0, self.first_seq).first();
+        geometry.blocks_total(self.cluster)
+    }
+}
+
 /// Odometer over the stream's planes (see [`CandidateStream::planes`]).
 pub struct PlaneIter<'a, 's> {
     stream: &'s CandidateStream<'a>,
@@ -458,23 +554,9 @@ impl<'a, 's> Iterator for PlaneIter<'a, 's> {
         if self.seq >= self.end {
             return None;
         }
-        let group = &self.stream.groups[self.group];
-        let [axis_m, axis_n, tiles_k, tiles_l] = self.stream.axes_of(group);
-        let (m, n) = (axis_m[self.pos[0]], axis_n[self.pos[1]]);
-        let schedule = group.schedule;
-        let mut geometry_mn = PlanGeometry::UNIT;
-        geometry_mn.set_count(Dim::M, schedule.is_spatial(Dim::M), m.count);
-        geometry_mn.set_count(Dim::N, schedule.is_spatial(Dim::N), n.count);
-        let plane = Plane {
-            seq: self.seq,
-            schedule,
-            cluster: group.cluster,
-            blk_m: m.blk,
-            blk_n: n.blk,
-            tiles_k,
-            tiles_l,
-            geometry_mn,
-        };
+        let stream = self.stream;
+        let plane = stream.plane(self.group, self.pos[0], self.pos[1], self.seq);
+        let [axis_m, axis_n, ..] = stream.axes_of(&stream.groups[self.group]);
         self.seq += plane.len();
         self.pos[1] += 1;
         if self.pos[1] == axis_n.len() {

@@ -17,14 +17,16 @@
 //! only what varies there, and allocates nothing until the top-K is
 //! final:
 //!
-//! * per `(schedule, cluster)` **group** — the schedule's facts (which
-//!   dims are spatial, the strip order) are O(1) reads off the
-//!   [`LoopSchedule`], and the group's filtered tile axes hand every
-//!   plane its geometry by lookup;
-//! * per `(blk_m, blk_n)` [`Plane`] — the mandatory tile traffic and the
-//!   pricing terms ([`CostModel::plane_pricing`]), the cost bound from
-//!   the two, then the plane-level half of the analysis
-//!   ([`DataflowAnalyzer::plane`]);
+//! * per `(schedule, cluster)` **group** — one floor under every plane
+//!   bound of the group ([`CostModel::group_floor`]), read off the group
+//!   header; the schedule's facts (which dims are spatial, the strip
+//!   order) are O(1) reads off the [`LoopSchedule`], and the group's
+//!   filtered tile axes hand every plane its geometry by lookup;
+//! * per `(blk_m, blk_n)` [`Plane`] — the bound, staged: the compute term
+//!   ([`CostModel::compute_s`]), then the mandatory tile traffic and the
+//!   HBM term ([`CostModel::hbm_s`]); for a plane that survives both, the
+//!   full pricing ([`CostModel::plane_pricing`]) and the plane-level half
+//!   of the analysis ([`DataflowAnalyzer::plane`]);
 //! * per **candidate** — [`PlaneTerms::score`] (Rule 5 and the per-tier
 //!   volumes, as [`CostTerms`]), [`CostModel::estimate`], and a push of
 //!   one `Copy` entry into the worker's top-K buffer.
@@ -36,57 +38,72 @@
 //!
 //! [`PlaneTerms::score`]: crate::analyzer::PlaneTerms::score
 //!
-//! # One bound per plane
+//! # One floor per group, one bound per plane
+//!
+//! The mandatory traffic and the block count are non-increasing in
+//! `blk_m` and `blk_n`, so a group's floor — the unquantised compute time
+//! against the traffic of its largest tiles at the occupancy of its most
+//! blocks — is at or below the bound of every plane in it. The engine
+//! sorts the groups by `(floor, first seq)` and ranks them best first;
+//! once the next floor is strictly above the bar (below), that group and
+//! every later one are cut without visiting a plane.
 //!
 //! [`CostModel::lower_bound_for`] does not depend on `blk_k` or `blk_l`:
 //! with `grid_k = grid_l = 1` (true of every streamed candidate) the
 //! trip and tile factors of the mandatory traffic cancel, so the bound —
 //! and the traffic itself — is bit-equal across a whole `(schedule,
 //! cluster, blk_m, blk_n)` plane (`tests/search_parallel.rs` pins that).
-//! The scan therefore prices the bound once per plane and — when it
-//! already loses to the worst of a full top-K buffer — skips the plane's
-//! entire `blk_k x blk_l` sub-lattice; a plane that survives the bound
-//! but fails a plane-level capacity check ([`PlaneTerms::infeasible`])
-//! is skipped whole too; inside a surviving plane the scan re-tests the
-//! same bound against the (possibly tightened) worst before each score.
-//! The bound is admissible (it never exceeds the true cost), so a
-//! skipped candidate could not have displaced a finalist: the top-K
-//! equals that of an exhaustive analyze-everything scan, which
-//! `tests/search_parallel.rs` checks against an in-test oracle and
-//! [`SearchEngine::brute_force`] checks on the simulator.
+//! Inside a ranked group the scan therefore prices the bound once per
+//! plane and — when it already loses — skips the plane's entire `blk_k x
+//! blk_l` sub-lattice; a plane that survives the bound but fails a
+//! plane-level capacity check ([`PlaneTerms::infeasible`]) is skipped
+//! whole too; inside a surviving plane the scan re-tests the same bound
+//! against the (possibly tightened) worst before each score. Groups are
+//! not visited in stream order, so "loses" respects `(est, seq)` ties:
+//! against the worker's own full buffer a bound equal to the worst still
+//! enters at an earlier `seq`; against the shared bar only a strictly
+//! higher bound loses. Floor and bound are admissible (they never exceed
+//! the true cost), so a skipped candidate could not have displaced a
+//! finalist: the top-K equals that of an exhaustive analyze-everything
+//! scan, which `tests/search_parallel.rs` and `tests/stream_oracle.rs`
+//! check against an in-test oracle and [`SearchEngine::brute_force`]
+//! checks on the simulator.
 //!
 //! [`PlaneTerms::infeasible`]: crate::analyzer::PlaneTerms::infeasible
 //!
 //! # Parallel ranking
 //!
 //! Each candidate is a pure function of `(chain, schedule, cluster,
-//! tile)`, so the engine shards the stream's total order across worker
-//! threads (a shared atomic queue of plane runs for load balance), gives
-//! every worker its own bounded top-K buffer and merges the buffers at
-//! the end. Ties in analytical cost are broken by the candidate's
+//! tile)`, so the work unit is a whole group: workers claim the next
+//! group of the floor order through one atomic index, each into its own
+//! bounded top-K buffer, and the buffers are merged at the end. The bar
+//! is shared — one atomic holding the lowest `k`-th estimate any full
+//! buffer has reached — so every worker skips on what the best of them
+//! has found. Ties in analytical cost are broken by the candidate's
 //! position in the stream's total order (`Candidate::seq`), so the merged
 //! result is **bit-identical** to a single-threaded scan regardless of
 //! thread count — see [`SearchConfig::threads`]. What does depend on the
-//! interleaving is how many candidates and planes the bound skipped;
-//! those counts are diagnostics ([`SearchStats`]) and are never
+//! interleaving is how many candidates, planes and groups the bounds
+//! skipped; those counts are diagnostics ([`SearchStats`]) and are never
 //! persisted.
 
 use crate::analyzer::{CostTerms, DataflowAnalysis, DataflowAnalyzer};
 use crate::cost::CostModel;
 use crate::machine::{MachineDescriptor, MemLevel};
 use crate::profiler::{PlanProfiler, ProfileOutcome};
-use crate::prune::{Candidate, CandidateStream, Plane, PlaneIter, PruneConfig};
+use crate::prune::{Candidate, CandidateStream, Plane, PlaneGroup, PlaneIter, PruneConfig};
 use crate::schedule::LoopSchedule;
 use flashfuser_graph::ChainSpec;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Stream positions claimed per queue pop — a worker scans the planes
-/// that begin inside its window: small enough for load balance, large
-/// enough that the atomic is cold and a scan too short to repay a thread
-/// start stays on the calling thread (see [`worker_count`]).
+/// Stream positions claimed per queue pop of [`SearchEngine::brute_force`]
+/// — a worker profiles the planes that begin inside its window — and the
+/// candidates per worker below which a scan stays on fewer threads (see
+/// [`worker_count`]): small enough for load balance, large enough that a
+/// scan too short to repay a thread start stays on the calling thread.
 const WORK_BLOCK: u64 = 8192;
 
 /// Search-engine configuration.
@@ -192,19 +209,28 @@ pub struct SearchStats {
     /// 5). Candidates skipped by the bound are not scored and not
     /// counted, so this varies with scan interleaving.
     pub feasible: u64,
-    /// Diagnostic: candidates skipped — one at a time or a whole plane
-    /// at once — because their lower bound could not beat the worker's
-    /// top-K worst. Varies with scan interleaving.
+    /// Diagnostic: candidates skipped — one at a time, a whole plane or a
+    /// whole group at once — because their lower bound could not beat
+    /// the worker's top-K worst or the shared bar. Varies with scan
+    /// interleaving.
     pub prefiltered: u64,
     /// Diagnostic: `(schedule, cluster, blk_m, blk_n)` planes the scan
-    /// visited — every plane of the stream, each priced once.
+    /// visited, each priced once; the planes of a group cut on its floor
+    /// are not visited. Varies with scan interleaving.
     pub planes: u64,
-    /// Diagnostic: planes dropped whole, before any candidate was
-    /// scored — on the bound (their candidates are in `prefiltered`) or
-    /// on a plane-level capacity check (their candidates are in no other
-    /// count: none of them could have been feasible). Varies with scan
-    /// interleaving.
+    /// Diagnostic: visited planes dropped whole, before any candidate
+    /// was scored — on the bound (their candidates are in `prefiltered`)
+    /// or on a plane-level capacity check (their candidates are in no
+    /// other count: none of them could have been feasible). Varies with
+    /// scan interleaving.
     pub planes_skipped: u64,
+    /// Diagnostic: `(schedule, cluster)` groups of the stream, each given
+    /// one floor. A pure function of the chain and the pruning config.
+    pub groups: u64,
+    /// Diagnostic: groups cut whole on their floor — none of their planes
+    /// visited, all of their candidates in `prefiltered`. Varies with
+    /// scan interleaving.
+    pub groups_skipped: u64,
     /// Diagnostic: worker threads used for ranking.
     pub threads: usize,
     /// Diagnostic: wall-clock seconds spent in enumeration + analysis +
@@ -280,18 +306,20 @@ fn orders_before(a_est: f64, a_seq: u64, b_est: f64, b_seq: u64) -> bool {
     a_est < b_est || (a_est == b_est && a_seq < b_seq)
 }
 
-/// Inserts `s` into the sorted bounded buffer `top` (capacity `k`).
-fn push_top_k<'a>(top: &mut Vec<Scored<'a>>, k: usize, s: Scored<'a>) {
+/// Inserts `s` into the sorted bounded buffer `top` (capacity `k`);
+/// `false` when it ranks below a full buffer's worst and stays out.
+fn push_top_k<'a>(top: &mut Vec<Scored<'a>>, k: usize, s: Scored<'a>) -> bool {
     if top.len() == k {
         let w = top.last().expect("k >= 1");
         if !orders_before(s.est, s.candidate.seq, w.est, w.candidate.seq) {
-            return;
+            return false;
         }
         top.pop();
     }
     let pos =
         top.partition_point(|p| orders_before(p.est, p.candidate.seq, s.est, s.candidate.seq));
     top.insert(pos, s);
+    true
 }
 
 /// One ranking worker's output: its bounded top-K and its share of the
@@ -303,6 +331,106 @@ struct RankShard<'a> {
     prefiltered: u64,
     planes: u64,
     planes_skipped: u64,
+    groups_skipped: u64,
+}
+
+impl<'a> RankShard<'a> {
+    /// `true` when no candidate with an estimate of at least `lb`, at
+    /// stream position `seq` or after it, can enter the merged top-K.
+    /// Against this worker's full buffer the test is `(est, seq)`-aware —
+    /// groups are not visited in `seq` order, so a tie with the worst
+    /// still enters when it sits earlier in the stream. Against the
+    /// shared `bar`, whose candidates' positions are unknown here, only
+    /// a strictly higher bound loses.
+    fn loses(&self, k: usize, bar: f64, lb: f64, seq: u64) -> bool {
+        lb > bar
+            || self.top.len() == k && {
+                let w = &self.top[k - 1];
+                !orders_before(lb, seq, w.est, w.candidate.seq)
+            }
+    }
+
+    /// Pushes `s` into the buffer; when that lowers a full buffer's worst
+    /// below `bar`, lowers `bar` to it. The load comes first, so the
+    /// shared cache line is written only when the bar improves.
+    fn push(&mut self, k: usize, s: Scored<'a>, bar: &AtomicU64) {
+        if push_top_k(&mut self.top, k, s) && self.top.len() == k {
+            let worst = self.top[k - 1].est.to_bits();
+            if worst < bar.load(Ordering::Relaxed) {
+                bar.fetch_min(worst, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Drops a whole group on its floor: none of its planes is visited.
+    fn cut(&mut self, group: PlaneGroup<'_, '_>) {
+        self.prefiltered += group.len;
+        self.groups_skipped += 1;
+    }
+}
+
+/// What the workers of one best-first ranking share: the stream's groups
+/// in floor order, the index of the next one to claim, and the bar.
+///
+/// Both atomics are read and written `Relaxed`: each is a value in its
+/// own right and publishes no other data. Any bar value a worker reads
+/// is one some full buffer has reached, and buffers only improve, so a
+/// stale read skips less, never wrongly. The scope's join orders every
+/// worker's shard before the merge reads it.
+struct BestFirst<'s, 'a> {
+    stream: &'s CandidateStream<'a>,
+    /// `(floor, group index)` for every group, ascending by floor, then
+    /// by stream position.
+    order: Vec<(f64, usize)>,
+    /// Position in `order` of the next group to claim.
+    next: AtomicUsize,
+    /// `f64` bits of the lowest `k`-th estimate any worker's full buffer
+    /// has held; `+inf` until one fills. Every estimate is finite and
+    /// positive, so the bits order as the values do and `fetch_min` on
+    /// them is a minimum of the values.
+    bar: AtomicU64,
+}
+
+impl<'s, 'a> BestFirst<'s, 'a> {
+    /// Prices every group's floor (O(1) each, off the group headers) and
+    /// sorts the groups by it.
+    fn new(scan: &Scan<'_>, stream: &'s CandidateStream<'a>) -> Self {
+        let mut order: Vec<(f64, usize)> = stream
+            .groups()
+            .enumerate()
+            .map(|(index, group)| (scan.cost_model.group_floor(scan.chain, &group), index))
+            .collect();
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        Self {
+            stream,
+            order,
+            next: AtomicUsize::new(0),
+            bar: AtomicU64::new(f64::INFINITY.to_bits()),
+        }
+    }
+
+    /// One worker's share: claims groups best floor first and ranks each,
+    /// until none is left or the claimed one's floor is strictly above
+    /// the bar. Floors ascend and the bar only falls, so then every group
+    /// after it loses too: the worker stops every worker and counts them
+    /// all as cut.
+    fn drain(&self, scan: &Scan<'_>, k: usize, shard: &mut RankShard<'a>) {
+        while let Some(&(floor, index)) = self.order.get(self.next.fetch_add(1, Ordering::Relaxed))
+        {
+            let group = self.stream.group(index);
+            if floor > f64::from_bits(self.bar.load(Ordering::Relaxed)) {
+                shard.cut(group);
+                // Groups claimed before the swap are their claimers' to
+                // rank or cut; the rest no one will claim.
+                let unclaimed = self.next.swap(self.order.len(), Ordering::Relaxed);
+                for &(_, index) in self.order.get(unclaimed..).unwrap_or_default() {
+                    shard.cut(self.stream.group(index));
+                }
+                break;
+            }
+            scan.rank_group(k, shard, &self.bar, group);
+        }
+    }
 }
 
 /// One brute-force worker's output: its best `(seconds, seq, plan)` (if
@@ -429,8 +557,17 @@ impl SearchEngine {
                     .into_iter()
                     .map(|fork| (fork, BruteShard::default()))
                     .collect();
-                scan_blocks(&stream, workers, |(fork, shard), planes| {
-                    scan.brute_shard(fork.as_mut(), shard, planes);
+                let (queue, total) = (AtomicU64::new(0), stream.len());
+                run_workers(workers, |(fork, shard)| loop {
+                    let start = queue.fetch_add(WORK_BLOCK, Ordering::Relaxed);
+                    if start >= total {
+                        break;
+                    }
+                    scan.brute_shard(
+                        fork.as_mut(),
+                        shard,
+                        stream.planes(start, start + WORK_BLOCK),
+                    );
                 })
                 .into_iter()
                 .map(|(_, shard)| shard)
@@ -452,8 +589,8 @@ impl SearchEngine {
             .ok_or(SearchError::NoFeasiblePlan)
     }
 
-    /// Ranks every candidate of the stream with the analytical cost
-    /// model, in parallel, returning the deterministic global top-K.
+    /// Ranks the stream with the analytical cost model, best group floor
+    /// first, in parallel, returning the deterministic global top-K.
     fn rank_candidates(
         &self,
         chain: &ChainSpec,
@@ -464,6 +601,7 @@ impl SearchEngine {
         let k = config.top_k.max(1);
         let threads = worker_count(config, stream.len());
         let scan = self.scan(chain, &config.prune);
+        let best_first = BestFirst::new(&scan, &stream);
 
         let workers = (0..threads)
             .map(|_| RankShard {
@@ -471,13 +609,12 @@ impl SearchEngine {
                 ..RankShard::default()
             })
             .collect();
-        let shards = scan_blocks(&stream, workers, |shard, planes| {
-            scan.rank_shard(k, shard, planes);
-        });
+        let shards = run_workers(workers, |shard| best_first.drain(&scan, k, shard));
 
         let mut stats = SearchStats {
             considered: stream.len(),
             eligible: stream.len(),
+            groups: best_first.order.len() as u64,
             threads,
             ..SearchStats::default()
         };
@@ -487,10 +624,12 @@ impl SearchEngine {
             stats.prefiltered += shard.prefiltered;
             stats.planes += shard.planes;
             stats.planes_skipped += shard.planes_skipped;
+            stats.groups_skipped += shard.groups_skipped;
             merged.extend(shard.top);
         }
         // The deterministic merge: global order is (est, seq); each shard
-        // already holds the best k of its slice under that order.
+        // already holds the best k of what it scored under that order,
+        // and nothing it skipped could have entered.
         merged.sort_by(|a, b| {
             a.est
                 .total_cmp(&b.est)
@@ -540,35 +679,54 @@ impl SearchEngine {
 }
 
 impl Scan<'_> {
-    /// Ranks one claimed run of planes into a worker's shard. Per plane:
-    /// the mandatory traffic and the pricing terms, then the bound from
-    /// the two, then the plane-level half of the analysis. Per candidate
-    /// the bound lets through: score, estimate, push. Nothing here
-    /// allocates.
-    fn rank_shard<'a>(&self, k: usize, shard: &mut RankShard<'a>, planes: PlaneIter<'a, '_>) {
+    /// Ranks one claimed group into a worker's shard, plane by plane in
+    /// stream order. Per plane the bound is staged: the compute term
+    /// alone, then with the HBM term (the mandatory traffic), and only a
+    /// plane that survives both gets its full pricing and the
+    /// plane-level half of the analysis. Per candidate the bound lets
+    /// through: score, estimate, push. Nothing here allocates.
+    fn rank_group<'a>(
+        &self,
+        k: usize,
+        shard: &mut RankShard<'a>,
+        bar: &AtomicU64,
+        group: PlaneGroup<'a, '_>,
+    ) {
         let chain = self.chain;
         let flops = chain.total_flops();
         let l2_bytes = self.analyzer.params().l2_bytes();
-        for plane in planes {
+        let cluster_size = group.cluster.blocks();
+        for plane in group.planes() {
             shard.planes += 1;
+            let bar_now = f64::from_bits(bar.load(Ordering::Relaxed));
             // Priced on the plane's first candidate: neither the traffic
             // nor the block count reads `blk_k` or `blk_l`.
             let (first, geometry) = plane.first();
-            let traffic = geometry.mandatory_traffic(chain, plane.cluster, first, l2_bytes);
             let blocks = geometry.blocks_total(plane.cluster);
-            let pricing = self
-                .cost_model
-                .plane_pricing(flops, blocks, plane.cluster.blocks());
-            let lb = pricing.lower_bound(traffic.hbm_bytes);
-            // Admissible: est >= lb, so lb >= worst means no candidate
-            // of the plane can enter this shard's top-K (nor, a
-            // fortiori, the merged global top-K).
-            let loses = |top: &[Scored]| top.len() == k && lb >= top.last().expect("k >= 1").est;
-            if loses(&shard.top) {
+            let compute_s = self.cost_model.compute_s(flops, blocks);
+            // Admissible: est >= lb >= compute_s, so a plane that loses on
+            // either has no candidate that could enter the top-K.
+            if shard.loses(k, bar_now, compute_s, plane.seq) {
                 shard.prefiltered += plane.len();
                 shard.planes_skipped += 1;
                 continue;
             }
+            let traffic = geometry.mandatory_traffic(chain, plane.cluster, first, l2_bytes);
+            let lb = compute_s.max(
+                self.cost_model
+                    .hbm_s(traffic.hbm_bytes, blocks, cluster_size),
+            );
+            if shard.loses(k, bar_now, lb, plane.seq) {
+                shard.prefiltered += plane.len();
+                shard.planes_skipped += 1;
+                continue;
+            }
+            let pricing = self.cost_model.plane_pricing(flops, blocks, cluster_size);
+            debug_assert_eq!(
+                pricing.lower_bound(traffic.hbm_bytes).to_bits(),
+                lb.to_bits(),
+                "the staged bound is the pricing's own"
+            );
             let terms = self.analyzer.plane(
                 chain,
                 plane.schedule,
@@ -583,7 +741,7 @@ impl Scan<'_> {
             }
             for (candidate, geometry) in plane.candidates().with_geometry() {
                 // The worst may have tightened since the plane began.
-                if loses(&shard.top) {
+                if shard.loses(k, bar_now, lb, candidate.seq) {
                     shard.prefiltered += 1;
                     continue;
                 }
@@ -591,14 +749,15 @@ impl Scan<'_> {
                     continue;
                 };
                 shard.feasible += 1;
-                push_top_k(
-                    &mut shard.top,
+                let est = self.cost_model.estimate(&pricing, &terms);
+                shard.push(
                     k,
                     Scored {
-                        est: self.cost_model.estimate(&pricing, &terms),
+                        est,
                         candidate,
                         terms,
                     },
+                    bar,
                 );
             }
         }
@@ -657,27 +816,16 @@ fn worker_count(config: &SearchConfig, candidates: u64) -> usize {
         .max(1)
 }
 
-/// Drains `stream` with one thread per worker: each claims the next
-/// `WORK_BLOCK` positions off a shared queue and hands the planes that
-/// begin there to `visit` until none are left. The first worker drains
-/// on the calling thread — a scan that needs one worker spawns nothing,
-/// and a short scan is not held up by a thread start — the others on
-/// threads of their own. Every worker is moved into its thread — its
-/// counters live on that thread's stack, not beside a neighbour's in one
-/// cache line — and comes back in the order given.
-fn scan_blocks<'a, W: Send>(
-    stream: &CandidateStream<'a>,
-    workers: Vec<W>,
-    visit: impl Fn(&mut W, PlaneIter<'a, '_>) + Sync,
-) -> Vec<W> {
-    let queue = AtomicU64::new(0);
-    let total = stream.len();
-    let drain = &|mut worker: W| loop {
-        let start = queue.fetch_add(WORK_BLOCK, Ordering::Relaxed);
-        if start >= total {
-            break worker;
-        }
-        visit(&mut worker, stream.planes(start, start + WORK_BLOCK));
+/// Runs `drain` once per worker, one thread each. The first worker
+/// drains on the calling thread — a scan that needs one worker spawns
+/// nothing, and a short scan is not held up by a thread start — the
+/// others on threads of their own. Every worker is moved into its thread
+/// — its counters live on that thread's stack, not beside a neighbour's
+/// in one cache line — and comes back in the order given.
+fn run_workers<W: Send>(workers: Vec<W>, drain: impl Fn(&mut W) + Sync) -> Vec<W> {
+    let drain = &|mut worker: W| {
+        drain(&mut worker);
+        worker
     };
     std::thread::scope(|scope| {
         let mut workers = workers.into_iter();

@@ -6,11 +6,13 @@
 //!    for any thread count, because ties in analytical cost are broken
 //!    by the candidate stream's total order; the persisted `eligible`
 //!    count does not move either.
-//! 2. **Bound admissibility** — skipping on the lower bound never drops
-//!    a candidate that could have entered the top-K: the engine's top-K
-//!    equals that of an in-test scan that analyzes and prices *every*
-//!    candidate, and the bound never exceeds the evaluated cost of any
-//!    feasible candidate.
+//! 2. **Bound admissibility** — skipping on the lower bound (a plane's,
+//!    or a whole group's floor) never drops a candidate that could have
+//!    entered the top-K: the engine's top-K equals that of an in-test
+//!    scan that analyzes and prices *every* candidate — on the small
+//!    chains, and on the benchmark's sixteen cold-compile requests at
+//!    threads {1, 2, 3, 8} — and the bound never exceeds the evaluated
+//!    cost of any feasible candidate.
 //! 3. **One bound per plane** — the engine prices the bound once per
 //!    `(schedule, cluster, blk_m, blk_n)` plane and skips the plane on
 //!    it, which is sound only while the bound ignores `blk_k` and
@@ -29,6 +31,10 @@ use flashfuser_core::{
 };
 use flashfuser_graph::ChainSpec;
 use flashfuser_tensor::Activation;
+use flashfuser_workloads::{conv_chains, gated_ffn_chains, gemm_chains, Workload};
+use oracle::{assert_oracle_top_k, exhaustive_top_k};
+
+mod oracle;
 
 /// Small chains with distinct shapes (standard + gated + skinny) that
 /// brute-force quickly but still enumerate thousands of candidates.
@@ -124,52 +130,89 @@ fn brute_force_is_thread_count_invariant() {
 
 #[test]
 fn prefilter_never_prunes_the_cost_model_optimum() {
-    // The engine's whole top-K must equal the best K of an exhaustive
-    // scan that analyzes and prices every candidate of the stream — no
-    // bound, no skipping — ordered by (estimate, stream position).
-    let all = LoopSchedule::enumerate_all();
-    let analyzer = DataflowAnalyzer::new(MachineDescriptor::h100_sxm());
-    let cost_model = CostModel::new(MachineDescriptor::h100_sxm());
+    // The engine's whole top-K must equal the exhaustive oracle's.
+    let machine = MachineDescriptor::h100_sxm();
     for chain in small_chains() {
         let config = SearchConfig::default();
-        let stream = CandidateStream::build(&chain, &config.prune, &all);
-        let mut oracle: Vec<_> = stream
-            .iter()
-            .filter_map(|cand| {
-                let analysis = analyzer
-                    .analyze(&chain, cand.schedule, cand.cluster, cand.tile)
-                    .ok()?;
-                Some((cost_model.evaluate(&analysis).est_s, cand.seq, analysis))
-            })
-            .collect();
-        oracle.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        oracle.truncate(config.top_k);
+        let oracle = exhaustive_top_k(&machine, &chain, &config);
         assert_eq!(oracle.len(), config.top_k, "{}", chain.dims());
-
         for threads in [1, 4] {
             let guided = engine()
                 .search(&chain, &config.clone().with_threads(threads))
                 .unwrap();
-            assert_eq!(guided.top_k().len(), oracle.len(), "{}", chain.dims());
-            for (rank, (got, (est, _, analysis))) in guided.top_k().iter().zip(&oracle).enumerate()
-            {
-                assert_eq!(
-                    got.est_seconds,
-                    *est,
-                    "{}: rank {rank} estimate, {threads} thread(s)",
-                    chain.dims()
-                );
-                assert_eq!(
-                    &got.analysis,
-                    analysis,
-                    "{}: rank {rank} plan, {threads} thread(s)",
-                    chain.dims()
-                );
-            }
+            let at = format!("{}, {threads} thread(s)", chain.dims());
+            assert_oracle_top_k(&guided, &oracle, &at);
             assert!(
                 guided.stats().prefiltered > 0,
                 "{}: the bound never fired — nothing was tested",
                 chain.dims()
+            );
+        }
+    }
+}
+
+/// The sixteen cold-compile requests of the benchmark's `cold_chain`
+/// workload: Tab. VII G1–G10, gated S3, conv C5 and two attention
+/// windows on H100, plus G4 on the tensix-like descriptor and on A100 —
+/// each with the facade's default config for its machine.
+fn cold_requests() -> Vec<(String, ChainSpec, MachineDescriptor, SearchConfig)> {
+    let pick = |table: Vec<Workload>, id: &str| {
+        table
+            .into_iter()
+            .find(|w| w.id == id)
+            .unwrap_or_else(|| panic!("workload table lost {id}"))
+            .chain
+    };
+    let mut chains: Vec<(String, ChainSpec)> = gemm_chains()
+        .into_iter()
+        .map(|w| (w.id.to_string(), w.chain))
+        .collect();
+    chains.push(("S3".into(), pick(gated_ffn_chains(), "S3")));
+    chains.push(("C5".into(), pick(conv_chains(), "C5")));
+    for (label, m, k) in [("A512", 512, 64), ("A2048", 2048, 128)] {
+        let chain = ChainSpec::attention(m, m, k, k, true).named(label);
+        chains.push((label.into(), chain));
+    }
+    let g4 = chains[3].1.clone();
+    let tensix = decode_machine(include_str!("../../../machines/tensix_like.json"))
+        .expect("machines/tensix_like.json decodes");
+    let mut requests: Vec<_> = chains
+        .into_iter()
+        .map(|(label, chain)| (label, chain, MachineDescriptor::h100_sxm()))
+        .collect();
+    requests.push(("G4@tensix".into(), g4.clone(), tensix));
+    requests.push(("G4@a100".into(), g4, MachineDescriptor::a100_sxm()));
+    requests
+        .into_iter()
+        .map(|(label, chain, machine)| {
+            let mut config = SearchConfig::default();
+            config.prune.max_cluster = machine.max_cluster();
+            if machine.max_cluster() <= 1 {
+                config.prune.lowest_spill = MemLevel::Smem;
+            }
+            (label, chain, machine, config)
+        })
+        .collect()
+}
+
+#[test]
+fn best_first_search_is_the_exhaustive_top_k_on_every_cold_request_and_thread_count() {
+    let requests = cold_requests();
+    assert_eq!(requests.len(), 16);
+    for (label, chain, machine, config) in &requests {
+        let oracle = exhaustive_top_k(machine, chain, config);
+        assert_eq!(oracle.len(), config.top_k, "{label}");
+        let engine = SearchEngine::new(machine.clone());
+        for threads in [1, 2, 3, 8] {
+            let got = engine
+                .search(chain, &config.clone().with_threads(threads))
+                .unwrap();
+            assert_oracle_top_k(&got, &oracle, &format!("{label}, {threads} thread(s)"));
+            let stats = got.stats();
+            assert!(
+                stats.prefiltered + stats.feasible <= stats.eligible
+                    && stats.groups_skipped < stats.groups,
+                "{label}, {threads} thread(s): {stats:?}"
             );
         }
     }

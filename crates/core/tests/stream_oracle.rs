@@ -20,6 +20,9 @@ use flashfuser_core::{
 use flashfuser_graph::{ChainSpec, Dim, StableHasher};
 use flashfuser_tensor::rng::SplitMix64;
 use flashfuser_tensor::Activation;
+use oracle::{assert_oracle_top_k, exhaustive_top_k};
+
+mod oracle;
 
 /// What identifies a candidate: the schedule (by address — stream and
 /// reference borrow the same `enumerate_all` list), cluster and tile.
@@ -351,4 +354,91 @@ fn analysis_outcomes_match_the_digests_pinned_before_the_score_materialise_split
         got.push((h.finish(), accepted, rejected));
     }
     assert_eq!(got, PINNED, "(digest, accepted, rejected) per machine");
+}
+
+/// The best-first search cuts a whole `(schedule, cluster)` group once
+/// its floor is above the bar, so the floor must sit at or below the
+/// bound of every plane in the group — the bound the scan would
+/// otherwise have priced, taken here through `lower_bound_for`, the
+/// per-candidate entry point. Both the default and the SMEM-only
+/// pruning configs, on every machine family.
+#[test]
+fn every_group_floor_is_at_most_every_plane_bound_in_the_group() {
+    let all = LoopSchedule::enumerate_all();
+    let (mut groups, mut planes, mut tight) = (0u64, 0u64, 0u64);
+    for machine in machines() {
+        let cost_model = CostModel::new(machine.clone());
+        for config in [prune_for(&machine), SearchConfig::smem_only().prune] {
+            for chain in population() {
+                let stream = CandidateStream::build(&chain, &config, &all);
+                for group in stream.groups() {
+                    let floor = cost_model.group_floor(&chain, &group);
+                    let mut lowest = f64::INFINITY;
+                    for plane in group.planes() {
+                        let (tile, geometry) = plane.first();
+                        let bound =
+                            cost_model.lower_bound_for(&chain, &geometry, plane.cluster, tile);
+                        assert!(
+                            floor <= bound,
+                            "{} on {}: floor {floor} above the bound {bound} of {} {} blk_m={} \
+                             blk_n={}",
+                            chain.dims(),
+                            machine.name,
+                            plane.schedule,
+                            plane.cluster,
+                            plane.blk_m,
+                            plane.blk_n
+                        );
+                        lowest = lowest.min(bound);
+                        planes += 1;
+                    }
+                    tight += u64::from(floor == lowest);
+                    groups += 1;
+                }
+            }
+        }
+    }
+    // The floor is worth having only where it is often exact.
+    assert!(
+        groups > 30_000 && planes > 300_000 && tight * 4 > groups,
+        "{groups} groups, {planes} planes, {tight} floors equal to their group's lowest bound"
+    );
+}
+
+/// Groups are visited best floor first, not in stream order, so the
+/// scan's skips must respect `(estimate, seq)` ties: against a worker's
+/// own full buffer a tie with the worst still enters when it sits
+/// earlier in the stream, and against the shared bar only a strictly
+/// higher bound loses. The population's small chains tie exactly often
+/// (compute-bound planes share one estimate), which is where either
+/// rule, loosened, would drop a finalist.
+#[test]
+fn best_first_top_k_is_the_exhaustive_top_k_over_the_population() {
+    let mut searched = 0;
+    for machine in machines() {
+        let engine = SearchEngine::new(machine.clone());
+        for prune in [prune_for(&machine), SearchConfig::smem_only().prune] {
+            let config = SearchConfig {
+                prune,
+                ..SearchConfig::default()
+            };
+            for chain in population() {
+                let oracle = exhaustive_top_k(&machine, &chain, &config);
+                for threads in [1, 2] {
+                    let at = format!(
+                        "{} on {}, max_cluster {}, {threads} thread(s)",
+                        chain.dims(),
+                        machine.name,
+                        config.prune.max_cluster
+                    );
+                    match engine.search(&chain, &config.clone().with_threads(threads)) {
+                        Ok(got) => assert_oracle_top_k(&got, &oracle, &at),
+                        Err(e) => assert!(oracle.is_empty(), "{at}: {e}"),
+                    }
+                }
+                searched += usize::from(!oracle.is_empty());
+            }
+        }
+    }
+    assert!(searched > 300, "only {searched} searches found a plan");
 }

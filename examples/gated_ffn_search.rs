@@ -28,10 +28,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "\nsearch stats: {} geometry-eligible candidates scanned, {} skipped on the bound \
-         ({} planes, {} dropped whole), {:.2} s analysis",
+        "\nsearch stats: {} geometry-eligible candidates, {} skipped on the bound \
+         ({} of {} groups cut on their floor, {} planes visited, {} dropped whole), \
+         {:.2} s analysis",
         result.stats().considered,
         result.stats().prefiltered,
+        result.stats().groups_skipped,
+        result.stats().groups,
         result.stats().planes,
         result.stats().planes_skipped,
         result.stats().analysis_seconds
